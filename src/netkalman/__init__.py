@@ -55,7 +55,6 @@ from .analysis import (
     InapplicableError,
     MinimalityViolationError,
     NormMinima,
-    SolverOptions,
     boundedness_test,
     cov_bound_sequence,
     critical_bounds,

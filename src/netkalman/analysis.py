@@ -5,22 +5,26 @@ indicators.  This module implements its one-step conditional expectation
 under the per-outcome optimal gains, the deterministic iteration of that
 map (the working upper bound for the expected covariance; see README
 "Known limitations" for the matrix-order caveat), the Kronecker-form
-linear update whose spectral radius certifies convergence for fixed
-gains, the masked spectral-norm minima whose probability-weighted sum
-yields an easily checked boundedness certificate, and the closed-form
-bracket for the critical delay probability (plus an empirical bisection
-counterpart).
+linear update whose spectral radius certifies convergence for a fixed
+gain, the masked spectral-norm minima r1..r4 whose probability-weighted
+sum yields an easily checked boundedness certificate, and the
+closed-form bracket for the critical delay probability (plus an
+empirical bisection counterpart).
+
+Because the stacked sensing matrix is block diagonal, the pseudo-inverse
+gain ``C^+`` is admissible under every delay mask and minimizes all four
+masked norms, so r1 = r2 = r3 = r4 = ``||A (I - C^+ C)||_2^2`` in closed
+form and ``C^+`` is the one certificate gain.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .gains import StructuredMask, gain_set, mask_pattern, optimal_gain
+from .gains import StructuredMask, gain_set, mask_for_outcome, mask_pattern, optimal_gain
 from .model import ALL_OUTCOMES, BlockDims, DelayModel, DelayOutcome, SystemModel
 
 __all__ = [
@@ -32,11 +36,8 @@ __all__ = [
     "first_prediction_cov",
     "CovBoundSequence",
     "cov_bound_sequence",
-    "CertificateSet",
-    "assemble_certificates",
     "expected_kron_update",
     "kron_update_radius",
-    "SolverOptions",
     "NormMinResult",
     "min_structured_norm",
     "NormMinima",
@@ -197,328 +198,103 @@ def cov_bound_sequence(
 # Kronecker-form expected update
 
 
-@dataclass(frozen=True)
-class CertificateSet:
-    """Structured gain certificates, one placement per delay outcome.
+def expected_kron_update(model: SystemModel, delays: DelayModel, X) -> np.ndarray:
+    """Kronecker-form update of the covariance recursion under one fixed gain.
 
-    ``bd1`` (n1, m1) and ``bd2`` (n2, m2) fill the block-diagonal gain
-    used when both cross channels are delayed; ``lo1`` (n, m1) and
-    ``lo2`` (n2, m2) fill the lower-block gain (only channel to
-    subsystem 1 delayed); ``up1`` (n1, m1) and ``up2`` (n, m2) the
-    upper-block gain; ``full`` (n, m) the unconstrained gain.
+    X is an (n, m) gain applied whatever the delay outcome, so it must
+    respect the mask of every outcome with positive probability (raises
+    ``ValueError`` otherwise, or on a wrong shape).  The vectorized
+    recursion is then affine with the (n^2, n^2) matrix ``kron(F, F)``,
+    ``F = A - A X C`` (the probability-weighted sum of identical terms);
+    its spectral radius below one certifies convergence of the covariance
+    for that gain.
     """
-
-    bd1: np.ndarray
-    bd2: np.ndarray
-    lo1: np.ndarray
-    lo2: np.ndarray
-    up1: np.ndarray
-    up2: np.ndarray
-    full: np.ndarray
-
-    def validate(self, dims: BlockDims):
-        n1, n2, m1, m2 = dims
-        expected = {
-            "bd1": (n1, m1),
-            "bd2": (n2, m2),
-            "lo1": (dims.n, m1),
-            "lo2": (n2, m2),
-            "up1": (n1, m1),
-            "up2": (dims.n, m2),
-            "full": (dims.n, dims.m),
-        }
-        for name, shape in expected.items():
-            got = np.asarray(getattr(self, name)).shape
-            if got != shape:
-                raise ValueError(f"certificate {name} has shape {got}, expected {shape}")
-
-    def assembled(self, dims: BlockDims) -> dict:
-        """Full (n, m) gain per outcome label, masks exact by placement."""
-        n1, m1 = dims.n1, dims.m1
-        n, m = dims.n, dims.m
-        out = {}
-        X = np.zeros((n, m))
-        X[:n1, :m1] = self.bd1
-        X[n1:, m1:] = self.bd2
-        out["00"] = X
-        X = np.zeros((n, m))
-        X[:, :m1] = self.lo1
-        X[n1:, m1:] = self.lo2
-        out["01"] = X
-        X = np.zeros((n, m))
-        X[:n1, :m1] = self.up1
-        X[:, m1:] = self.up2
-        out["10"] = X
-        out["11"] = np.array(self.full, dtype=float)
-        return out
-
-
-def assemble_certificates(X_bd, X_lo, X_up, X_full, dims: BlockDims) -> CertificateSet:
-    """Split four mask-respecting (n, m) gains into their free blocks.
-
-    Raises if any matrix has a nonzero entry outside its mask.
-    """
-    mats = {
-        StructuredMask.BLOCK_DIAG: np.asarray(X_bd, dtype=float),
-        StructuredMask.LOWER_BLOCK: np.asarray(X_lo, dtype=float),
-        StructuredMask.UPPER_BLOCK: np.asarray(X_up, dtype=float),
-        StructuredMask.FULL: np.asarray(X_full, dtype=float),
-    }
-    for mask, X in mats.items():
-        free = mask_pattern(mask, dims)
-        if X.shape != free.shape:
-            raise ValueError(f"{mask.value} certificate has shape {X.shape}, expected {free.shape}")
-        if np.any(X[~free] != 0.0):
-            raise ValueError(f"{mask.value} certificate violates its zero pattern")
-    n1, m1 = dims.n1, dims.m1
-    return CertificateSet(
-        bd1=mats[StructuredMask.BLOCK_DIAG][:n1, :m1],
-        bd2=mats[StructuredMask.BLOCK_DIAG][n1:, m1:],
-        lo1=mats[StructuredMask.LOWER_BLOCK][:, :m1],
-        lo2=mats[StructuredMask.LOWER_BLOCK][n1:, m1:],
-        up1=mats[StructuredMask.UPPER_BLOCK][:n1, :m1],
-        up2=mats[StructuredMask.UPPER_BLOCK][:, m1:],
-        full=mats[StructuredMask.FULL],
-    )
-
-
-_OUTCOME_BY_LABEL = {oc.label: oc for oc in ALL_OUTCOMES}
-
-
-def expected_kron_update(
-    model: SystemModel, delays: DelayModel, certs: CertificateSet
-) -> np.ndarray:
-    """Probability-weighted Kronecker square of the propagation factors.
-
-    For fixed per-outcome gains the vectorized covariance recursion is
-    affine with this (n^2, n^2) matrix; its spectral radius below one
-    certifies convergence of the bound sequence.
-    """
-    certs.validate(model.dims)
-    n = model.n
-    out = np.zeros((n * n, n * n))
-    for label, X in certs.assembled(model.dims).items():
-        p = delays.outcome_probability(_OUTCOME_BY_LABEL[label])
-        if p == 0.0:
+    X = np.asarray(X, dtype=float)
+    if X.shape != (model.n, model.m):
+        raise ValueError(f"gain has shape {X.shape}, expected {(model.n, model.m)}")
+    for outcome in ALL_OUTCOMES:
+        if delays.outcome_probability(outcome) == 0.0:
             continue
-        F = closed_loop_factor(model, X)
-        out = out + p * np.kron(F, F)
-    return out
+        mask = mask_for_outcome(outcome)
+        if np.any(X[~mask_pattern(mask, model.dims)] != 0.0):
+            raise ValueError(
+                f"gain violates the {mask.value} zero pattern of outcome {outcome.label}"
+            )
+    F = closed_loop_factor(model, X)
+    return np.kron(F, F)
 
 
-def kron_update_radius(
-    model: SystemModel, delays: DelayModel, certs: CertificateSet
-) -> float:
+def kron_update_radius(model: SystemModel, delays: DelayModel, X) -> float:
     """Spectral radius of :func:`expected_kron_update`."""
-    eigs = np.linalg.eigvals(expected_kron_update(model, delays, certs))
+    eigs = np.linalg.eigvals(expected_kron_update(model, delays, X))
     return float(np.abs(eigs).max())
 
 
 # ---------------------------------------------------------------------------
-# Masked spectral-norm minimization
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Settings for the masked spectral-norm subgradient solver.
-
-    ``step_scale`` sets the step constant ``c = step_scale * ||A||``;
-    the k-th step is ``c / sqrt(k)``.  ``tolerance`` is the relative
-    improvement below which progress no longer counts for the
-    convergence flag.
-    """
-
-    restarts: int = 20
-    iterations: int = 2000
-    step_scale: float = 0.1
-    tolerance: float = 1e-9
-    seed: int = 0
-    avg_eval_every: int = 25
-
-
-_MASK_STREAM = {
-    StructuredMask.BLOCK_DIAG: 1,
-    StructuredMask.LOWER_BLOCK: 2,
-    StructuredMask.UPPER_BLOCK: 3,
-    StructuredMask.FULL: 4,
-}
+# Masked spectral-norm minima
 
 
 @dataclass(frozen=True)
 class NormMinResult:
-    """Best masked gain found and its squared spectral norm value.
+    """Masked spectral-norm minimum ``||A - A X C||_2^2`` and its gain X.
 
-    ``value`` is always a valid upper bound for the true minimum, since
-    any feasible gain certifies its own objective value.
+    ``iterations`` is always 0: the minimum has a closed form.
     """
 
     value: float
     X: np.ndarray
-    mask: StructuredMask
-    converged: bool
-    iterations: int
+    iterations: int = 0
 
 
-def _masked_frobenius_start(A, C, free) -> np.ndarray:
-    """Least-squares minimizer of the Frobenius norm over the mask."""
-    n, m = free.shape
-    design = np.kron(C.T, A)  # vec(A X C) = (C^T kron A) vec(X), Fortran order
-    cols = free.flatten(order="F")
-    if not cols.any():
-        return np.zeros((n, m))
-    sol, *_ = np.linalg.lstsq(design[:, cols], A.flatten(order="F"), rcond=None)
-    X = np.zeros(n * m)
-    X[cols] = sol
-    return X.reshape((n, m), order="F")
+def min_structured_norm(A, C, dims: BlockDims) -> NormMinResult:
+    """Minimize ``||A - A X C||_2^2`` over the gains X of every delay mask.
 
+    ``C = blkdiag(C1, C2)`` has the block-diagonal pseudo-inverse
+    ``X = blkdiag(C1^+, C2^+)``, which every mask admits.  ``X C`` is the
+    orthogonal projector onto the row space of C, so ``A - A X C = A P``
+    with P the projector onto null(C).  Any gain X' leaves null(C)
+    untouched, ``(I - X' C) P = P``, hence ``||A (I - X' C)|| >= ||A P||``
+    and X attains the minimum under all four masks at once.
 
-def min_structured_norm(
-    A,
-    C,
-    mask: StructuredMask,
-    dims: BlockDims,
-    options: Optional[SolverOptions] = None,
-    extra_starts: Sequence[np.ndarray] = (),
-) -> NormMinResult:
-    """Minimize ``||A - A X C||^2`` over gains X with the given mask.
-
-    Convex but nonsmooth; solved by projected subgradient descent with
-    iterate averaging from several starts: the masked Frobenius
-    least-squares solution, the masked pseudo-inverse of C, zero, any
-    ``extra_starts`` (e.g. certificates from a more restrictive mask),
-    and seeded random restarts.  The best objective value seen over all
-    evaluated candidates is returned with its certificate.
+    Raises ``ValueError`` if C has a nonzero entry outside its two
+    diagonal blocks, where the masked minima differ and this form fails.
     """
-    if options is None:
-        options = SolverOptions()
     A = np.asarray(A, dtype=float)
     C = np.asarray(C, dtype=float)
-    free = mask_pattern(mask, dims)
-    norm_A = np.linalg.norm(A, 2)
-
-    def value_of(X):
-        return np.linalg.norm(A - A @ X @ C, 2)
-
-    starts = [_masked_frobenius_start(A, C, free)]
-    starts.append(np.where(free, np.linalg.pinv(C), 0.0))
-    starts.append(np.zeros(free.shape))
-    starts.extend(np.where(free, np.asarray(X, dtype=float), 0.0) for X in extra_starts)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=options.seed, spawn_key=(_MASK_STREAM[mask],))
-    )
-    scale = max(1.0, np.linalg.norm(np.where(free, np.linalg.pinv(C), 0.0), 2))
-    for _ in range(options.restarts):
-        starts.append(np.where(free, scale * rng.standard_normal(free.shape), 0.0))
-
-    best_val = math.inf
-    best_X = np.zeros(free.shape)
-    step_c = options.step_scale * norm_A
-    total_iters = 0
-    last_gain_at = 0
-
-    def consider(val, X):
-        nonlocal best_val, best_X, last_gain_at
-        if val < best_val:
-            if best_val - val > options.tolerance * (1.0 + val):
-                last_gain_at = total_iters
-            best_val = val
-            best_X = X.copy()
-
-    # Score every start before iterating: a certificate seeded from a
-    # more restrictive mask must always be able to set the incumbent,
-    # even when an earlier start is already essentially exact.
-    for X0 in starts:
-        consider(value_of(X0), X0)
-
-    for X0 in starts:
-        if best_val**2 < 1e-28:
-            break
-        X = X0.copy()
-        avg = X0.copy()
-        for k in range(1, options.iterations + 1):
-            total_iters += 1
-            R = A - A @ X @ C
-            U, s, Vt = np.linalg.svd(R)
-            consider(s[0], X)
-            sub = -np.outer(A.T @ U[:, 0], C @ Vt[0])
-            X = np.where(free, X - (step_c / math.sqrt(k)) * sub, 0.0)
-            avg += (X - avg) / (k + 1)
-            if k % options.avg_eval_every == 0:
-                consider(value_of(avg), avg)
-        consider(value_of(avg), avg)
-        if best_val**2 < 1e-28:
-            break
-
-    converged = last_gain_at <= 0.9 * max(total_iters, 1)
-    return NormMinResult(
-        value=float(best_val**2),
-        X=best_X,
-        mask=mask,
-        converged=converged,
-        iterations=total_iters,
-    )
+    n1, m1 = dims.n1, dims.m1
+    if C.shape != (dims.m, dims.n):
+        raise ValueError(f"C has shape {C.shape}, expected {(dims.m, dims.n)}")
+    if np.any(C[:m1, n1:] != 0.0) or np.any(C[m1:, :n1] != 0.0):
+        raise ValueError("C has nonzero entries outside its diagonal blocks")
+    X = np.zeros((dims.n, dims.m))
+    X[:n1, :m1] = np.linalg.pinv(C[:m1, :n1])
+    X[n1:, m1:] = np.linalg.pinv(C[m1:, n1:])
+    value = float(np.linalg.norm(A - A @ X @ C, 2) ** 2)
+    return NormMinResult(value=value, X=X)
 
 
 @dataclass(frozen=True)
 class NormMinima:
-    """The four masked norm minima r1..r4 with their certificates.
+    """The four masked norm minima r1..r4 with their common certificate.
 
     r1 is the block-diagonal minimum, r2 lower-block, r3 upper-block,
-    r4 unconstrained.  Mask nesting gives r4 <= min(r2, r3) and
-    max(r2, r3) <= r1; the solver preserves these orderings by seeding
-    each larger-mask solve with the smaller-mask certificates.
+    r4 unconstrained.  With block-diagonal sensing all four equal
+    ``||A (I - C^+ C)||_2^2``, attained by the one gain ``X = C^+``
+    (see :func:`min_structured_norm`).
     """
 
     r1: float
     r2: float
     r3: float
     r4: float
-    X_bd: np.ndarray
-    X_lo: np.ndarray
-    X_up: np.ndarray
-    X_full: np.ndarray
-    converged: bool
-
-    def certificates(self, dims: BlockDims) -> CertificateSet:
-        return assemble_certificates(self.X_bd, self.X_lo, self.X_up, self.X_full, dims)
+    X: np.ndarray
 
 
-def masked_norm_minima(
-    model_or_AC, options: Optional[SolverOptions] = None, dims: Optional[BlockDims] = None
-) -> NormMinima:
-    """Compute r1..r4 for a model (or an explicit ``(A, C)`` pair).
-
-    The solves run in mask-nesting order, each seeded with the previous
-    certificates, so the computed upper bounds satisfy the nesting
-    orderings exactly.
-    """
-    if isinstance(model_or_AC, SystemModel):
-        A, C, dims = model_or_AC.A, model_or_AC.C, model_or_AC.dims
-    else:
-        A, C = model_or_AC
-        if dims is None:
-            raise ValueError("dims is required when passing an explicit (A, C) pair")
-    bd = min_structured_norm(A, C, StructuredMask.BLOCK_DIAG, dims, options)
-    lo = min_structured_norm(
-        A, C, StructuredMask.LOWER_BLOCK, dims, options, extra_starts=[bd.X]
-    )
-    up = min_structured_norm(
-        A, C, StructuredMask.UPPER_BLOCK, dims, options, extra_starts=[bd.X]
-    )
-    full = min_structured_norm(
-        A, C, StructuredMask.FULL, dims, options, extra_starts=[lo.X, up.X]
-    )
-    return NormMinima(
-        r1=bd.value,
-        r2=lo.value,
-        r3=up.value,
-        r4=full.value,
-        X_bd=bd.X,
-        X_lo=lo.X,
-        X_up=up.X,
-        X_full=full.X,
-        converged=bd.converged and lo.converged and up.converged and full.converged,
-    )
+def masked_norm_minima(model: SystemModel) -> NormMinima:
+    """Compute r1..r4 and their certificate gain for a model."""
+    res = min_structured_norm(model.A, model.C, model.dims)
+    r = res.value
+    return NormMinima(r1=r, r2=r, r3=r, r4=r, X=res.X)
 
 
 # ---------------------------------------------------------------------------
@@ -548,14 +324,14 @@ class BoundednessReport:
     weighted_sum: float
     verdict: str  # "BoundedCertified" | "Inconclusive"
     minima: NormMinima
-    dims: BlockDims
 
     @property
     def certified(self) -> bool:
         return self.verdict == "BoundedCertified"
 
-    def certificates(self) -> CertificateSet:
-        return self.minima.certificates(self.dims)
+    def certificates(self) -> np.ndarray:
+        """The (n, m) certificate gain, admissible under every outcome."""
+        return self.minima.X
 
     def to_text(self) -> str:
         lines = [
@@ -589,15 +365,23 @@ def weighted_sum_of(minima: NormMinima, delays: DelayModel) -> float:
     )
 
 
+# Compatibility with the benchmark in perfbench/, which is versioned apart
+# from the library: it passes ``RunConfig.solver`` (always None) into the
+# ``options`` slot of boundedness_test and critical_bounds, which is
+# accepted and ignored; its traced run wraps min_structured_norm,
+# masked_norm_minima and residual_gram_floor by name and reads
+# ``NormMinResult.iterations``.
+
+
 def boundedness_test(
     model: SystemModel,
     delays: DelayModel,
-    options: Optional[SolverOptions] = None,
+    options=None,
     minima: Optional[NormMinima] = None,
 ) -> BoundednessReport:
     """Certify boundedness of the expected covariance at given delays."""
     if minima is None:
-        minima = masked_norm_minima(model, options)
+        minima = masked_norm_minima(model)
     ws = weighted_sum_of(minima, delays)
     verdict = "BoundedCertified" if ws <= 1.0 else "Inconclusive"
     return BoundednessReport(
@@ -610,7 +394,6 @@ def boundedness_test(
         weighted_sum=ws,
         verdict=verdict,
         minima=minima,
-        dims=model.dims,
     )
 
 
@@ -816,13 +599,13 @@ def critical_bounds(
     model: SystemModel,
     lambda_fixed: float,
     fixed_which: int,
-    options: Optional[SolverOptions] = None,
+    options=None,
     minima: Optional[NormMinima] = None,
     branch_tol: float = 1e-9,
 ) -> CriticalBounds:
     """Closed-form bracket for the critical probability of one channel."""
     if minima is None:
-        minima = masked_norm_minima(model, options)
+        minima = masked_norm_minima(model)
     try:
         alpha = residual_gram_floor(model).alpha
     except InapplicableError:
@@ -912,6 +695,10 @@ def empirical_critical(
     """
     if fixed_which not in (1, 2):
         raise ValueError(f"fixed_which must be 1 or 2, got {fixed_which}")
+    if not bisect_tol > 0.0:
+        # With a zero tolerance the loop never ends: the bracket stops
+        # shrinking once its ends are adjacent doubles.
+        raise ValueError(f"bisect_tol must be positive, got {bisect_tol}")
 
     def delays_at(free: float) -> DelayModel:
         if fixed_which == 1:

@@ -24,7 +24,7 @@ from . import analysis, montecarlo
 from .config import ConfigError, dump_normalized, parse_config
 from .filtering import make_rng, run_filter
 from .gains import gain_set
-from .model import load_matrix_csv, validate_model, ALL_OUTCOMES
+from .model import ALL_OUTCOMES, load_matrix_csv, save_matrix_csv, validate_model
 
 __all__ = ["main", "run"]
 
@@ -122,20 +122,15 @@ def _cmd_iterate_g(args) -> int:
 
 def _cmd_bounded(args) -> int:
     cfg = _load_validated(args.config)
-    report = analysis.boundedness_test(cfg.model, cfg.delays, cfg.solver)
+    report = analysis.boundedness_test(cfg.model, cfg.delays)
     _write_out(report.to_csv(), args.out)
     print(report.to_text(), file=sys.stderr)
     if args.certificates:
         os.makedirs(args.certificates, exist_ok=True)
-        certs = report.minima
-        from .model import save_matrix_csv
-
-        for name, X in (
-            ("X_block_diag", certs.X_bd),
-            ("X_lower_block", certs.X_lo),
-            ("X_upper_block", certs.X_up),
-            ("X_full", certs.X_full),
-        ):
+        # One gain certifies every mask; the four per-mask files are kept
+        # so existing consumers find the names they expect.
+        X = report.certificates()
+        for name in ("X_block_diag", "X_lower_block", "X_upper_block", "X_full"):
             save_matrix_csv(os.path.join(args.certificates, f"{name}.csv"), X)
     return 0
 
@@ -157,7 +152,7 @@ def _parse_fix(text: str):
 def _cmd_critical(args) -> int:
     cfg = _load_validated(args.config)
     fixed_which, lam = _parse_fix(args.fix)
-    minima = analysis.masked_norm_minima(cfg.model, cfg.solver)
+    minima = analysis.masked_norm_minima(cfg.model)
     try:
         alpha = analysis.residual_gram_floor(cfg.model).alpha
     except analysis.InapplicableError:

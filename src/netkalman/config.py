@@ -4,7 +4,10 @@ The file has four sections.  ``[system]`` names a fixture or spells out
 the matrices (inline rows or ``*_file`` references to row-per-line CSV
 files); ``[delays]`` holds the two delay probabilities and optional
 sweep grids; ``[sim]`` the horizon, run count and master seed;
-``[analysis]`` the solver and bisection settings.  ``dump_normalized``
+``[analysis]`` the bound-iteration and bisection settings.  The former
+masked-norm solver keys (``restarts``, ``iterations``, ``step_scale``,
+``tolerance``, ``solver_seed``) are accepted and ignored, since the
+minima have a closed form; older files keep parsing.  ``dump_normalized``
 emits a canonical, self-contained form (fixtures and file references
 resolved to inline full-precision matrices) that re-parses to itself.
 """
@@ -12,13 +15,13 @@ resolved to inline full-precision matrices) that re-parses to itself.
 from __future__ import annotations
 
 import configparser
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .analysis import SolverOptions
 from .model import (
     FIXTURE_NAMES,
     DelayModel,
@@ -30,6 +33,7 @@ from .model import (
 __all__ = ["ConfigError", "RunConfig", "parse_config", "dump_normalized"]
 
 _MATRIX_KEYS = ("a", "c1", "c2", "w", "v", "sigma0")
+_IGNORED_ANALYSIS_KEYS = {"restarts", "iterations", "step_scale", "tolerance", "solver_seed"}
 
 
 class ConfigError(ValueError):
@@ -47,10 +51,14 @@ class RunConfig:
     steps: int = 50
     runs: int = 1000
     seed: int = 0
-    solver: SolverOptions = field(default_factory=SolverOptions)
     divergence_threshold: Optional[float] = None
     bisect_tol: float = 0.02
     horizon: int = 400
+
+    @property
+    def solver(self) -> None:
+        """Always None; for the ignored ``options`` slot of the analysis calls."""
+        return None
 
     def grid(self) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
         """Sweep grid; falls back to the single configured point."""
@@ -83,16 +91,21 @@ def _get_matrix(section, key: str, base_dir: str, where: str) -> Optional[np.nda
     if inline is not None and path is not None:
         raise ConfigError(f"{where}: give either {key} or {key}_file, not both")
     if inline is not None:
-        return _parse_matrix_text(inline, f"{where} {key}")
-    if path is not None:
+        M = _parse_matrix_text(inline, f"{where} {key}")
+    elif path is not None:
+        key = f"{key}_file"
         full = path if os.path.isabs(path) else os.path.join(base_dir, path)
         if not os.path.exists(full):
-            raise ConfigError(f"{where} {key}_file: no such file {full}")
+            raise ConfigError(f"{where} {key}: no such file {full}")
         try:
-            return load_matrix_csv(full)
+            M = load_matrix_csv(full)
         except ValueError as exc:
-            raise ConfigError(f"{where} {key}_file: {exc}") from None
-    return None
+            raise ConfigError(f"{where} {key}: {exc}") from None
+    else:
+        return None
+    if not np.isfinite(M).all():
+        raise ConfigError(f"{where} {key}: matrix has non-finite entries")
+    return M
 
 
 def _get_number(section, key: str, where: str, cast, default=None):
@@ -190,18 +203,15 @@ def parse_config(path) -> RunConfig:
 
     an = cp["analysis"] if cp.has_section("analysis") else {}
     where = "[analysis]"
-    solver = SolverOptions(
-        restarts=_get_number(an, "restarts", where, int, SolverOptions.restarts),
-        iterations=_get_number(an, "iterations", where, int, SolverOptions.iterations),
-        step_scale=_get_number(an, "step_scale", where, float, SolverOptions.step_scale),
-        tolerance=_get_number(an, "tolerance", where, float, SolverOptions.tolerance),
-        seed=_get_number(an, "solver_seed", where, int, SolverOptions.seed),
-    )
     divergence_threshold = _get_number(an, "divergence_threshold", where, float, None)
     bisect_tol = _get_number(an, "bisect_tol", where, float, 0.02)
     horizon = _get_number(an, "horizon", where, int, 400)
     if horizon < 1:
         raise ConfigError(f"[analysis] horizon: must be >= 1, got {horizon}")
+    for key, value in (("divergence_threshold", divergence_threshold),
+                       ("bisect_tol", bisect_tol)):
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"[analysis] {key}: must be finite and > 0, got {value}")
 
     known = {
         "system": set(_MATRIX_KEYS)
@@ -209,16 +219,7 @@ def parse_config(path) -> RunConfig:
         | {"fixture", "n1", "n2"},
         "delays": {"lambda1", "lambda2", "lambda1_grid", "lambda2_grid"},
         "sim": {"steps", "runs", "seed"},
-        "analysis": {
-            "restarts",
-            "iterations",
-            "step_scale",
-            "tolerance",
-            "solver_seed",
-            "divergence_threshold",
-            "bisect_tol",
-            "horizon",
-        },
+        "analysis": _IGNORED_ANALYSIS_KEYS | {"divergence_threshold", "bisect_tol", "horizon"},
     }
     for sec in cp.sections():
         if sec not in known:
@@ -235,7 +236,6 @@ def parse_config(path) -> RunConfig:
         steps=steps,
         runs=runs,
         seed=seed,
-        solver=solver,
         divergence_threshold=divergence_threshold,
         bisect_tol=bisect_tol,
         horizon=horizon,
@@ -276,11 +276,6 @@ def dump_normalized(cfg: RunConfig) -> str:
     out.append(f"seed = {cfg.seed}")
     out.append("")
     out.append("[analysis]")
-    out.append(f"restarts = {cfg.solver.restarts}")
-    out.append(f"iterations = {cfg.solver.iterations}")
-    out.append(f"step_scale = {cfg.solver.step_scale:.17g}")
-    out.append(f"tolerance = {cfg.solver.tolerance:.17g}")
-    out.append(f"solver_seed = {cfg.solver.seed}")
     if cfg.divergence_threshold is not None:
         out.append(f"divergence_threshold = {cfg.divergence_threshold:.17g}")
     out.append(f"bisect_tol = {cfg.bisect_tol:.17g}")

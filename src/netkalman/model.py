@@ -131,12 +131,6 @@ class SystemModel:
         C[self.m1 :, self.n1 :] = self.C2
         return C
 
-    def A_block(self, i: int, j: int) -> np.ndarray:
-        """Return the (i, j) block of A, with i, j in {1, 2}."""
-        r = slice(0, self.n1) if i == 1 else slice(self.n1, self.n)
-        c = slice(0, self.n1) if j == 1 else slice(self.n1, self.n)
-        return self.A[r, c]
-
 
 @dataclass(frozen=True)
 class DelayModel:
@@ -285,11 +279,15 @@ def _check_spd(M: np.ndarray, name: str, violations: list):
 def validate_model(model: SystemModel) -> ValidationReport:
     """Check the model invariants; returns diagnostics instead of raising.
 
-    Verified: positive integer dimensions, consistent block shapes, and
-    symmetric positive definiteness of W, V and Sigma0 (smallest
-    eigenvalue above ``PD_RTOL`` times the largest).
+    Verified: finite entries in every matrix, positive integer
+    dimensions, consistent block shapes, and symmetric positive
+    definiteness of W, V and Sigma0 (smallest eigenvalue above
+    ``PD_RTOL`` times the largest).
     """
     v: list = []
+    for name in ("A", "C1", "C2", "W", "V", "Sigma0"):
+        if not np.isfinite(getattr(model, name)).all():
+            v.append(f"{name} has non-finite entries")
     if model.n1 <= 0 or model.n2 <= 0:
         v.append(f"state dimensions must be positive: n1={model.n1}, n2={model.n2}")
         return ValidationReport(tuple(v))

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from netkalman.model import BlockDims, SystemModel, fixture
+
+# No deadline: the machines these tests run on vary in speed from run to
+# run.  Derandomized, so a failure reproduces and the suite is stable.
+settings.register_profile("netkalman", deadline=None, derandomize=True)
+settings.load_profile("netkalman")
 
 
 @pytest.fixture(scope="session")

@@ -30,7 +30,6 @@ from netkalman.gains import (
 from netkalman.filtering import make_rng, run_filter
 from netkalman.analysis import (
     InapplicableError,
-    SolverOptions,
     boundedness_test,
     bounds_from_minima,
     cov_bound_sequence,
@@ -216,7 +215,7 @@ def test_criterion_6_masked_minimum_orderings():
         models.append(random_model(rng, max_n=3, max_m=2))
     ok = True
     for model in models:
-        m = masked_norm_minima(model, SolverOptions())
+        m = masked_norm_minima(model)
         ok = ok and (m.r4 <= min(m.r2, m.r3) + 1e-6)
         ok = ok and (max(m.r2, m.r3) <= m.r1 + 1e-6)
     elapsed = time.time() - start
@@ -234,11 +233,10 @@ def test_criterion_7_certificate_consistency():
     cases.append(random_model(rng, max_n=2, max_m=1, spectral_radius=0.8))
     cases.append(random_model(rng, max_n=2, max_m=2, spectral_radius=1.2,
                               full_row_rank=True))
-    opts = SolverOptions(restarts=8, iterations=800)
     ok = True
     checked = 0
     for model in cases:
-        minima = masked_norm_minima(model, opts)
+        minima = masked_norm_minima(model)
         for l1 in (0.0, 0.5, 1.0):
             for l2 in (0.0, 0.5, 1.0):
                 delays = DelayModel(l1, l2)
@@ -266,10 +264,9 @@ def test_criterion_8_critical_probability_bracket():
                                full_row_rank=True))
     models.append(random_model(rng, max_n=2, max_m=2, spectral_radius=1.25,
                                full_row_rank=True))
-    opts = SolverOptions(restarts=8, iterations=800)
     ok = True
     for model in models:
-        minima = masked_norm_minima(model, opts)
+        minima = masked_norm_minima(model)
         alpha = residual_gram_floor(model).alpha  # full row rank by construction
         for fixed_which, lam in ((1, 1.0), (2, 0.5)):
             bounds = bounds_from_minima(minima, lam, fixed_which, alpha)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import linalg as sla
 
@@ -8,7 +10,6 @@ from netkalman.model import ALL_OUTCOMES, BlockDims, DelayModel, DelayOutcome, S
 from netkalman.analysis import (
     InapplicableError,
     NormMinima,
-    SolverOptions,
     boundedness_test,
     bounds_from_minima,
     cov_bound_sequence,
@@ -24,13 +25,10 @@ from netkalman.analysis import (
     one_step_cov,
     residual_gram,
     residual_gram_floor,
-    assemble_certificates,
     cov_propagation_term,
 )
 from netkalman.filtering import initial_state, predict, update
-from netkalman.gains import StructuredMask, gain_set, optimal_gain, posterior_cov
-
-FAST = SolverOptions(restarts=4, iterations=400)
+from netkalman.gains import StructuredMask, gain_set, mask_pattern, optimal_gain, posterior_cov
 
 
 def make_model(A, C1, C2, n1, W=None, V=None, Sigma0=None):
@@ -235,41 +233,40 @@ class TestCovBoundSequence:
 
 class TestKronUpdate:
     def test_zero_gains_give_transition_square(self, case1):
-        dims = case1.dims
-        certs = assemble_certificates(
-            np.zeros((4, 3)), np.zeros((4, 3)), np.zeros((4, 3)), np.zeros((4, 3)), dims)
-        rho = kron_update_radius(case1, DelayModel(0.5, 0.5), certs)
+        rho = kron_update_radius(case1, DelayModel(0.5, 0.5), np.zeros((4, 3)))
         rho_A = max(abs(np.linalg.eigvals(np.asarray(case1.A))))
         assert_allclose(rho, rho_A**2, rtol=1e-10)
 
     def test_identity_placements_cancel_terms(self):
-        # with C = I, identity blocks in every placement zero out the
-        # propagation factor, so the update matrix vanishes
+        # with C = I, the identity gain zeroes out the propagation factor,
+        # so the update matrix vanishes
         model = make_model(np.eye(2) * 0.9, np.eye(1), np.eye(1), 1)
-        certs = assemble_certificates(np.eye(2), np.eye(2), np.eye(2), np.eye(2),
-                                      model.dims)
-        M = expected_kron_update(model, DelayModel(0.5, 0.5), certs)
+        M = expected_kron_update(model, DelayModel(0.5, 0.5), np.eye(2))
         assert_allclose(M, 0.0, atol=1e-15)
 
     def test_steady_kalman_gain_contracts_at_zero_delay(self, case2):
+        # with no delays only the unconstrained outcome is possible, so
+        # the full Kalman gain is admissible
         C = case2.C
         P_star = sla.solve_discrete_are(case2.A.T, C.T, np.asarray(case2.W),
                                         np.asarray(case2.V))
         K = P_star @ C.T @ np.linalg.inv(np.asarray(case2.V) + C @ P_star @ C.T)
-        zero = np.zeros((4, 3))
-        certs = assemble_certificates(zero, zero, zero, K, case2.dims)
-        assert kron_update_radius(case2, DelayModel(0.0, 0.0), certs) < 1.0
+        assert kron_update_radius(case2, DelayModel(0.0, 0.0), K) < 1.0
 
     def test_mask_violation_rejected(self, case1):
         bad = np.ones((4, 3))
-        with pytest.raises(ValueError):
-            assemble_certificates(bad, bad, bad, bad, case1.dims)
+        with pytest.raises(ValueError, match="zero pattern"):
+            kron_update_radius(case1, DelayModel(0.5, 0.5), bad)
+        # one delayed channel forbids one cross block
+        lower = np.ones((4, 3))
+        lower[:2, 2:] = 0.0
+        kron_update_radius(case1, DelayModel(1.0, 0.0), lower)
+        with pytest.raises(ValueError, match="upper_block"):
+            kron_update_radius(case1, DelayModel(0.0, 1.0), lower)
 
     def test_shape_validation(self, case1):
-        certs = assemble_certificates(np.zeros((4, 3)), np.zeros((4, 3)),
-                                      np.zeros((4, 3)), np.zeros((4, 3)), case1.dims)
-        with pytest.raises(ValueError):
-            certs.validate(BlockDims(1, 3, 2, 1))
+        with pytest.raises(ValueError, match="shape"):
+            kron_update_radius(case1, DelayModel(0.5, 0.5), np.zeros((3, 4)))
 
 
 class TestMinStructuredNorm:
@@ -277,7 +274,7 @@ class TestMinStructuredNorm:
         rng = np.random.default_rng(10)
         A = rng.standard_normal((3, 3))
         dims = BlockDims(2, 1, 2, 1)
-        res = min_structured_norm(A, np.eye(3), StructuredMask.BLOCK_DIAG, dims, FAST)
+        res = min_structured_norm(A, np.eye(3), dims)
         assert res.value < 1e-20
         assert_allclose(res.X, np.eye(3), atol=1e-9)
 
@@ -286,9 +283,8 @@ class TestMinStructuredNorm:
         A = rng.standard_normal((3, 3))
         dims = BlockDims(2, 1, 1, 1)
         target = np.linalg.norm(A, 2) ** 2
-        for mask in StructuredMask:
-            res = min_structured_norm(A, np.zeros((2, 3)), mask, dims, FAST)
-            assert_allclose(res.value, target, rtol=1e-12)
+        res = min_structured_norm(A, np.zeros((2, 3)), dims)
+        assert_allclose(res.value, target, rtol=1e-12)
 
     def test_full_mask_matches_projection_residual(self):
         # closed form for the unconstrained minimum: projecting out the
@@ -297,15 +293,14 @@ class TestMinStructuredNorm:
         for _ in range(10):
             model = random_model(rng, full_row_rank=True)
             A, C = np.asarray(model.A), model.C
-            res = min_structured_norm(A, C, StructuredMask.FULL, model.dims, FAST)
+            res = min_structured_norm(A, C, model.dims)
             resid = A @ (np.eye(model.n) - np.linalg.pinv(C) @ C)
             closed = np.linalg.norm(resid, 2) ** 2
             assert res.value <= closed + 1e-9
             assert res.value >= closed - 1e-9
 
     def test_random_search_cannot_beat_solver(self, case1):
-        res = min_structured_norm(np.asarray(case1.A), case1.C, StructuredMask.FULL,
-                                  case1.dims, FAST)
+        res = min_structured_norm(np.asarray(case1.A), case1.C, case1.dims)
         rng = np.random.default_rng(13)
         A, C = np.asarray(case1.A), case1.C
         best = res.value
@@ -316,11 +311,38 @@ class TestMinStructuredNorm:
         assert best >= res.value - 1e-4
 
     def test_certificate_is_feasible_and_certifies(self, case2):
-        res = min_structured_norm(np.asarray(case2.A), case2.C,
-                                  StructuredMask.LOWER_BLOCK, case2.dims, FAST)
-        assert np.all(res.X[:2, 2:] == 0.0)
+        res = min_structured_norm(np.asarray(case2.A), case2.C, case2.dims)
+        free = mask_pattern(StructuredMask.BLOCK_DIAG, case2.dims)
+        assert np.all(res.X[~free] == 0.0)
         value = np.linalg.norm(np.asarray(case2.A) - case2.A @ res.X @ case2.C, 2) ** 2
         assert_allclose(value, res.value, rtol=1e-12)
+
+    def test_coupled_sensing_rejected(self):
+        # the closed form needs C = blkdiag(C1, C2); a sensor that also
+        # reads the other subsystem's state is refused, not mis-solved
+        dims = BlockDims(2, 1, 1, 1)
+        upper = np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 1.0]])
+        lower = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 1.0]])
+        for C in (upper, lower):
+            with pytest.raises(ValueError, match="diagonal blocks"):
+                min_structured_norm(np.eye(3), C, dims)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_closed_form_beats_random_masked_gains(self, seed):
+        # property: the certificate is feasible under all four masks, and
+        # no random gain feasible under any mask does better
+        rng = np.random.default_rng(seed)
+        model = random_model(rng)
+        A, C, dims = np.asarray(model.A), model.C, model.dims
+        res = min_structured_norm(A, C, dims)
+        for mask in StructuredMask:
+            free = mask_pattern(mask, dims)
+            assert np.all(res.X[~free] == 0.0)
+            for scale in (1e-3, 1e-1, 1.0):
+                X = np.where(free, res.X + scale * rng.standard_normal(free.shape), 0.0)
+                value = np.linalg.norm(A - A @ X @ C, 2) ** 2
+                assert res.value <= value * (1 + 1e-12) + 1e-12
 
 
 class TestNormMinima:
@@ -328,14 +350,14 @@ class TestNormMinima:
         rng = np.random.default_rng(14)
         for _ in range(5):
             model = random_model(rng)
-            m = masked_norm_minima(model, FAST)
+            m = masked_norm_minima(model)
             assert m.r4 <= min(m.r2, m.r3)
             assert max(m.r2, m.r3) <= m.r1
 
     def test_fixture_minima_collapse_to_projection_value(self, case1):
         # block-diagonal sensing makes the projection gain feasible in
         # every mask, so all four minima coincide
-        m = masked_norm_minima(case1, FAST)
+        m = masked_norm_minima(case1)
         A, C = np.asarray(case1.A), case1.C
         closed = np.linalg.norm(A @ (np.eye(4) - np.linalg.pinv(C) @ C), 2) ** 2
         for r in (m.r1, m.r2, m.r3, m.r4):
@@ -347,23 +369,23 @@ class TestBoundednessTest:
         model = make_model(1.5 * np.eye(2), np.eye(1), np.eye(1), 1)
         for l1 in (0.0, 0.5, 1.0):
             for l2 in (0.0, 0.5, 1.0):
-                rep = boundedness_test(model, DelayModel(l1, l2), FAST)
+                rep = boundedness_test(model, DelayModel(l1, l2))
                 assert rep.r1 < 1e-18 and rep.r4 < 1e-18
                 assert rep.certified
 
     def test_zero_delay_needs_only_full_mask(self, case2):
-        rep = boundedness_test(case2, DelayModel(0.0, 0.0), FAST)
+        rep = boundedness_test(case2, DelayModel(0.0, 0.0))
         # r4 > 1 for this fixture, so even the best case is inconclusive;
         # verify the weighted sum uses only r4 at this corner
         assert_allclose(rep.weighted_sum, rep.r4, rtol=1e-12)
 
     def test_certified_at_zero_delay_when_r4_small(self, case1):
-        rep = boundedness_test(case1, DelayModel(0.0, 0.0), FAST)
+        rep = boundedness_test(case1, DelayModel(0.0, 0.0))
         assert rep.r4 < 1.0
         assert rep.certified
 
     def test_grid_verdicts_monotone(self, case1):
-        minima = masked_norm_minima(case1, FAST)
+        minima = masked_norm_minima(case1)
         grid = (0.0, 0.5, 1.0)
         verdicts = {
             (l1, l2): boundedness_test(case1, DelayModel(l1, l2), minima=minima).certified
@@ -378,7 +400,7 @@ class TestBoundednessTest:
                                 assert verdicts[(k1, k2)]
 
     def test_report_serialization(self, case1):
-        rep = boundedness_test(case1, DelayModel(0.25, 0.75), FAST)
+        rep = boundedness_test(case1, DelayModel(0.25, 0.75))
         text = rep.to_text()
         assert "verdict" in text
         csv = rep.to_csv()
@@ -426,11 +448,13 @@ class TestResidualGramFloor:
         model = make_model(np.eye(3), C1, C2, 2)
         res = residual_gram_floor(model)
         Xstar = res.stacked(model.dims)
-        from netkalman.analysis import _masked_frobenius_start
-        from netkalman.gains import mask_pattern
-
-        free = mask_pattern(StructuredMask.BLOCK_DIAG, model.dims)
-        Xls = _masked_frobenius_start(np.eye(3), model.C, free)
+        # masked least squares: vec(X C) = (C^T kron I) vec(X), Fortran order
+        free = mask_pattern(StructuredMask.BLOCK_DIAG, model.dims).flatten(order="F")
+        design = np.kron(model.C.T, np.eye(3))[:, free]
+        sol, *_ = np.linalg.lstsq(design, np.eye(3).flatten(order="F"), rcond=None)
+        Xls = np.zeros(free.size)
+        Xls[free] = sol
+        Xls = Xls.reshape((3, 2), order="F")
         tr_star = np.trace(residual_gram(model, Xstar))
         tr_ls = np.trace(residual_gram(model, Xls))
         assert_allclose(tr_star, tr_ls, atol=1e-10)
@@ -454,9 +478,7 @@ class TestResidualGramFloor:
 
 
 def synthetic_minima(r1, r2, r3, r4):
-    Z = np.zeros((2, 2))
-    return NormMinima(r1=r1, r2=r2, r3=r3, r4=r4,
-                      X_bd=Z, X_lo=Z, X_up=Z, X_full=Z, converged=True)
+    return NormMinima(r1=r1, r2=r2, r3=r3, r4=r4, X=np.zeros((2, 2)))
 
 
 class TestCriticalBounds:
@@ -509,7 +531,7 @@ class TestCriticalBounds:
 
     def test_case1_hits_certified_branch(self, case1):
         from netkalman.analysis import critical_bounds
-        b = critical_bounds(case1, 1.0, 1, FAST)
+        b = critical_bounds(case1, 1.0, 1)
         assert b.lower == 1.0 and b.upper == 1.0
         assert b.alpha == 0.0
 
@@ -545,6 +567,14 @@ class TestDivergenceWitness:
 
 
 class TestEmpiricalCritical:
+    def test_nonpositive_tolerance_rejected(self):
+        # a zero tolerance used to bisect forever on a model that bisects
+        model = make_model(np.array([[0.5, 1.0], [0.0, 1.3]]),
+                           np.eye(1), np.zeros((1, 1)), 1)
+        for tol in (0.0, -0.01, float("nan")):
+            with pytest.raises(ValueError, match="bisect_tol"):
+                empirical_critical(model, 1.0, 1, horizon=50, bisect_tol=tol)
+
     def test_identity_sensing_never_diverges(self):
         model = make_model(0.9 * np.eye(2), np.eye(1), np.eye(1), 1)
         est = empirical_critical(model, 1.0, 1, horizon=200)
@@ -566,7 +596,7 @@ class TestEmpiricalCritical:
 
     def test_estimate_within_closed_form_bracket(self, case1, case2):
         for model in (case1, case2):
-            minima = masked_norm_minima(model, FAST)
+            minima = masked_norm_minima(model)
             try:
                 alpha = residual_gram_floor(model).alpha
             except InapplicableError:

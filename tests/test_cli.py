@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from netkalman.cli import main
 from netkalman.config import ConfigError, dump_normalized, parse_config
 from netkalman.gains import gain_set
-from netkalman.model import fixture, save_matrix_csv
+from netkalman.model import fixture, load_matrix_csv, save_matrix_csv
 
 
 FIXTURE_CFG = """\
@@ -84,7 +84,9 @@ class TestParseConfig:
         assert cfg.model.n1 == 1
         assert_allclose(cfg.model.A, [[0.5, 0.2], [0.1, 0.4]])
         assert cfg.lambda2_grid == (0.0, 1.0)
-        assert cfg.solver.restarts == 2
+        # the former solver keys still parse, and are ignored
+        assert cfg.solver is None
+        assert "restarts" not in dump_normalized(cfg)
 
     def test_matrix_file_reference(self, tmp_path, toy):
         for name, M in (("a", toy.A), ("c1", toy.C1), ("c2", toy.C2),
@@ -114,6 +116,28 @@ class TestParseConfig:
         path = tmp_path / "bad.cfg"
         path.write_text(FIXTURE_CFG + "\n[analysis]\nbogus = 1\n")
         with pytest.raises(ConfigError, match="bogus"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("bisect_tol", "0"), ("bisect_tol", "-0.1"), ("bisect_tol", "nan"),
+        ("divergence_threshold", "nan"), ("divergence_threshold", "inf"),
+        ("divergence_threshold", "0"),
+    ])
+    def test_nonpositive_or_non_finite_analysis_value_named(self, tmp_path, key, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(FIXTURE_CFG + f"\n[analysis]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            parse_config(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_matrix_entry_named(self, tmp_path, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(EXPLICIT_CFG.replace("0.5 0.2", f"{value} 0.2"))
+        with pytest.raises(ConfigError, match=r"\] a: .*non-finite"):
+            parse_config(path)
+        save_matrix_csv(tmp_path / "w.csv", np.array([[1.0, 0.0], [0.0, float(value)]]))
+        path.write_text(EXPLICIT_CFG.replace("w =\n    1 0\n    0 1\n", "w_file = w.csv\n"))
+        with pytest.raises(ConfigError, match="w_file"):
             parse_config(path)
 
     def test_bad_probability_named(self, tmp_path):
@@ -156,6 +180,18 @@ class TestCliExitCodes:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["validate", str(tmp_path / "missing.cfg")]) == 2
+
+    def test_zero_bisect_tol_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FIXTURE_CFG + "\n[analysis]\nbisect_tol = 0\n")
+        assert main(["critical", str(cfg), "--fix", "lambda2=0.5", "--empirical"]) == 2
+        assert "bisect_tol" in capsys.readouterr().err
+
+    def test_nan_matrix_entry_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(EXPLICIT_CFG.replace("0.5 0.2", "nan 0.2"))
+        assert main(["validate", str(cfg)]) == 2
+        assert "[system] a:" in capsys.readouterr().err
 
 
 class TestCliCommands:
@@ -237,8 +273,11 @@ class TestCliCommands:
         cfg.write_text(cfg_text)
         assert main(["bounded", str(cfg), "--out", str(out),
                      "--certificates", str(certs)]) == 0
-        assert (certs / "X_full.csv").exists()
-        assert (certs / "X_block_diag.csv").exists()
+        # one gain, C+, certifies every mask and fills all four files
+        model, _ = fixture("case1_stable")
+        for name in ("X_block_diag", "X_lower_block", "X_upper_block", "X_full"):
+            assert_allclose(load_matrix_csv(certs / f"{name}.csv"),
+                            np.linalg.pinv(model.C), atol=1e-12)
 
     def test_critical_certified_branch(self, tmp_path, capsys):
         # case1's block-diagonal and full minima coincide below one, so

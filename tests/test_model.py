@@ -50,6 +50,17 @@ class TestValidate:
         report = validate_model(bad)
         assert any("A has shape" in v for v in report.violations)
 
+    def test_non_finite_entries_named(self):
+        m = identity_model()
+        fields = dict(A=m.A, C1=m.C1, C2=m.C2, W=m.W, V=m.V, Sigma0=m.Sigma0)
+        for name, bad_value in (("A", np.nan), ("C1", np.inf), ("C2", -np.inf),
+                                ("W", np.nan), ("V", np.inf), ("Sigma0", np.nan)):
+            M = np.array(fields[name], dtype=float)
+            M[0, 0] = bad_value
+            report = validate_model(SystemModel(n1=1, n2=1, **{**fields, name: M}))
+            assert not report.ok
+            assert f"{name} has non-finite entries" in report.violations
+
 
 class TestDelayTypes:
     def test_probability_range_enforced(self):
