@@ -12,14 +12,12 @@ from .model import (
     BlockDims,
     DelayModel,
     DelayOutcome,
-    SelectorSet,
     SystemModel,
     ValidationReport,
     close_loop,
     detectable_full,
     discretize,
     fixture,
-    selectors,
     validate_model,
 )
 from .gains import (
@@ -28,7 +26,6 @@ from .gains import (
     StructuredMask,
     gain_set,
     innovation_blocks,
-    kalman_factorization_check,
     mask_for_outcome,
     mask_pattern,
     optimal_gain,
@@ -38,9 +35,12 @@ from .gains import (
 from .filtering import (
     EstimatorState,
     TrajectoryRecord,
+    covariance_step,
+    delay_indicators,
     initial_state,
     make_rng,
     predict,
+    predict_cov,
     run_filter,
     simulate_plant,
     stream_seed,
@@ -53,7 +53,6 @@ from .analysis import (
     CriticalBounds,
     EmpiricalCritical,
     InapplicableError,
-    MinimalityViolationError,
     NormMinima,
     boundedness_test,
     cov_bound_sequence,

@@ -15,6 +15,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import os
 import sys
@@ -152,12 +153,7 @@ def _parse_fix(text: str):
 def _cmd_critical(args) -> int:
     cfg = _load_validated(args.config)
     fixed_which, lam = _parse_fix(args.fix)
-    minima = analysis.masked_norm_minima(cfg.model)
-    try:
-        alpha = analysis.residual_gram_floor(cfg.model).alpha
-    except analysis.InapplicableError:
-        alpha = None
-    empirical = None
+    bounds = analysis.critical_bounds(cfg.model, lam, fixed_which)
     if args.empirical:
         est = analysis.empirical_critical(
             cfg.model,
@@ -167,9 +163,7 @@ def _cmd_critical(args) -> int:
             divergence_threshold=cfg.divergence_threshold,
             bisect_tol=cfg.bisect_tol,
         )
-        empirical = est.estimate
-    bounds = analysis.bounds_from_minima(minima, lam, fixed_which, alpha,
-                                         empirical=empirical)
+        bounds = dataclasses.replace(bounds, empirical=est.estimate)
     _write_out(bounds.to_csv(), args.out)
     print(bounds.to_text(), file=sys.stderr)
     return 0
@@ -206,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=None)
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help="accepted and ignored")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)
 

@@ -6,7 +6,9 @@ cross measurement forces the corresponding gain block to exact zero, the
 stacked update and the two per-subsystem updates coincide; both forms are
 provided.  The covariance recursion is driven only by the delay
 indicators, so the recorded covariances are the exact conditional error
-covariances given the delay history.
+covariances given the delay history.  :func:`covariance_step` runs that
+recursion for a whole stack of runs at once, with no plant; it gives each
+run the same bits as :func:`predict` and :func:`update` in a single run.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gains import optimal_gain, posterior_cov
-from .model import DelayModel, DelayOutcome, SystemModel
+from .model import ALL_OUTCOMES, DelayModel, DelayOutcome, SystemModel
 
 __all__ = [
     "stream_seed",
@@ -30,6 +32,9 @@ __all__ = [
     "update",
     "subsystem_updates",
     "TrajectoryRecord",
+    "delay_indicators",
+    "predict_cov",
+    "covariance_step",
     "run_filter",
 ]
 
@@ -135,15 +140,19 @@ def initial_state(model: SystemModel) -> EstimatorState:
     )
 
 
+def predict_cov(model: SystemModel, P_post: np.ndarray) -> np.ndarray:
+    """Prediction covariance ``A P A^T + W`` of an (..., n, n) stack."""
+    P_prior = model.A @ P_post @ model.A.T + model.W
+    return (P_prior + np.swapaxes(P_prior, -1, -2)) / 2.0
+
+
 def predict(state: EstimatorState, model: SystemModel) -> EstimatorState:
     """Time update: propagate the estimate and covariance one step."""
     xhat = model.A @ state.xhat
-    P_prior = model.A @ state.P_post @ model.A.T + model.W
-    P_prior = (P_prior + P_prior.T) / 2.0
     return EstimatorState(
         xhat1=xhat[: model.n1],
         xhat2=xhat[model.n1 :],
-        P_prior=P_prior,
+        P_prior=predict_cov(model, state.P_post),
         P_post=state.P_post,
         t=state.t + 1,
     )
@@ -260,6 +269,35 @@ class TrajectoryRecord:
         return buf.getvalue()
 
 
+def delay_indicators(delays: DelayModel, T: int, rng: np.random.Generator):
+    """Draw the on-time indicators ``(gamma1, gamma2)`` of T steps.
+
+    Two uniforms per step, in step order, regardless of the
+    probabilities; ``gamma = 1`` means the cross measurement is on time.
+    """
+    u = rng.random((T, 2))
+    gamma1 = (u[:, 0] >= delays.lambda1).astype(int)
+    gamma2 = (u[:, 1] >= delays.lambda2).astype(int)
+    return gamma1, gamma2
+
+
+def covariance_step(model: SystemModel, P_post: np.ndarray, gamma1, gamma2):
+    """Advance an (R, n, n) stack of posterior covariances by one step.
+
+    Run r is predicted, then updated with the optimal gain of outcome
+    ``(gamma1[r], gamma2[r])``.  Returns the new ``(P_prior, P_post)``
+    stacks.  The gains are computed once per outcome group, and each run
+    gets the same bits as :func:`predict` followed by :func:`update`.
+    """
+    P_prior = predict_cov(model, P_post)
+    D = np.empty(P_prior.shape[:-1] + (model.m,))
+    for outcome in ALL_OUTCOMES:
+        group = (gamma1 == outcome.gamma1) & (gamma2 == outcome.gamma2)
+        if group.any():
+            D[group] = optimal_gain(P_prior[group], model.C, model.V, model.dims, outcome)
+    return P_prior, posterior_cov(P_prior, D, model.C, model.V)
+
+
 def run_filter(
     model: SystemModel,
     delays: DelayModel,
@@ -275,11 +313,7 @@ def run_filter(
     """
     plant_rng, delay_rng = rng.spawn(2)
     plant = simulate_plant(model, T, plant_rng)
-    # Draw all delay indicators up front: two uniforms per step, in step
-    # order, regardless of the probabilities.
-    u = delay_rng.random((T, 2))
-    gamma1 = (u[:, 0] >= delays.lambda1).astype(int)
-    gamma2 = (u[:, 1] >= delays.lambda2).astype(int)
+    gamma1, gamma2 = delay_indicators(delays, T, delay_rng)
 
     n = model.n
     xhat = np.zeros((T, n))

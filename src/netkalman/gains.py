@@ -31,7 +31,6 @@ __all__ = [
     "gain_set",
     "oracle_structured_gain",
     "posterior_cov",
-    "kalman_factorization_check",
 ]
 
 COND_WARN = 1e12
@@ -77,21 +76,30 @@ def mask_pattern(mask: StructuredMask, dims: BlockDims) -> np.ndarray:
     return free
 
 
+def _T(M: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix in a stack (plain transpose in 2-D)."""
+    return np.swapaxes(M, -1, -2)
+
+
 def _sym(M: np.ndarray) -> np.ndarray:
-    return (M + M.T) / 2.0
+    return (M + _T(M)) / 2.0
 
 
 def _warn_cond(M: np.ndarray, what: str):
-    c = np.linalg.cond(M)
+    c = np.max(np.linalg.cond(M))
     if c > COND_WARN:
         warnings.warn(f"{what} is ill conditioned (cond ~ {c:.2e})", RuntimeWarning)
 
 
 def _spd_inverse(M: np.ndarray, what: str) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via Cholesky solve."""
+    """Inverse of each symmetric positive definite matrix, via Cholesky.
+
+    NumPy's linalg gufuncs loop over a stack in C, so a matrix gets the
+    same bits whether it is inverted alone or inside a stack.
+    """
     _warn_cond(M, what)
-    factor = sla.cho_factor(_sym(M), lower=True)
-    return sla.cho_solve(factor, np.eye(M.shape[0]))
+    L_inv = np.linalg.inv(np.linalg.cholesky(_sym(M)))
+    return _T(L_inv) @ L_inv
 
 
 @dataclass(frozen=True)
@@ -116,40 +124,41 @@ class InnovationBlocks:
 def innovation_blocks(P, C, V, dims: BlockDims) -> InnovationBlocks:
     """Split ``V + C P C^T`` and ``P C^T`` into per-sensor blocks.
 
-    P must be symmetric positive semidefinite and V positive definite;
-    the diagonal blocks are then positive definite and inverted via
-    Cholesky solves.
+    P is an (n, n) matrix or an (..., n, n) stack, and each block then
+    carries the same leading axes.  Every P must be symmetric positive
+    semidefinite and V positive definite; the diagonal blocks are then
+    positive definite and inverted via Cholesky factors.
     """
     P = _sym(np.asarray(P, dtype=float))
     C = np.asarray(C, dtype=float)
     V = np.asarray(V, dtype=float)
     eigs = np.linalg.eigvalsh(P)
-    if eigs[0] < -1e-8 * max(eigs[-1], 1.0):
-        raise ValueError(f"P is not positive semidefinite (min eig {eigs[0]:.3e})")
+    bad = eigs[..., 0] < -1e-8 * np.maximum(eigs[..., -1], 1.0)
+    if np.any(bad):
+        worst = np.min(eigs[..., 0][bad])
+        raise ValueError(f"P is not positive semidefinite (min eig {worst:.3e})")
     m1 = dims.m1
     S = _sym(V + C @ P @ C.T)
     xcov = P @ C.T
     return InnovationBlocks(
-        s21=S[m1:, :m1].copy(),
-        xcov1=xcov[:, :m1].copy(),
-        s11_inv=_spd_inverse(S[:m1, :m1], "sensor-1 innovation covariance"),
-        s12=S[:m1, m1:].copy(),
-        xcov2=xcov[:, m1:].copy(),
-        s22_inv=_spd_inverse(S[m1:, m1:], "sensor-2 innovation covariance"),
+        s21=S[..., m1:, :m1].copy(),
+        xcov1=xcov[..., :m1].copy(),
+        s11_inv=_spd_inverse(S[..., :m1, :m1], "sensor-1 innovation covariance"),
+        s12=S[..., :m1, m1:].copy(),
+        xcov2=xcov[..., m1:].copy(),
+        s22_inv=_spd_inverse(S[..., m1:, m1:], "sensor-2 innovation covariance"),
     )
 
 
 def _kalman_gain(P, C, V) -> np.ndarray:
     S = _sym(V + C @ P @ C.T)
-    _warn_cond(S, "innovation covariance")
-    factor = sla.cho_factor(S, lower=True)
-    return sla.cho_solve(factor, (P @ C.T).T).T
+    return (P @ C.T) @ _spd_inverse(S, "innovation covariance")
 
 
 def _rsolve(B: np.ndarray, M: np.ndarray, what: str) -> np.ndarray:
     """Compute ``B @ inv(M)`` for a general square M via an LU solve."""
     _warn_cond(M, what)
-    return np.linalg.solve(M.T, B.T).T
+    return _T(np.linalg.solve(_T(M), _T(B)))
 
 
 def optimal_gain(P, C, V, dims: BlockDims, outcome: DelayOutcome) -> np.ndarray:
@@ -157,23 +166,24 @@ def optimal_gain(P, C, V, dims: BlockDims, outcome: DelayOutcome) -> np.ndarray:
 
     Minimizes ``trace((I - D C) P (I - D C)^T + D V D^T)`` over gains D
     whose blocks match :func:`mask_for_outcome`.  The masked-out blocks
-    of the result are exact zeros.
+    of the result are exact zeros.  For an (..., n, n) stack of priors
+    the result is the (..., n, m) stack of their gains.
     """
     P = _sym(np.asarray(P, dtype=float))
     C = np.asarray(C, dtype=float)
     V = np.asarray(V, dtype=float)
     n1, n2, m1, m2 = dims
-    n, m = dims.n, dims.m
+    lead = P.shape[:-2]
 
     if outcome.label == "11":
         return _kalman_gain(P, C, V)
 
     blocks = innovation_blocks(P, C, V, dims)
-    D = np.zeros((n, m))
+    D = np.zeros(lead + (dims.n, dims.m))
     if outcome.label == "00":
         # Decoupled: each subsystem applies its local Kalman gain.
-        D[:n1, :m1] = blocks.xcov1[:n1] @ blocks.s11_inv
-        D[n1:, m1:] = blocks.xcov2[n1:] @ blocks.s22_inv
+        D[..., :n1, :m1] = blocks.xcov1[..., :n1, :] @ blocks.s11_inv
+        D[..., n1:, m1:] = blocks.xcov2[..., n1:, :] @ blocks.s22_inv
         return D
 
     # Coupling corrections between the free column blocks.
@@ -182,23 +192,25 @@ def optimal_gain(P, C, V, dims: BlockDims, outcome: DelayOutcome) -> np.ndarray:
         # Sensor-1 columns fully free, sensor-2 columns restricted to
         # subsystem 2.
         resid2 = blocks.xcov1 @ cross12 - blocks.xcov2 @ blocks.s22_inv
-        coupling = resid2[n1:]  # (n2, m2)
+        coupling = resid2[..., n1:, :]  # (n2, m2)
         system = np.eye(m2) - blocks.s21 @ cross12
         own2 = -_rsolve(coupling, system, "delayed-to-1 gain system")
-        left = blocks.xcov1 - np.vstack([np.zeros((n1, m2)), own2]) @ blocks.s21
-        D[:, :m1] = left @ blocks.s11_inv
-        D[n1:, m1:] = own2
+        padded = np.concatenate([np.zeros(lead + (n1, m2)), own2], axis=-2)
+        left = blocks.xcov1 - padded @ blocks.s21
+        D[..., :, :m1] = left @ blocks.s11_inv
+        D[..., n1:, m1:] = own2
         return D
 
     if outcome.label == "10":
         cross21 = blocks.s22_inv @ blocks.s21 @ blocks.s11_inv
         resid1 = blocks.xcov2 @ cross21 - blocks.xcov1 @ blocks.s11_inv
-        coupling = resid1[:n1]  # (n1, m1)
+        coupling = resid1[..., :n1, :]  # (n1, m1)
         system = np.eye(m1) - blocks.s12 @ cross21
         own1 = -_rsolve(coupling, system, "delayed-to-2 gain system")
-        right = blocks.xcov2 - np.vstack([own1, np.zeros((n2, m1))]) @ blocks.s12
-        D[:n1, :m1] = own1
-        D[:, m1:] = right @ blocks.s22_inv
+        padded = np.concatenate([own1, np.zeros(lead + (n2, m1))], axis=-2)
+        right = blocks.xcov2 - padded @ blocks.s12
+        D[..., :n1, :m1] = own1
+        D[..., :, m1:] = right @ blocks.s22_inv
         return D
 
     raise ValueError(f"unknown outcome {outcome!r}")
@@ -258,36 +270,10 @@ def oracle_structured_gain(P, C, V, dims: BlockDims, mask: StructuredMask) -> np
 def posterior_cov(P, D, C, V) -> np.ndarray:
     """Posterior covariance for gain D, in the numerically safe product form.
 
-    ``(I - D C) P (I - D C)^T + D V D^T``, symmetrized on output.
+    ``(I - D C) P (I - D C)^T + D V D^T``, symmetrized on output.  P and
+    D may be stacks with matching leading axes.
     """
     P = np.asarray(P, dtype=float)
     D = np.asarray(D, dtype=float)
-    IDC = np.eye(P.shape[0]) - D @ C
-    return _sym(IDC @ P @ IDC.T + D @ V @ D.T)
-
-
-def kalman_factorization_check(P, C, V, dims: BlockDims) -> float:
-    """Max-abs deviation of the block factorization of the Kalman gain.
-
-    The unconstrained gain ``P C^T (V + C P C^T)^{-1}`` factors through
-    the per-sensor blocks: ``[xcov1 xcov2]`` times the inverse of the
-    2x2 block matrix ``[[S11, S12], [S21, S22]]``.  Returns the largest
-    absolute entry of the difference between the two evaluations (zero up
-    to rounding).
-    """
-    P = _sym(np.asarray(P, dtype=float))
-    C = np.asarray(C, dtype=float)
-    V = np.asarray(V, dtype=float)
-    lhs = _kalman_gain(P, C, V)
-    # Rebuild both factors from the computed per-sensor pieces (inverting
-    # the stored diagonal-block inverses back), then compare.
-    b = innovation_blocks(P, C, V, dims)
-    m1, m2 = dims.m1, dims.m2
-    assembled = np.block(
-        [
-            [sla.cho_solve(sla.cho_factor(b.s11_inv, lower=True), np.eye(m1)), b.s12],
-            [b.s21, sla.cho_solve(sla.cho_factor(b.s22_inv, lower=True), np.eye(m2))],
-        ]
-    )
-    rhs = np.linalg.solve(assembled.T, np.hstack([b.xcov1, b.xcov2]).T).T
-    return float(np.abs(lhs - rhs).max())
+    IDC = np.eye(P.shape[-1]) - D @ C
+    return _sym(IDC @ P @ _T(IDC) + D @ V @ _T(D))

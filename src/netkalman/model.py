@@ -21,9 +21,7 @@ __all__ = [
     "SystemModel",
     "DelayModel",
     "DelayOutcome",
-    "SelectorSet",
     "ValidationReport",
-    "selectors",
     "validate_model",
     "discretize",
     "close_loop",
@@ -190,58 +188,6 @@ class DelayOutcome:
 ALL_OUTCOMES = tuple(
     DelayOutcome(g1, g2) for g1 in (0, 1) for g2 in (0, 1)
 )
-
-
-@dataclass(frozen=True)
-class SelectorSet:
-    """Identity-block selectors for splitting stacked vectors/matrices.
-
-    ``meas1``/``meas2`` pick the sensor-1/sensor-2 rows out of a stacked
-    measurement (shapes (m1, m) and (m2, m)); ``into_sub1``/``into_sub2``
-    inject a subsystem-sized block into a stacked state vector (shapes
-    (n, n1) and (n, n2)).  The remaining four are the per-subsystem
-    extraction/injection maps used by the distributed estimator update:
-    ``rows_sub1`` (n1, n), ``rows_sub2`` (n2, n) pull out a subsystem's
-    rows, ``cols_meas1`` (m, m1), ``cols_meas2`` (m, m2) embed a sensor's
-    columns.
-    """
-
-    meas1: np.ndarray
-    meas2: np.ndarray
-    into_sub2: np.ndarray
-    into_sub1: np.ndarray
-    rows_sub1: np.ndarray
-    cols_meas1: np.ndarray
-    cols_meas2: np.ndarray
-    rows_sub2: np.ndarray
-
-    def __post_init__(self):
-        for name in (
-            "meas1",
-            "meas2",
-            "into_sub2",
-            "into_sub1",
-            "rows_sub1",
-            "cols_meas1",
-            "cols_meas2",
-            "rows_sub2",
-        ):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
-
-
-def selectors(dims: BlockDims) -> SelectorSet:
-    """Build the selector matrices for the given block dimensions."""
-    n1, n2, m1, m2 = dims
-    return SelectorSet(
-        meas1=np.hstack([np.eye(m1), np.zeros((m1, m2))]),
-        meas2=np.hstack([np.zeros((m2, m1)), np.eye(m2)]),
-        into_sub2=np.vstack([np.zeros((n1, n2)), np.eye(n2)]),
-        into_sub1=np.vstack([np.eye(n1), np.zeros((n2, n1))]),
-        rows_sub1=np.hstack([np.eye(n1), np.zeros((n1, n2))]),
-        cols_meas1=np.vstack([np.eye(m1), np.zeros((m2, m1))]),
-        cols_meas2=np.vstack([np.zeros((m1, m2)), np.eye(m2)]),
-        rows_sub2=np.hstack([np.zeros((n2, n1)), np.eye(n2)]),
-    )
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,31 @@
 """Monte-Carlo estimation of the expected error covariance.
 
-Runs many seeded filter simulations and averages the recorded prediction
-covariances; the headline metric is the trace of that average per step,
-compared against the no-delay Kalman recursion.  Run seeds derive from
-the master seed through a fixed mixing function and results are reduced
-in run-index order, so output is byte-identical regardless of how the
-work is scheduled.
+The prediction covariance depends only on the delay indicators, so a
+Monte-Carlo run needs no plant: run r draws its indicators from the delay
+stream that :func:`~netkalman.filtering.run_filter` would use for the
+generator ``make_rng(master_seed, r)``, and all runs advance together as
+one stack through :func:`~netkalman.filtering.covariance_step`.  Each run
+gets the same covariances as its filter run, bit for bit, whatever else
+is in the stack.  The headline metric is the trace of the average
+prediction covariance per step, compared against the no-delay Kalman
+recursion.  Run seeds derive from the master seed through a fixed mixing
+function and results are reduced in run-index order, so output is
+byte-identical for a given seed.
 """
 
 from __future__ import annotations
 
 import io
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .filtering import make_rng, run_filter
-from .model import DelayModel, DelayOutcome, SystemModel
+from .filtering import covariance_step, delay_indicators, make_rng, stream_seed
+# Not called here; kept as a module attribute because the benchmark's
+# traced run (perfbench/spans.py) wraps ``montecarlo.run_filter`` by name.
+from .filtering import run_filter  # noqa: F401
+from .model import DelayModel, SystemModel
 
 __all__ = [
     "EecEstimate",
@@ -27,17 +33,7 @@ __all__ = [
     "kalman_baseline",
     "SweepResult",
     "sweep",
-    "worker_count",
 ]
-
-WORKERS_ENV = "NETKALMAN_WORKERS"
-
-
-def worker_count(explicit: Optional[int] = None) -> int:
-    """Resolve the worker count: explicit argument, else environment, else 1."""
-    if explicit is not None:
-        return max(1, int(explicit))
-    return max(1, int(os.environ.get(WORKERS_ENV, "1")))
 
 
 @dataclass(frozen=True)
@@ -63,6 +59,44 @@ class EecEstimate:
         return float(self.trace_se[t - 1])
 
 
+def _run_indicators(delays: DelayModel, runs: int, horizon: int, master_seed: int):
+    """(runs, horizon) indicators of runs 0..runs-1, as ``run_filter`` draws them."""
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    draws = [
+        delay_indicators(delays, horizon, make_rng(master_seed, r).spawn(2)[1])
+        for r in range(runs)
+    ]
+    return np.stack([g1 for g1, _ in draws]), np.stack([g2 for _, g2 in draws])
+
+
+def _stack_run(model: SystemModel, gamma1: np.ndarray, gamma2: np.ndarray):
+    """Run the covariance recursion of R runs over T steps as one stack.
+
+    Returns the (R, T) traces of the prediction covariances and their
+    (T, n, n) sums over the runs, accumulated in run order.
+    """
+    R, T = gamma1.shape
+    traces = np.zeros((R, T))
+    sum_P = np.zeros((T, model.n, model.n))
+    P_post = np.broadcast_to(model.Sigma0, (R, model.n, model.n)).copy()
+    for k in range(T):
+        P_prior, P_post = covariance_step(model, P_post, gamma1[:, k], gamma2[:, k])
+        traces[:, k] = np.trace(P_prior, axis1=1, axis2=2)
+        sum_P[k] = P_prior.sum(axis=0)
+    return traces, sum_P
+
+
+def _trace_stats(traces: np.ndarray):
+    """Per-step mean and standard error over the runs (rows) of ``traces``."""
+    runs, horizon = traces.shape
+    if runs > 1:
+        return traces.mean(axis=0), traces.std(axis=0, ddof=1) / np.sqrt(runs)
+    return traces.mean(axis=0), np.zeros(horizon)
+
+
 def estimate_eec(
     model: SystemModel,
     delays: DelayModel,
@@ -70,28 +104,15 @@ def estimate_eec(
     horizon: int,
     master_seed: int,
 ) -> EecEstimate:
-    """Average the prediction covariance over seeded filter runs.
+    """Average the prediction covariance over seeded runs.
 
-    Run r uses the generator stream derived from ``(master_seed, r)``;
+    Run r uses the delay stream of ``make_rng(master_seed, r)``;
     covariances are accumulated in ascending run order.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    n = model.n
-    acc = np.zeros((horizon, n, n))
-    traces = np.zeros((runs, horizon))
-    for r in range(runs):
-        rec = run_filter(model, delays, horizon, make_rng(master_seed, r))
-        acc += rec.P_prior
-        traces[r] = rec.trace_prior()
-    mean_P = acc / runs
-    trace_mean = traces.mean(axis=0)
-    if runs > 1:
-        trace_se = traces.std(axis=0, ddof=1) / np.sqrt(runs)
-    else:
-        trace_se = np.zeros(horizon)
+    traces, sum_P = _stack_run(model, *_run_indicators(delays, runs, horizon, master_seed))
+    trace_mean, trace_se = _trace_stats(traces)
     return EecEstimate(
-        mean_P=mean_P,
+        mean_P=sum_P / runs,
         trace_mean=trace_mean,
         trace_se=trace_se,
         runs=runs,
@@ -103,23 +124,11 @@ def estimate_eec(
 def kalman_baseline(model: SystemModel, horizon: int) -> np.ndarray:
     """Trace series of the no-delay (full-gain) covariance recursion.
 
-    With both delay probabilities zero the covariance recursion is
-    deterministic; this replays exactly the filter's predict/update
-    covariance arithmetic, so it matches :func:`estimate_eec` at zero
-    delay probabilities bit for bit.
+    A stack of one run with every outcome on time, so it matches
+    :func:`estimate_eec` at zero delay probabilities bit for bit.
     """
-    from .filtering import initial_state, predict, update
-
-    state = initial_state(model)
-    y1 = np.zeros(model.m1)
-    y2 = np.zeros(model.m2)
-    on_time = DelayOutcome(1, 1)
-    traces = np.zeros(horizon)
-    for t in range(horizon):
-        state = predict(state, model)
-        traces[t] = float(np.trace(state.P_prior))
-        state = update(state, model, y1, y2, on_time)
-    return traces
+    on_time = np.ones((1, horizon), dtype=int)
+    return _stack_run(model, on_time, on_time)[0][0]
 
 
 @dataclass(frozen=True)
@@ -153,12 +162,6 @@ class SweepResult:
         return buf.getvalue()
 
 
-def _sweep_cell(args):
-    model, delays, runs, horizon, cell_seed = args
-    est = estimate_eec(model, delays, runs, horizon, cell_seed)
-    return est.trace_mean, est.trace_se
-
-
 def sweep(
     model: SystemModel,
     lambda1_values: Sequence[float],
@@ -170,38 +173,33 @@ def sweep(
 ) -> SweepResult:
     """Monte-Carlo sweep over a grid of delay probabilities.
 
-    Cells are independent; cell (i, j) runs :func:`estimate_eec` with
-    the seed ``stream_seed(master_seed, row-major cell index)``, so the
-    result does not depend on the worker count.
+    Cell (i, j) equals :func:`estimate_eec` with the seed
+    ``stream_seed(master_seed, row-major cell index)``; the runs of all
+    cells advance as one stack.  ``workers`` is accepted for
+    compatibility and ignored.
     """
     l1s = np.asarray(list(lambda1_values), dtype=float)
     l2s = np.asarray(list(lambda2_values), dtype=float)
     if ((l1s < 0) | (l1s > 1)).any() or ((l2s < 0) | (l2s > 1)).any():
         raise ValueError("grid probabilities must lie in [0, 1]")
-    from .filtering import stream_seed
+    if l1s.size == 0 or l2s.size == 0:
+        raise ValueError("each grid axis needs at least one probability")
 
-    jobs = []
-    for i, l1 in enumerate(l1s):
-        for j, l2 in enumerate(l2s):
-            cell_index = i * len(l2s) + j
-            jobs.append(
-                (model, DelayModel(float(l1), float(l2)), runs, horizon,
-                 stream_seed(master_seed, cell_index))
-            )
-
-    nworkers = worker_count(workers)
-    if nworkers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(_sweep_cell, jobs))
-    else:
-        results = [_sweep_cell(job) for job in jobs]
+    cells = [
+        _run_indicators(DelayModel(float(l1), float(l2)), runs, horizon,
+                        stream_seed(master_seed, i * len(l2s) + j))
+        for i, l1 in enumerate(l1s)
+        for j, l2 in enumerate(l2s)
+    ]
+    gamma1 = np.concatenate([g1 for g1, _ in cells])
+    gamma2 = np.concatenate([g2 for _, g2 in cells])
+    traces = _stack_run(model, gamma1, gamma2)[0]
 
     trace_mean = np.zeros((len(l1s), len(l2s), horizon))
     trace_se = np.zeros_like(trace_mean)
-    for idx, (tm, se) in enumerate(results):
+    for idx in range(len(cells)):
         i, j = divmod(idx, len(l2s))
-        trace_mean[i, j] = tm
-        trace_se[i, j] = se
+        trace_mean[i, j], trace_se[i, j] = _trace_stats(traces[idx * runs:(idx + 1) * runs])
     return SweepResult(
         lambda1_values=l1s,
         lambda2_values=l2s,

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_instance, textbook_riccati_priors
-from netkalman.model import DelayModel, DelayOutcome, SystemModel, fixture
+from conftest import random_instance, random_model, random_psd, textbook_riccati_priors
+from netkalman.model import ALL_OUTCOMES, DelayModel, DelayOutcome, SystemModel, fixture
 from netkalman.filtering import (
+    covariance_step,
     initial_state,
     make_rng,
     predict,
@@ -226,3 +228,37 @@ class TestRunFilter:
             diffs[r] = e @ e - np.trace(rec.P_prior[t_check - 1])
         se = diffs.std(ddof=1) / np.sqrt(runs)
         assert abs(diffs.mean()) <= 5 * se
+
+
+class TestCovarianceStep:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        outcomes=st.lists(st.lists(st.sampled_from(ALL_OUTCOMES), min_size=4, max_size=4),
+                          min_size=1, max_size=6),
+    )
+    def test_run_does_not_depend_on_its_stack(self, seed, outcomes):
+        # outcomes[r][k] is run r's delay outcome at step k
+        model = random_model(np.random.default_rng(seed))
+        gamma1 = np.array([[oc.gamma1 for oc in run] for run in outcomes])
+        gamma2 = np.array([[oc.gamma2 for oc in run] for run in outcomes])
+        runs = len(outcomes)
+        stack = np.broadcast_to(model.Sigma0, (runs, model.n, model.n)).copy()
+        alone = [np.array(model.Sigma0)[None] for _ in range(runs)]
+        for k in range(gamma1.shape[1]):
+            prior, stack = covariance_step(model, stack, gamma1[:, k], gamma2[:, k])
+            for r in range(runs):
+                prior_r, alone[r] = covariance_step(model, alone[r], gamma1[r:r + 1, k],
+                                                    gamma2[r:r + 1, k])
+                assert np.array_equal(prior_r[0], prior[r])
+                assert np.array_equal(alone[r][0], stack[r])
+
+    @given(seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 6))
+    def test_stacked_gain_equals_per_slice_gain(self, seed, runs):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng)
+        priors = np.array([random_psd(rng, model.n) for _ in range(runs)])
+        for oc in ALL_OUTCOMES:
+            stacked = optimal_gain(priors, model.C, model.V, model.dims, oc)
+            for r in range(runs):
+                single = optimal_gain(priors[r], model.C, model.V, model.dims, oc)
+                assert np.array_equal(stacked[r], single)

@@ -8,7 +8,6 @@ from netkalman.gains import (
     StructuredMask,
     gain_set,
     innovation_blocks,
-    kalman_factorization_check,
     mask_for_outcome,
     mask_pattern,
     optimal_gain,
@@ -177,26 +176,6 @@ class TestPosteriorCov:
             out = posterior_cov(P, D, C, V)
             assert_allclose(out, out.T, atol=0)
             assert np.linalg.eigvalsh(out)[0] >= -1e-12 * np.trace(out)
-
-
-class TestKalmanFactorization:
-    def test_identity(self):
-        assert kalman_factorization_check(np.eye(2), np.eye(2), np.eye(2), DIMS_2X2) < 1e-14
-
-    def test_zero_prior(self):
-        assert kalman_factorization_check(np.zeros((2, 2)), np.eye(2), np.eye(2),
-                                          DIMS_2X2) < 1e-14
-
-    def test_random_medium_instance(self):
-        rng = np.random.default_rng(99)
-        dims = BlockDims(2, 2, 2, 1)
-        for _ in range(20):
-            P = random_psd(rng, 4)
-            V = random_psd(rng, 3, floor=0.1)
-            C = np.zeros((3, 4))
-            C[:2, :2] = rng.standard_normal((2, 2))
-            C[2:, 2:] = rng.standard_normal((1, 2))
-            assert kalman_factorization_check(P, C, V, dims) < 1e-10
 
 
 class TestConditioning:

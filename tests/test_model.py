@@ -13,7 +13,6 @@ from netkalman.model import (
     load_matrix_csv,
     power_network_continuous,
     save_matrix_csv,
-    selectors,
     validate_model,
 )
 
@@ -83,29 +82,6 @@ class TestDelayTypes:
             for g1 in (0, 1) for g2 in (0, 1)
         )
         assert_allclose(total, 1.0, rtol=1e-15)
-
-
-class TestSelectors:
-    def test_shapes_and_orthogonality(self, case1):
-        s = selectors(case1.dims)
-        n1, n2, m1, m2 = case1.dims
-        assert s.meas1.shape == (m1, m1 + m2)
-        assert s.meas2.shape == (m2, m1 + m2)
-        assert s.into_sub2.shape == (n1 + n2, n2)
-        assert s.into_sub1.shape == (n1 + n2, n1)
-        # The two state injectors target disjoint blocks.
-        assert_allclose(s.into_sub1.T @ s.into_sub2, 0.0)
-        for M in (s.meas1, s.meas2, s.rows_sub1, s.rows_sub2):
-            # exactly one identity block, zeros elsewhere
-            assert set(np.unique(M)) <= {0.0, 1.0}
-            assert M.sum() == min(M.shape)
-
-    def test_bar_selectors_extract_blocks(self, case1):
-        s = selectors(case1.dims)
-        X = np.arange(case1.n * case1.m, dtype=float).reshape(case1.n, case1.m)
-        n1, m1 = case1.n1, case1.m1
-        assert_allclose(s.rows_sub1 @ X @ s.cols_meas1, X[:n1, :m1])
-        assert_allclose(s.rows_sub2 @ X @ s.cols_meas2, X[n1:, m1:])
 
 
 class TestDiscretize:

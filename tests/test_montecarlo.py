@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from netkalman.model import DelayModel, SystemModel, fixture
 from netkalman.filtering import make_rng, run_filter, stream_seed
 from netkalman.analysis import cov_bound_sequence, expected_next_cov
-from netkalman.montecarlo import estimate_eec, kalman_baseline, sweep, worker_count
+from netkalman.montecarlo import estimate_eec, kalman_baseline, sweep
 
 
 class TestEstimateEec:
@@ -85,10 +85,16 @@ class TestKalmanBaseline:
 
 class TestSweep:
     def test_single_cell_reduces_to_estimate(self, toy):
-        res = sweep(toy, [0.3], [0.6], runs=5, horizon=10, master_seed=9)
-        est = estimate_eec(toy, DelayModel(0.3, 0.6), 5, 10, stream_seed(9, 0))
-        assert np.array_equal(res.trace_mean[0, 0], est.trace_mean)
-        assert np.array_equal(res.trace_se[0, 0], est.trace_se)
+        # Every cell equals its own estimate_eec, also when the runs of
+        # several cells share one stack.
+        for l1s, l2s in (([0.3], [0.6]), ([0.0, 0.3, 1.0], [0.6, 0.1])):
+            res = sweep(toy, l1s, l2s, runs=5, horizon=10, master_seed=9)
+            for i, l1 in enumerate(l1s):
+                for j, l2 in enumerate(l2s):
+                    est = estimate_eec(toy, DelayModel(l1, l2), 5, 10,
+                                       stream_seed(9, i * len(l2s) + j))
+                    assert np.array_equal(res.trace_mean[i, j], est.trace_mean)
+                    assert np.array_equal(res.trace_se[i, j], est.trace_se)
 
     def test_csv_layout(self, toy):
         res = sweep(toy, [0.0, 1.0], [0.5], runs=2, horizon=3, master_seed=1)
@@ -106,6 +112,8 @@ class TestSweep:
     def test_grid_values_validated(self, toy):
         with pytest.raises(ValueError):
             sweep(toy, [0.5, 1.5], [0.5], runs=1, horizon=2, master_seed=0)
+        with pytest.raises(ValueError, match="at least one"):
+            sweep(toy, [], [0.5], runs=1, horizon=2, master_seed=0)
 
     def test_degradation_with_delay_probability(self, case1):
         res = sweep(case1, [0.0, 1.0], [0.0, 1.0], runs=60, horizon=25,
@@ -116,13 +124,3 @@ class TestSweep:
         se = res.trace_se[1, 1, t_end - 1]
         assert worst >= best - 5 * se
 
-
-class TestWorkerCount:
-    def test_explicit_wins(self):
-        assert worker_count(3) == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("NETKALMAN_WORKERS", "5")
-        assert worker_count() == 5
-        monkeypatch.delenv("NETKALMAN_WORKERS")
-        assert worker_count() == 1
