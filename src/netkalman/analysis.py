@@ -24,12 +24,11 @@ from typing import Optional
 
 import numpy as np
 
-from .gains import gain_set, mask_for_outcome, mask_pattern, optimal_gain
+from .filtering import predict_cov
+from .gains import gain_set, mask_for_outcome, mask_pattern, optimal_gain, posterior_cov
 from .model import ALL_OUTCOMES, BlockDims, DelayModel, DelayOutcome, SystemModel
 
 __all__ = [
-    "cov_propagation_term",
-    "gain_noise_term",
     "one_step_cov",
     "residual_gram",
     "expected_next_cov",
@@ -56,6 +55,10 @@ __all__ = [
     "empirical_critical",
 ]
 
+# Relative tolerance within which r1 and r4 count as equal in
+# bounds_from_minima.
+BRANCH_TOL = 1e-9
+
 
 def _sym(M: np.ndarray) -> np.ndarray:
     return (M + M.T) / 2.0
@@ -67,26 +70,15 @@ def closed_loop_factor(model: SystemModel, X) -> np.ndarray:
     return A - A @ np.asarray(X, dtype=float) @ model.C
 
 
-def cov_propagation_term(model: SystemModel, X, Y) -> np.ndarray:
-    """Propagation of covariance Y through one corrected step."""
-    F = closed_loop_factor(model, X)
-    return F @ np.asarray(Y, dtype=float) @ F.T
-
-
-def gain_noise_term(model: SystemModel, X) -> np.ndarray:
-    """Measurement noise injected by update gain X after prediction."""
-    AX = model.A @ np.asarray(X, dtype=float)
-    return AX @ model.V @ AX.T
-
-
 def one_step_cov(model: SystemModel, X, Y) -> np.ndarray:
     """Next prediction covariance when gain X is applied at covariance Y.
 
-    ``(A - A X C) Y (A - A X C)^T + (A X) V (A X)^T + W``; symmetric PSD
-    for PSD Y.
+    The filter's measurement update followed by its time update, which
+    equals ``(A - A X C) Y (A - A X C)^T + (A X) V (A X)^T + W``;
+    symmetric PSD for PSD Y.  X and Y may be stacks whose leading axes
+    broadcast.
     """
-    out = cov_propagation_term(model, X, Y) + gain_noise_term(model, X) + model.W
-    return _sym(out)
+    return predict_cov(model, posterior_cov(Y, X, model.C, model.V))
 
 
 def residual_gram(model: SystemModel, X) -> np.ndarray:
@@ -97,27 +89,27 @@ def residual_gram(model: SystemModel, X) -> np.ndarray:
 
 def first_prediction_cov(model: SystemModel) -> np.ndarray:
     """Prediction covariance at step 1: ``A Sigma0 A^T + W``."""
-    return _sym(model.A @ model.Sigma0 @ model.A.T + model.W)
+    return predict_cov(model, model.Sigma0)
 
 
 def expected_next_cov(model: SystemModel, delays: DelayModel, Y) -> np.ndarray:
     """Conditional expectation of the next prediction covariance.
 
     Averages :func:`one_step_cov` at the four per-outcome optimal gains
-    with the outcome probabilities; this equals the exact conditional
-    expectation of the covariance recursion given the current value.
-    Iterating it from the step-1 covariance gives the deterministic
-    companion sequence used to bound the expected covariance.
+    with the outcome probabilities, one layer of a stack per outcome that
+    can occur; this equals the exact conditional expectation of the
+    covariance recursion given the current value.  Iterating it from the
+    step-1 covariance gives the deterministic companion sequence used to
+    bound the expected covariance.
     """
     Y = _sym(np.asarray(Y, dtype=float))
     gains = gain_set(Y, model.C, model.V, model.dims)
-    out = np.zeros_like(Y)
-    for outcome in ALL_OUTCOMES:
-        p = delays.outcome_probability(outcome)
-        if p == 0.0:
-            continue
-        out = out + p * one_step_cov(model, gains.for_outcome(outcome), Y)
-    return _sym(out)
+    # An impossible outcome is left out, so that a non-finite gain of it
+    # cannot reach the sum.
+    live = [oc for oc in ALL_OUTCOMES if delays.outcome_probability(oc) > 0.0]
+    p = np.array([delays.outcome_probability(oc) for oc in live])
+    X = np.stack([gains.for_outcome(oc) for oc in live])
+    return np.tensordot(p, one_step_cov(model, X, Y), 1)
 
 
 @dataclass(frozen=True)
@@ -504,13 +496,12 @@ def bounds_from_minima(
     lambda_fixed: float,
     fixed_which: int,
     alpha: Optional[float],
-    branch_tol: float = 1e-9,
     empirical: Optional[float] = None,
 ) -> CriticalBounds:
     """Evaluate the closed-form critical-probability bracket.
 
     Branches on whether the block-diagonal and unconstrained minima
-    coincide (to relative tolerance ``branch_tol``): if they do and are
+    coincide (to relative tolerance ``BRANCH_TOL``): if they do and are
     at most one, the weighted sum is constant and at most one, so the
     whole axis is certified (bracket [1, 1]); if they coincide above
     one, nothing is certified (lower bound 0).  Otherwise the lower
@@ -523,7 +514,7 @@ def bounds_from_minima(
         raise ValueError(f"lambda_fixed must lie in [0, 1], got {lambda_fixed}")
     r1, r2, r3, r4 = minima.r1, minima.r2, minima.r3, minima.r4
     v = float(lambda_fixed)
-    same = abs(r1 - r4) <= branch_tol * max(1.0, abs(r1), abs(r4))
+    same = abs(r1 - r4) <= BRANCH_TOL * max(1.0, abs(r1), abs(r4))
 
     if same:
         if r1 <= 1.0:
@@ -572,7 +563,6 @@ def critical_bounds(
     fixed_which: int,
     options=None,
     minima: Optional[NormMinima] = None,
-    branch_tol: float = 1e-9,
 ) -> CriticalBounds:
     """Closed-form bracket for the critical probability of one channel."""
     if minima is None:
@@ -581,7 +571,7 @@ def critical_bounds(
         alpha = residual_gram_floor(model).alpha
     except InapplicableError:
         alpha = None
-    return bounds_from_minima(minima, lambda_fixed, fixed_which, alpha, branch_tol)
+    return bounds_from_minima(minima, lambda_fixed, fixed_which, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +600,8 @@ def divergence_witness(
     expected update, so its divergence witnesses an unbounded expected
     covariance.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     if divergence_threshold is None:
         divergence_threshold = 1e12 * float(np.trace(model.W))
     p00 = delays.lambda1 * delays.lambda2

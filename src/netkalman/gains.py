@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
-from .model import ALL_OUTCOMES, BlockDims, DelayOutcome
+from .model import BlockDims, DelayOutcome
 
 __all__ = [
     "StructuredMask",
@@ -161,26 +161,12 @@ def _rsolve(B: np.ndarray, M: np.ndarray, what: str) -> np.ndarray:
     return _T(np.linalg.solve(_T(M), _T(B)))
 
 
-def optimal_gain(P, C, V, dims: BlockDims, outcome: DelayOutcome) -> np.ndarray:
-    """Trace-optimal update gain under the structure forced by ``outcome``.
-
-    Minimizes ``trace((I - D C) P (I - D C)^T + D V D^T)`` over gains D
-    whose blocks match :func:`mask_for_outcome`.  The masked-out blocks
-    of the result are exact zeros.  For an (..., n, n) stack of priors
-    the result is the (..., n, m) stack of their gains.
-    """
-    P = _sym(np.asarray(P, dtype=float))
-    C = np.asarray(C, dtype=float)
-    V = np.asarray(V, dtype=float)
+def _masked_gain(blocks: InnovationBlocks, dims: BlockDims, label: str) -> np.ndarray:
+    """Optimal gain of a delayed outcome (``01``, ``10`` or ``00``) from its blocks."""
     n1, n2, m1, m2 = dims
-    lead = P.shape[:-2]
-
-    if outcome.label == "11":
-        return _kalman_gain(P, C, V)
-
-    blocks = innovation_blocks(P, C, V, dims)
+    lead = blocks.xcov1.shape[:-2]
     D = np.zeros(lead + (dims.n, dims.m))
-    if outcome.label == "00":
+    if label == "00":
         # Decoupled: each subsystem applies its local Kalman gain.
         D[..., :n1, :m1] = blocks.xcov1[..., :n1, :] @ blocks.s11_inv
         D[..., n1:, m1:] = blocks.xcov2[..., n1:, :] @ blocks.s22_inv
@@ -188,7 +174,7 @@ def optimal_gain(P, C, V, dims: BlockDims, outcome: DelayOutcome) -> np.ndarray:
 
     # Coupling corrections between the free column blocks.
     cross12 = blocks.s11_inv @ blocks.s12 @ blocks.s22_inv  # inv(S11) S12 inv(S22)
-    if outcome.label == "01":
+    if label == "01":
         # Sensor-1 columns fully free, sensor-2 columns restricted to
         # subsystem 2.
         resid2 = blocks.xcov1 @ cross12 - blocks.xcov2 @ blocks.s22_inv
@@ -201,7 +187,7 @@ def optimal_gain(P, C, V, dims: BlockDims, outcome: DelayOutcome) -> np.ndarray:
         D[..., n1:, m1:] = own2
         return D
 
-    if outcome.label == "10":
+    if label == "10":
         cross21 = blocks.s22_inv @ blocks.s21 @ blocks.s11_inv
         resid1 = blocks.xcov2 @ cross21 - blocks.xcov1 @ blocks.s11_inv
         coupling = resid1[..., :n1, :]  # (n1, m1)
@@ -213,7 +199,23 @@ def optimal_gain(P, C, V, dims: BlockDims, outcome: DelayOutcome) -> np.ndarray:
         D[..., :, m1:] = right @ blocks.s22_inv
         return D
 
-    raise ValueError(f"unknown outcome {outcome!r}")
+    raise ValueError(f"unknown outcome {label!r}")
+
+
+def optimal_gain(P, C, V, dims: BlockDims, outcome: DelayOutcome) -> np.ndarray:
+    """Trace-optimal update gain under the structure forced by ``outcome``.
+
+    Minimizes ``trace((I - D C) P (I - D C)^T + D V D^T)`` over gains D
+    whose blocks match :func:`mask_for_outcome`.  The masked-out blocks
+    of the result are exact zeros.  For an (..., n, n) stack of priors
+    the result is the (..., n, m) stack of their gains.
+    """
+    P = _sym(np.asarray(P, dtype=float))
+    C = np.asarray(C, dtype=float)
+    V = np.asarray(V, dtype=float)
+    if outcome.label == "11":
+        return _kalman_gain(P, C, V)
+    return _masked_gain(innovation_blocks(P, C, V, dims), dims, outcome.label)
 
 
 @dataclass(frozen=True)
@@ -230,12 +232,16 @@ class GainSet:
 
 
 def gain_set(P, C, V, dims: BlockDims) -> GainSet:
-    """Compute all four per-outcome optimal gains at once."""
+    """Compute all four per-outcome optimal gains from one set of blocks."""
+    P = _sym(np.asarray(P, dtype=float))
+    C = np.asarray(C, dtype=float)
+    V = np.asarray(V, dtype=float)
+    blocks = innovation_blocks(P, C, V, dims)
     return GainSet(
-        **{
-            f"d{oc.label}": optimal_gain(P, C, V, dims, oc)
-            for oc in ALL_OUTCOMES
-        }
+        d11=_kalman_gain(P, C, V),
+        d01=_masked_gain(blocks, dims, "01"),
+        d10=_masked_gain(blocks, dims, "10"),
+        d00=_masked_gain(blocks, dims, "00"),
     )
 
 

@@ -18,16 +18,14 @@ from netkalman.analysis import (
     expected_kron_update,
     expected_next_cov,
     first_prediction_cov,
-    gain_noise_term,
     kron_update_radius,
     masked_norm_minima,
     min_structured_norm,
     one_step_cov,
     residual_gram,
     residual_gram_floor,
-    cov_propagation_term,
 )
-from netkalman.filtering import initial_state, predict, update
+from netkalman.filtering import initial_state, predict, predict_cov, update
 from netkalman.gains import StructuredMask, gain_set, mask_pattern, optimal_gain, posterior_cov
 
 
@@ -57,15 +55,24 @@ class TestCovOperators:
         rng = np.random.default_rng(1)
         X = rng.standard_normal((4, 3))
         Y = random_psd(rng, 4)
-        total = cov_propagation_term(case1, X, Y) + gain_noise_term(case1, X) + case1.W
+        F = case1.A - case1.A @ X @ case1.C
+        AX = case1.A @ X
+        total = F @ Y @ F.T + AX @ case1.V @ AX.T + case1.W
         assert_allclose(one_step_cov(case1, X, Y), (total + total.T) / 2, atol=1e-12)
 
     def test_matches_filter_covariance_path(self, toy):
-        # propagated form == predict(posterior) at the optimal full gain
-        Y = random_psd(np.random.default_rng(2), 2)
+        # one_step_cov is the filter's update followed by its time update
+        rng = np.random.default_rng(2)
+        Y = random_psd(rng, 2)
         D = optimal_gain(Y, toy.C, toy.V, toy.dims, DelayOutcome(1, 1))
-        via_filter = toy.A @ posterior_cov(Y, D, toy.C, toy.V) @ toy.A.T + toy.W
-        assert np.abs(one_step_cov(toy, D, Y) - via_filter).max() < 1e-12
+        via_filter = predict_cov(toy, posterior_cov(Y, D, toy.C, toy.V))
+        assert np.array_equal(one_step_cov(toy, D, Y), via_filter)
+        Ys = np.array([random_psd(rng, 2) for _ in range(3)])
+        Ds = optimal_gain(Ys, toy.C, toy.V, toy.dims, DelayOutcome(0, 1))
+        stacked = one_step_cov(toy, Ds, Ys)
+        for k in range(3):
+            via_filter = predict_cov(toy, posterior_cov(Ys[k], Ds[k], toy.C, toy.V))
+            assert np.array_equal(stacked[k], via_filter)
 
     def test_residual_gram_psd(self, case1):
         rng = np.random.default_rng(3)
@@ -557,6 +564,11 @@ class TestDivergenceWitness:
                            np.eye(1), np.zeros((1, 1)), 1)
         w = divergence_witness(model, DelayModel(1.0, 1.0), steps=400)
         assert w.diverged
+
+    @pytest.mark.parametrize("steps", [0, -5])
+    def test_nonpositive_steps_rejected(self, case1, steps):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            divergence_witness(case1, DelayModel(1.0, 1.0), steps=steps)
 
     def test_small_product_probability_contracts(self):
         model = make_model(np.array([[0.5, 1.0], [0.0, 1.2]]),

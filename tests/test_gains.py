@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_instance, random_psd
@@ -135,6 +136,19 @@ class TestOptimalGain:
             assert tr["01"] <= tr["00"] + 1e-10
             assert tr["11"] <= tr["10"] + 1e-10
             assert tr["10"] <= tr["00"] + 1e-10
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_gain_set_equals_optimal_gain(self, seed):
+        # gain_set shares one set of innovation blocks across the three
+        # delayed outcomes; each gain must keep optimal_gain's bits
+        rng = np.random.default_rng(seed)
+        P, C, V, dims = random_instance(rng)
+        stack = np.array([random_psd(rng, dims.n) for _ in range(3)])
+        for prior in (P, stack):
+            gs = gain_set(prior, C, V, dims)
+            for oc in ALL_OUTCOMES:
+                assert np.array_equal(gs.for_outcome(oc),
+                                      optimal_gain(prior, C, V, dims, oc))
 
 
 class TestOracle:
