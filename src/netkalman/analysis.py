@@ -20,7 +20,7 @@ form and ``C^+`` is the one certificate gain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -59,9 +59,14 @@ __all__ = [
 # bounds_from_minima.
 BRANCH_TOL = 1e-9
 
+# Bisection levels empirical_critical evaluates per stack: up to
+# 2**3 - 1 = 7 midpoints, of which it keeps the 3 on its path.  A stack of
+# 7 bound sequences costs about 1.15 times one sequence.
+_LOOKAHEAD_LEVELS = 3
+
 
 def _sym(M: np.ndarray) -> np.ndarray:
-    return (M + M.T) / 2.0
+    return (M + np.swapaxes(M, -1, -2)) / 2.0
 
 
 def closed_loop_factor(model: SystemModel, X) -> np.ndarray:
@@ -92,24 +97,38 @@ def first_prediction_cov(model: SystemModel) -> np.ndarray:
     return predict_cov(model, model.Sigma0)
 
 
-def expected_next_cov(model: SystemModel, delays: DelayModel, Y) -> np.ndarray:
+def expected_next_cov(
+    model: SystemModel, delays: DelayModel | Sequence[DelayModel], Y
+) -> np.ndarray:
     """Conditional expectation of the next prediction covariance.
 
     Averages :func:`one_step_cov` at the four per-outcome optimal gains
-    with the outcome probabilities, one layer of a stack per outcome that
-    can occur; this equals the exact conditional expectation of the
-    covariance recursion given the current value.  Iterating it from the
-    step-1 covariance gives the deterministic companion sequence used to
-    bound the expected covariance.
+    with the outcome probabilities; this equals the exact conditional
+    expectation of the covariance recursion given the current value.
+    Iterating it from the step-1 covariance gives the deterministic
+    companion sequence used to bound the expected covariance.
+
+    Y is an (n, n) matrix with one :class:`DelayModel`, or a (K, n, n)
+    stack with a sequence of K delay models, one per layer.  Each layer
+    gets the same bits as it would alone: the gains of the stack come
+    from one :func:`gain_set` call, :func:`one_step_cov` runs only on the
+    (layer, outcome) pairs of positive probability, so that a non-finite
+    gain of an impossible outcome cannot reach the sum, and each layer is
+    reduced with its own ``tensordot`` over its possible outcomes.
     """
     Y = _sym(np.asarray(Y, dtype=float))
+    single = Y.ndim == 2
+    if single:
+        Y, delays = Y[None], [delays]
     gains = gain_set(Y, model.C, model.V, model.dims)
-    # An impossible outcome is left out, so that a non-finite gain of it
-    # cannot reach the sum.
-    live = [oc for oc in ALL_OUTCOMES if delays.outcome_probability(oc) > 0.0]
-    p = np.array([delays.outcome_probability(oc) for oc in live])
-    X = np.stack([gains.for_outcome(oc) for oc in live])
-    return np.tensordot(p, one_step_cov(model, X, Y), 1)
+    X = np.stack([gains.for_outcome(oc) for oc in ALL_OUTCOMES], axis=1)
+    p = np.array([[d.outcome_probability(oc) for oc in ALL_OUTCOMES] for d in delays])
+    live = p > 0.0
+    layer, outcome = np.nonzero(live)
+    stack = one_step_cov(model, X[layer, outcome], Y[layer])
+    parts = np.split(stack, np.cumsum(live.sum(axis=1))[:-1])
+    out = np.array([np.tensordot(pk[lk], part, 1) for pk, lk, part in zip(p, live, parts)])
+    return out[0] if single else out
 
 
 @dataclass(frozen=True)
@@ -147,6 +166,87 @@ class CovBoundSequence:
         return abs(b - a) <= rtol * max(1.0, abs(b))
 
 
+class _Orbit:
+    """The iterates of one deterministic matrix sequence, up to its exit.
+
+    The sequence leaves off at the first iterate whose trace exceeds the
+    threshold, or at the first iterate that repeats an earlier one bit
+    for bit.  The map is a pure function of the iterate's bits, so a
+    repeat means the sequence cycles from there on and never crosses
+    the threshold; :meth:`tiled` fills the rest of the horizon with the
+    cycle.  A new iterate is compared bitwise only with the earlier
+    iterates of the same trace.
+    """
+
+    def __init__(self, Y0: np.ndarray, steps: int, threshold: float):
+        self.steps = steps
+        self.threshold = threshold
+        self.length = 0
+        self._ys = np.empty((steps,) + Y0.shape)
+        self._traces = np.empty(steps)
+        self.cycle_start: Optional[int] = None
+        self.diverged_at: Optional[int] = None
+        self.push(Y0)
+
+    @property
+    def running(self) -> bool:
+        return self.cycle_start is None and self.diverged_at is None
+
+    def push(self, Y: np.ndarray) -> bool:
+        """Record the next iterate; return whether the iteration goes on."""
+        trace = float(np.trace(Y))
+        n = self.length
+        for s in np.flatnonzero(self._traces[:n] == trace):
+            if self._ys[s].tobytes() == Y.tobytes():
+                self.cycle_start = int(s)
+                return False
+        self._ys[n] = Y
+        self._traces[n] = trace
+        self.length = n + 1
+        if trace > self.threshold:
+            self.diverged_at = self.length
+            return False
+        return True
+
+    def tiled(self):
+        """Iterates and traces up to the horizon, or to the diverging step."""
+        n = self.length
+        idx = np.arange(n if self.cycle_start is None else self.steps)
+        if self.cycle_start is not None:
+            s = self.cycle_start
+            idx = np.where(idx < n, idx, s + (idx - s) % (n - s))
+        return self._ys[idx], self._traces[idx]
+
+
+def _bound_orbits(
+    model: SystemModel,
+    delays: Sequence[DelayModel],
+    steps: int,
+    divergence_threshold: Optional[float],
+) -> List[_Orbit]:
+    """Bound sequences of several delay models, iterated as one stack.
+
+    Each layer leaves the stack when it diverges or cycles, and keeps
+    the bits it has when iterated alone (see :func:`expected_next_cov`).
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if divergence_threshold is None:
+        divergence_threshold = 1e12 * float(np.trace(model.W))
+    Y0 = first_prediction_cov(model)
+    orbits = [_Orbit(Y0, steps, divergence_threshold) for _ in delays]
+    live = [k for k, orbit in enumerate(orbits) if orbit.running]
+    Y = np.array([Y0] * len(live))
+    for _ in range(steps - 1):
+        if not live:
+            break
+        Y = expected_next_cov(model, [delays[k] for k in live], Y)
+        going = [j for j, k in enumerate(live) if orbits[k].push(Y[j])]
+        live = [live[j] for j in going]
+        Y = Y[going]
+    return orbits
+
+
 def cov_bound_sequence(
     model: SystemModel,
     delays: DelayModel,
@@ -156,37 +256,39 @@ def cov_bound_sequence(
     """Iterate the expected-covariance map for ``steps`` steps.
 
     Starts at the step-1 prediction covariance.  The default divergence
-    threshold is ``1e12 * trace(W)`` (scale invariant).
+    threshold is ``1e12 * trace(W)`` (scale invariant).  Once an iterate
+    repeats an earlier one bit for bit, the rest of the horizon is that
+    cycle, filled in without further steps.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if divergence_threshold is None:
-        divergence_threshold = 1e12 * float(np.trace(model.W))
-    Y = first_prediction_cov(model)
-    ys = [Y]
-    traces = [float(np.trace(Y))]
-    diverged = traces[0] > divergence_threshold
-    diverged_at = 1 if diverged else None
-    for t in range(2, steps + 1):
-        if diverged:
-            break
-        Y = expected_next_cov(model, delays, Y)
-        ys.append(Y)
-        traces.append(float(np.trace(Y)))
-        if traces[-1] > divergence_threshold:
-            diverged = True
-            diverged_at = t
+    orbit = _bound_orbits(model, [delays], steps, divergence_threshold)[0]
+    Y, traces = orbit.tiled()
     return CovBoundSequence(
-        Y=np.array(ys),
-        traces=np.array(traces),
-        diverged=diverged,
-        diverged_at=diverged_at,
-        threshold=divergence_threshold,
+        Y=Y,
+        traces=traces,
+        diverged=orbit.diverged_at is not None,
+        diverged_at=orbit.diverged_at,
+        threshold=orbit.threshold,
     )
 
 
 # ---------------------------------------------------------------------------
 # Kronecker-form expected update
+
+
+def _certified_factor(model: SystemModel, delays: DelayModel, X) -> np.ndarray:
+    """``F = A - A X C`` for a gain X admissible under every possible outcome."""
+    X = np.asarray(X, dtype=float)
+    if X.shape != (model.n, model.m):
+        raise ValueError(f"gain has shape {X.shape}, expected {(model.n, model.m)}")
+    for outcome in ALL_OUTCOMES:
+        if delays.outcome_probability(outcome) == 0.0:
+            continue
+        mask = mask_for_outcome(outcome)
+        if np.any(X[~mask_pattern(mask, model.dims)] != 0.0):
+            raise ValueError(
+                f"gain violates the {mask.value} zero pattern of outcome {outcome.label}"
+            )
+    return closed_loop_factor(model, X)
 
 
 def expected_kron_update(model: SystemModel, delays: DelayModel, X) -> np.ndarray:
@@ -200,25 +302,19 @@ def expected_kron_update(model: SystemModel, delays: DelayModel, X) -> np.ndarra
     its spectral radius below one certifies convergence of the covariance
     for that gain.
     """
-    X = np.asarray(X, dtype=float)
-    if X.shape != (model.n, model.m):
-        raise ValueError(f"gain has shape {X.shape}, expected {(model.n, model.m)}")
-    for outcome in ALL_OUTCOMES:
-        if delays.outcome_probability(outcome) == 0.0:
-            continue
-        mask = mask_for_outcome(outcome)
-        if np.any(X[~mask_pattern(mask, model.dims)] != 0.0):
-            raise ValueError(
-                f"gain violates the {mask.value} zero pattern of outcome {outcome.label}"
-            )
-    F = closed_loop_factor(model, X)
+    F = _certified_factor(model, delays, X)
     return np.kron(F, F)
 
 
 def kron_update_radius(model: SystemModel, delays: DelayModel, X) -> float:
-    """Spectral radius of :func:`expected_kron_update`."""
-    eigs = np.linalg.eigvals(expected_kron_update(model, delays, X))
-    return float(np.abs(eigs).max())
+    """Spectral radius of :func:`expected_kron_update`.
+
+    The eigenvalues of ``kron(F, F)`` are the products of pairs of
+    eigenvalues of F, so the radius is ``rho(F)**2``, read off the
+    (n, n) factor.
+    """
+    F = _certified_factor(model, delays, X)
+    return float(np.abs(np.linalg.eigvals(F)).max() ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +694,8 @@ def divergence_witness(
     The map ``Y -> p00 * one_step_cov(gain00(Y), Y)`` (p00 the
     probability that both channels are delayed) lower-bounds the full
     expected update, so its divergence witnesses an unbounded expected
-    covariance.
+    covariance.  As in :func:`cov_bound_sequence`, a bitwise repeat of an
+    earlier iterate ends the iteration and its cycle fills the horizon.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -606,20 +703,20 @@ def divergence_witness(
         divergence_threshold = 1e12 * float(np.trace(model.W))
     p00 = delays.lambda1 * delays.lambda2
     Y = first_prediction_cov(model)
-    traces = [float(np.trace(Y))]
-    diverged = traces[0] > divergence_threshold
+    orbit = _Orbit(Y, steps, divergence_threshold)
     for _ in range(steps - 1):
-        if diverged:
+        if not orbit.running:
             break
         if p00 == 0.0:
             Y = np.zeros_like(Y)
         else:
             D = optimal_gain(Y, model.C, model.V, model.dims, DelayOutcome(0, 0))
             Y = p00 * one_step_cov(model, D, Y)
-        traces.append(float(np.trace(Y)))
-        diverged = traces[-1] > divergence_threshold
+        orbit.push(Y)
     return DivergenceWitness(
-        diverged=diverged, traces=np.array(traces), threshold=divergence_threshold
+        diverged=orbit.diverged_at is not None,
+        traces=orbit.tiled()[1],
+        threshold=divergence_threshold,
     )
 
 
@@ -654,7 +751,11 @@ def empirical_critical(
 
     A probability is declared divergent when the deterministic bound
     sequence exceeds the threshold within the horizon.  Boundedness is
-    monotone in the probability, so bisection applies.
+    monotone in the probability, so bisection applies.  The probes at 1
+    and 0 run as one stack of bound sequences, then each stack holds the
+    midpoints of the next few bisection levels; ``probes`` counts only
+    those on the path the bisection takes, so every field is what a
+    probe-by-probe bisection returns.
     """
     if fixed_which not in (1, 2):
         raise ValueError(f"fixed_which must be 1 or 2, got {fixed_which}")
@@ -668,31 +769,32 @@ def empirical_critical(
             return DelayModel(lambda_fixed, free)
         return DelayModel(free, lambda_fixed)
 
-    def is_bounded(free: float) -> bool:
-        seq = cov_bound_sequence(model, delays_at(free), horizon, divergence_threshold)
-        return not seq.diverged
+    def verdicts(frees: List[float]) -> dict:
+        orbits = _bound_orbits(model, [delays_at(f) for f in frees], horizon,
+                               divergence_threshold)
+        return {f: orbit.diverged_at is None for f, orbit in zip(frees, orbits)}
 
-    probes = 0
     witness = divergence_witness(model, delays_at(1.0), horizon, divergence_threshold)
-
-    if is_bounded(1.0):
-        return EmpiricalCritical(
-            fixed_which, lambda_fixed, 1.0, 1.0, 1.0, witness.diverged, probes + 1
-        )
-    probes += 1
-    if not is_bounded(0.0):
-        return EmpiricalCritical(
-            fixed_which, lambda_fixed, 0.0, 0.0, 0.0, witness.diverged, probes + 1
-        )
-    probes += 1
+    ends = verdicts([1.0, 0.0])
+    if ends[1.0]:
+        return EmpiricalCritical(fixed_which, lambda_fixed, 1.0, 1.0, 1.0, witness.diverged, 1)
+    if not ends[0.0]:
+        return EmpiricalCritical(fixed_which, lambda_fixed, 0.0, 0.0, 0.0, witness.diverged, 2)
+    probes = 2
     lo, hi = 0.0, 1.0
     while hi - lo > bisect_tol:
-        mid = (lo + hi) / 2.0
-        if is_bounded(mid):
-            lo = mid
-        else:
-            hi = mid
-        probes += 1
+        # Every midpoint the next levels of the bisection could probe, as
+        # one stack; only the verdicts on the path taken count as probes.
+        bounded = verdicts(_bisection_midpoints(lo, hi, bisect_tol, _LOOKAHEAD_LEVELS))
+        for _ in range(_LOOKAHEAD_LEVELS):
+            if not hi - lo > bisect_tol:
+                break
+            mid = (lo + hi) / 2.0
+            if bounded[mid]:
+                lo = mid
+            else:
+                hi = mid
+            probes += 1
     return EmpiricalCritical(
         fixed_which,
         lambda_fixed,
@@ -702,3 +804,12 @@ def empirical_critical(
         witness.diverged,
         probes,
     )
+
+
+def _bisection_midpoints(lo: float, hi: float, tol: float, levels: int) -> List[float]:
+    """Every midpoint the bisection of [lo, hi] to width ``tol`` can probe in ``levels`` levels."""
+    if levels == 0 or not hi - lo > tol:
+        return []
+    mid = (lo + hi) / 2.0
+    return ([mid] + _bisection_midpoints(lo, mid, tol, levels - 1)
+            + _bisection_midpoints(mid, hi, tol, levels - 1))

@@ -27,6 +27,29 @@ def toy():
     return fixture("toy_identity")[0]
 
 
+@pytest.fixture(scope="session")
+def hidden_mode():
+    """A model whose critical delay probability lies inside (0, 1).
+
+    Subsystem 1 (states 0 and 1) has the unstable mode a = 1.25, which
+    its own sensor C1 does not see; the mode drives subsystem 2, whose
+    sensor does.  Subsystem 1 can track it only while the cross
+    measurement reaches it on time, so the bound sequence diverges for
+    lambda1 above roughly 1 / a**2 and stays bounded below.
+    """
+    A = np.array([[1.25, 0.0, 0.0], [0.0, 0.5, 0.0], [1.0, 0.1, 0.4]])
+    return SystemModel(
+        n1=2,
+        n2=1,
+        A=A,
+        C1=np.array([[0.0, 1.0]]),
+        C2=np.array([[1.0]]),
+        W=np.eye(3),
+        V=np.eye(2),
+        Sigma0=np.eye(3),
+    )
+
+
 def random_psd(rng, n, floor=1e-3):
     G = rng.standard_normal((n, n))
     return G @ G.T + floor * np.eye(n)

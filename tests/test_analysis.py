@@ -7,9 +7,12 @@ from scipy import linalg as sla
 
 from conftest import random_model, random_psd
 from netkalman.model import ALL_OUTCOMES, BlockDims, DelayModel, DelayOutcome, SystemModel
+from netkalman import analysis
 from netkalman.analysis import (
+    EmpiricalCritical,
     InapplicableError,
     NormMinima,
+    _bound_orbits,
     boundedness_test,
     bounds_from_minima,
     cov_bound_sequence,
@@ -27,6 +30,14 @@ from netkalman.analysis import (
 )
 from netkalman.filtering import initial_state, predict, predict_cov, update
 from netkalman.gains import StructuredMask, gain_set, mask_pattern, optimal_gain, posterior_cov
+
+
+# One (lambda1, lambda2) pair per layer of a stack; 0 and 1 make outcomes
+# impossible in some layers and possible in others.
+LAMBDA_TABLES = st.lists(
+    st.tuples(*[st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)] * 2),
+    min_size=1, max_size=5,
+)
 
 
 def make_model(A, C1, C2, n1, W=None, V=None, Sigma0=None):
@@ -201,6 +212,81 @@ class TestExpectedNextCov:
                 case1, gs.for_outcome(oc), Y)
         assert np.abs(expected_next_cov(case1, delays, Y) - mix).max() < 1e-12
 
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lams=LAMBDA_TABLES,
+    )
+    def test_stack_layers_keep_single_bits(self, seed, lams):
+        # property: each layer of a stack, and a lone matrix, equal the
+        # tensordot of the possible outcomes' one-step covariances bit for bit
+        rng = np.random.default_rng(seed)
+        model = random_model(rng)
+        delays = [DelayModel(*lam) for lam in lams]
+        Ys = np.array([random_psd(rng, model.n) for _ in delays])
+        stacked = expected_next_cov(model, delays, Ys)
+        for Y, d, got in zip(Ys, delays, stacked):
+            Y = (Y + Y.T) / 2.0
+            gs = gain_set(Y, model.C, model.V, model.dims)
+            live = [oc for oc in ALL_OUTCOMES if d.outcome_probability(oc) > 0.0]
+            X = np.stack([gs.for_outcome(oc) for oc in live])
+            p = np.array([d.outcome_probability(oc) for oc in live])
+            want = np.tensordot(p, one_step_cov(model, X, Y), 1)
+            assert np.array_equal(got, want)
+            assert np.array_equal(expected_next_cov(model, d, Y), want)
+
+
+def plain_bound_sequence(model, delays, steps):
+    """Reference bound sequence: every step iterated, no cycle exit."""
+    threshold = 1e12 * float(np.trace(model.W))
+    ys = [first_prediction_cov(model)]
+    while len(ys) < steps and not np.trace(ys[-1]) > threshold:
+        ys.append(expected_next_cov(model, delays, ys[-1]))
+    traces = np.array([float(np.trace(Y)) for Y in ys])
+    diverged_at = len(ys) if traces[-1] > threshold else None
+    return np.array(ys), traces, diverged_at
+
+
+def plain_witness_traces(model, delays, steps):
+    """Reference divergence-witness traces: every step iterated, no cycle exit."""
+    threshold = 1e12 * float(np.trace(model.W))
+    p00 = delays.lambda1 * delays.lambda2
+    Y = first_prediction_cov(model)
+    traces = [float(np.trace(Y))]
+    while len(traces) < steps and not traces[-1] > threshold:
+        D = optimal_gain(Y, model.C, model.V, model.dims, DelayOutcome(0, 0))
+        Y = p00 * one_step_cov(model, D, Y) if p00 > 0.0 else np.zeros_like(Y)
+        traces.append(float(np.trace(Y)))
+    return np.array(traces)
+
+
+def sequential_critical(model, lambda_fixed, fixed_which, horizon, bisect_tol):
+    """Reference bisection: one plain bound sequence per probe, in order."""
+
+    def delays_at(free):
+        if fixed_which == 1:
+            return DelayModel(lambda_fixed, free)
+        return DelayModel(free, lambda_fixed)
+
+    def bounded(free):
+        return plain_bound_sequence(model, delays_at(free), horizon)[2] is None
+
+    threshold = 1e12 * float(np.trace(model.W))
+    h = bool(plain_witness_traces(model, delays_at(1.0), horizon)[-1] > threshold)
+    if bounded(1.0):
+        return EmpiricalCritical(fixed_which, lambda_fixed, 1.0, 1.0, 1.0, h, 1)
+    if not bounded(0.0):
+        return EmpiricalCritical(fixed_which, lambda_fixed, 0.0, 0.0, 0.0, h, 2)
+    lo, hi, probes = 0.0, 1.0, 2
+    while hi - lo > bisect_tol:
+        mid = (lo + hi) / 2.0
+        if bounded(mid):
+            lo = mid
+        else:
+            hi = mid
+        probes += 1
+    return EmpiricalCritical(fixed_which, lambda_fixed, (lo + hi) / 2.0, lo, hi, h, probes)
+
 
 class TestCovBoundSequence:
     def test_starts_at_first_prediction_cov(self, case1):
@@ -236,6 +322,41 @@ class TestCovBoundSequence:
         assert seq.diverged
         assert seq.diverged_at == seq.steps_completed
         assert seq.traces[-1] > seq.threshold
+
+    @pytest.mark.parametrize("lams", [(0.0, 0.0), (1.0, 1.0), (0.5, 0.5), (0.25, 0.75),
+                                      (1.0, 0.0)])
+    def test_cycle_exit_equals_plain_iteration(self, case1, case2, lams):
+        # both fixtures fall into an exact cycle well before step 400; the
+        # tiled tail must be the iteration itself, bit for bit
+        delays = DelayModel(*lams)
+        for model in (case1, case2):
+            seq = cov_bound_sequence(model, delays, 400)
+            Y, traces, diverged_at = plain_bound_sequence(model, delays, 400)
+            assert np.array_equal(seq.Y, Y)
+            assert np.array_equal(seq.traces, traces)
+            assert seq.diverged_at == diverged_at
+            assert seq.diverged == (diverged_at is not None)
+            w = divergence_witness(model, delays, 400)
+            assert np.array_equal(w.traces, plain_witness_traces(model, delays, 400))
+
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lams=LAMBDA_TABLES,
+    )
+    def test_stacked_layers_equal_single_sequences(self, seed, lams):
+        # property: a layer's bits do not depend on the other layers of
+        # its stack, including outcomes that are impossible (lambda 0 or 1)
+        # in some layers and possible in others
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, spectral_radius=rng.uniform(0.5, 1.5))
+        delays = [DelayModel(*lam) for lam in lams]
+        for layer, d in zip(_bound_orbits(model, delays, 50, None), delays):
+            single = cov_bound_sequence(model, d, 50)
+            Y, traces = layer.tiled()
+            assert np.array_equal(Y, single.Y)
+            assert np.array_equal(traces, single.traces)
+            assert (layer.diverged_at, layer.threshold) == (single.diverged_at, single.threshold)
 
 
 class TestKronUpdate:
@@ -274,6 +395,13 @@ class TestKronUpdate:
     def test_shape_validation(self, case1):
         with pytest.raises(ValueError, match="shape"):
             kron_update_radius(case1, DelayModel(0.5, 0.5), np.zeros((3, 4)))
+
+    def test_radius_equals_kron_eigenvalues(self, case1, case2):
+        for model in (case1, case2):
+            X = masked_norm_minima(model).X
+            M = expected_kron_update(model, DelayModel(0.5, 0.5), X)
+            assert_allclose(kron_update_radius(model, DelayModel(0.5, 0.5), X),
+                            np.abs(np.linalg.eigvals(M)).max(), rtol=1e-12)
 
 
 class TestMinStructuredNorm:
@@ -616,3 +744,36 @@ class TestEmpiricalCritical:
             bnds = bounds_from_minima(minima, 1.0, 1, alpha)
             est = empirical_critical(model, 1.0, 1, horizon=250)
             assert bnds.lower - 0.02 <= est.estimate <= bnds.upper + 0.02
+
+    @pytest.fixture(scope="class")
+    def hidden_mode_runs(self, hidden_mode):
+        """(result, gain_set calls) of empirical_critical and of the reference."""
+        runs = {}
+        for name, bisect in (("stacked", empirical_critical), ("sequential", sequential_critical)):
+            calls = [0]
+
+            def counting_gain_set(*args, **kwargs):
+                calls[0] += 1
+                return gain_set(*args, **kwargs)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(analysis, "gain_set", counting_gain_set)
+                runs[name] = bisect(hidden_mode, 0.5, 2, 400, bisect_tol=0.02), calls[0]
+        return runs
+
+    def test_hidden_mode_equals_sequential_bisection(self, hidden_mode_runs):
+        est = hidden_mode_runs["stacked"][0]
+        assert 0.0 < est.estimate < 1.0
+        assert est == hidden_mode_runs["sequential"][0]
+
+    @pytest.mark.parametrize("bisect_tol", [0.05, 0.1])
+    def test_partial_lookahead_equals_sequential_bisection(self, hidden_mode, bisect_tol):
+        # 5 and 4 bisection levels: the last stack of midpoints is cut short
+        for fixed_which in (1, 2):
+            est = empirical_critical(hidden_mode, 0.5, fixed_which, 200, bisect_tol=bisect_tol)
+            assert est == sequential_critical(hidden_mode, 0.5, fixed_which, 200, bisect_tol)
+
+    def test_hidden_mode_halves_gain_set_calls(self, hidden_mode_runs):
+        # work-count guard: the stacked probes and the cycle exit make at
+        # most half the gain_set calls of probe-by-probe plain iteration
+        assert hidden_mode_runs["stacked"][1] <= hidden_mode_runs["sequential"][1] / 2

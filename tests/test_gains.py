@@ -138,6 +138,15 @@ class TestOptimalGain:
             assert tr["10"] <= tr["00"] + 1e-10
 
     @given(seed=st.integers(0, 2**32 - 1))
+    def test_oracle_agreement_hypothesis(self, seed):
+        # property: every closed-form gain is the exact masked minimizer
+        P, C, V, dims = random_instance(np.random.default_rng(seed))
+        for oc in ALL_OUTCOMES:
+            D = optimal_gain(P, C, V, dims, oc)
+            Dref = oracle_structured_gain(P, C, V, dims, mask_for_outcome(oc))
+            assert np.abs(D - Dref).max() < 1e-8
+
+    @given(seed=st.integers(0, 2**32 - 1))
     def test_gain_set_equals_optimal_gain(self, seed):
         # gain_set shares one set of innovation blocks across the three
         # delayed outcomes; each gain must keep optimal_gain's bits
