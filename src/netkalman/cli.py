@@ -21,6 +21,8 @@ import os
 import sys
 from typing import Optional
 
+import numpy as np
+
 from . import analysis, montecarlo
 from .config import ConfigError, dump_normalized, parse_config
 from .filtering import make_rng, run_filter
@@ -67,6 +69,12 @@ def _cmd_validate(args) -> int:
 def _cmd_gains(args) -> int:
     cfg = _load_validated(args.config)
     P = load_matrix_csv(args.p)
+    n = cfg.model.n
+    if P.shape != (n, n):
+        raise ConfigError(f"--p: prior covariance must be {n}x{n} for this model, "
+                          f"got {P.shape[0]}x{P.shape[1]}")
+    if not np.isfinite(P).all():
+        raise ConfigError("--p: prior covariance has non-finite entries")
     gs = gain_set(P, cfg.model.C, cfg.model.V, cfg.model.dims)
     buf = io.StringIO()
     buf.write("outcome,row,col,value\n")
@@ -243,3 +251,7 @@ def main(argv=None) -> int:
 
 def run():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,12 +1,16 @@
 """Optimal structured estimator gains for the four delay outcomes.
 
 Given the prior covariance, the update gain that minimizes the posterior
-trace is the standard Kalman gain when both cross measurements arrive on
-time.  When a cross measurement is delayed the corresponding gain block
-is forced to zero, and the constrained optimum has a closed form built
-from the blocks of the innovation covariance.  This module computes those
-closed forms, and also provides an exact brute-force oracle (row-wise
-normal equations over the free entries) used to verify them.
+trace is the standard Kalman gain ``K = P C^T S^-1`` when both cross
+measurements arrive on time.  When a cross measurement is delayed the
+corresponding gain block is forced to zero.  The posterior trace is a
+sum of one quadratic per row of the gain, and all rows of a subsystem
+share one zero pattern, so each subsystem's rows are optimized on their
+own: a subsystem whose cross measurement arrived takes its rows of K,
+and one whose cross measurement was delayed takes its local Kalman gain
+``(P C^T)[rows_i, cols_i] S_ii^-1``.  This module computes those gains,
+and also provides an exact brute-force oracle (row-wise normal equations
+over the free entries) used to verify them.
 """
 
 from __future__ import annotations
@@ -104,19 +108,18 @@ def _spd_inverse(M: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InnovationBlocks:
-    """Blocks of the innovation covariance ``S = V + C P C^T``.
+    """Per-sensor blocks of ``S = V + C P C^T`` and ``P C^T``.
 
-    ``s12``/``s21`` are the off-diagonal sensor-coupling blocks of S,
-    ``s11_inv``/``s22_inv`` the inverses of its diagonal blocks (both
-    symmetric positive definite), and ``xcov1``/``xcov2`` the columns of
-    the state/measurement cross covariance ``P C^T`` belonging to sensor
-    1 and sensor 2.
+    ``s11_inv``/``s22_inv`` are the inverses of the diagonal blocks of S
+    (both symmetric positive definite), and ``xcov1``/``xcov2`` the
+    columns of the state/measurement cross covariance ``P C^T``
+    belonging to sensor 1 and sensor 2.  They make up the local gain of
+    a subsystem whose cross measurement was delayed; the off-diagonal
+    blocks of S enter only the Kalman gain, which inverts S whole.
     """
 
-    s21: np.ndarray
     xcov1: np.ndarray
     s11_inv: np.ndarray
-    s12: np.ndarray
     xcov2: np.ndarray
     s22_inv: np.ndarray
 
@@ -141,10 +144,8 @@ def innovation_blocks(P, C, V, dims: BlockDims) -> InnovationBlocks:
     S = _sym(V + C @ P @ C.T)
     xcov = P @ C.T
     return InnovationBlocks(
-        s21=S[..., m1:, :m1].copy(),
         xcov1=xcov[..., :m1].copy(),
         s11_inv=_spd_inverse(S[..., :m1, :m1], "sensor-1 innovation covariance"),
-        s12=S[..., :m1, m1:].copy(),
         xcov2=xcov[..., m1:].copy(),
         s22_inv=_spd_inverse(S[..., m1:, m1:], "sensor-2 innovation covariance"),
     )
@@ -155,51 +156,25 @@ def _kalman_gain(P, C, V) -> np.ndarray:
     return (P @ C.T) @ _spd_inverse(S, "innovation covariance")
 
 
-def _rsolve(B: np.ndarray, M: np.ndarray, what: str) -> np.ndarray:
-    """Compute ``B @ inv(M)`` for a general square M via an LU solve."""
-    _warn_cond(M, what)
-    return _T(np.linalg.solve(_T(M), _T(B)))
+def _masked_gain(blocks: InnovationBlocks, K, dims: BlockDims,
+                 outcome: DelayOutcome) -> np.ndarray:
+    """Optimal gain of a delayed outcome (``01``, ``10`` or ``00``).
 
-
-def _masked_gain(blocks: InnovationBlocks, dims: BlockDims, label: str) -> np.ndarray:
-    """Optimal gain of a delayed outcome (``01``, ``10`` or ``00``) from its blocks."""
-    n1, n2, m1, m2 = dims
-    lead = blocks.xcov1.shape[:-2]
-    D = np.zeros(lead + (dims.n, dims.m))
-    if label == "00":
-        # Decoupled: each subsystem applies its local Kalman gain.
+    Subsystem i copies its rows of the Kalman gain K when its cross
+    measurement arrived on time, and applies its local Kalman gain when
+    it was delayed.  K is not read for ``00``.
+    """
+    n1, m1 = dims.n1, dims.m1
+    D = np.zeros(blocks.xcov1.shape[:-2] + (dims.n, dims.m))
+    if outcome.gamma1:
+        D[..., :n1, :] = K[..., :n1, :]
+    else:
         D[..., :n1, :m1] = blocks.xcov1[..., :n1, :] @ blocks.s11_inv
+    if outcome.gamma2:
+        D[..., n1:, :] = K[..., n1:, :]
+    else:
         D[..., n1:, m1:] = blocks.xcov2[..., n1:, :] @ blocks.s22_inv
-        return D
-
-    # Coupling corrections between the free column blocks.
-    cross12 = blocks.s11_inv @ blocks.s12 @ blocks.s22_inv  # inv(S11) S12 inv(S22)
-    if label == "01":
-        # Sensor-1 columns fully free, sensor-2 columns restricted to
-        # subsystem 2.
-        resid2 = blocks.xcov1 @ cross12 - blocks.xcov2 @ blocks.s22_inv
-        coupling = resid2[..., n1:, :]  # (n2, m2)
-        system = np.eye(m2) - blocks.s21 @ cross12
-        own2 = -_rsolve(coupling, system, "delayed-to-1 gain system")
-        padded = np.concatenate([np.zeros(lead + (n1, m2)), own2], axis=-2)
-        left = blocks.xcov1 - padded @ blocks.s21
-        D[..., :, :m1] = left @ blocks.s11_inv
-        D[..., n1:, m1:] = own2
-        return D
-
-    if label == "10":
-        cross21 = blocks.s22_inv @ blocks.s21 @ blocks.s11_inv
-        resid1 = blocks.xcov2 @ cross21 - blocks.xcov1 @ blocks.s11_inv
-        coupling = resid1[..., :n1, :]  # (n1, m1)
-        system = np.eye(m1) - blocks.s12 @ cross21
-        own1 = -_rsolve(coupling, system, "delayed-to-2 gain system")
-        padded = np.concatenate([own1, np.zeros(lead + (n2, m1))], axis=-2)
-        right = blocks.xcov2 - padded @ blocks.s12
-        D[..., :n1, :m1] = own1
-        D[..., :, m1:] = right @ blocks.s22_inv
-        return D
-
-    raise ValueError(f"unknown outcome {label!r}")
+    return D
 
 
 def optimal_gain(P, C, V, dims: BlockDims, outcome: DelayOutcome) -> np.ndarray:
@@ -215,7 +190,9 @@ def optimal_gain(P, C, V, dims: BlockDims, outcome: DelayOutcome) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     if outcome.label == "11":
         return _kalman_gain(P, C, V)
-    return _masked_gain(innovation_blocks(P, C, V, dims), dims, outcome.label)
+    blocks = innovation_blocks(P, C, V, dims)
+    K = _kalman_gain(P, C, V) if outcome.gamma1 or outcome.gamma2 else None
+    return _masked_gain(blocks, K, dims, outcome)
 
 
 @dataclass(frozen=True)
@@ -232,16 +209,20 @@ class GainSet:
 
 
 def gain_set(P, C, V, dims: BlockDims) -> GainSet:
-    """Compute all four per-outcome optimal gains from one set of blocks."""
+    """Compute all four per-outcome optimal gains from one set of blocks.
+
+    The delayed outcomes reuse the rows of the one Kalman gain.
+    """
     P = _sym(np.asarray(P, dtype=float))
     C = np.asarray(C, dtype=float)
     V = np.asarray(V, dtype=float)
     blocks = innovation_blocks(P, C, V, dims)
+    K = _kalman_gain(P, C, V)
     return GainSet(
-        d11=_kalman_gain(P, C, V),
-        d01=_masked_gain(blocks, dims, "01"),
-        d10=_masked_gain(blocks, dims, "10"),
-        d00=_masked_gain(blocks, dims, "00"),
+        d11=K,
+        d01=_masked_gain(blocks, K, dims, DelayOutcome(0, 1)),
+        d10=_masked_gain(blocks, K, dims, DelayOutcome(1, 0)),
+        d00=_masked_gain(blocks, K, dims, DelayOutcome(0, 0)),
     )
 
 

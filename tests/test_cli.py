@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import netkalman
 from netkalman.cli import main
 from netkalman.config import ConfigError, dump_normalized, parse_config
 from netkalman.gains import gain_set
@@ -192,6 +197,32 @@ class TestCliExitCodes:
         cfg.write_text(EXPLICIT_CFG.replace("0.5 0.2", "nan 0.2"))
         assert main(["validate", str(cfg)]) == 2
         assert "[system] a:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("P", [
+        np.diag([1.0, float("nan"), 1.0, 1.0]),
+        np.diag([1.0, float("inf"), 1.0, 1.0]),
+        np.eye(3),
+    ], ids=["nan", "inf", "3x3"])
+    def test_bad_prior_names_p(self, fixture_cfg, tmp_path, capsys, P):
+        p_path = tmp_path / "p.csv"
+        save_matrix_csv(p_path, P)
+        assert main(["gains", fixture_cfg, "--p", str(p_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --p:" in captured.err
+
+    def test_module_entry_point(self, fixture_cfg, tmp_path):
+        # ``python -m netkalman.cli`` runs the same CLI as the script
+        src = os.path.dirname(os.path.dirname(netkalman.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(FIXTURE_CFG + "\n[analysis]\nbogus = 1\n")
+        for path, code in ((fixture_cfg, 0), (str(bad), 2)):
+            proc = subprocess.run([sys.executable, "-m", "netkalman.cli", "validate", path],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == code, proc.stderr
+        assert "bogus" in proc.stderr
 
 
 class TestCliCommands:

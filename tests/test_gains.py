@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -40,19 +42,15 @@ class TestMasks:
 class TestInnovationBlocks:
     def test_decoupled_identity_case(self):
         blocks = innovation_blocks(np.eye(2), np.eye(2), np.eye(2), DIMS_2X2)
-        assert_allclose(blocks.s21, [[0.0]])
         assert_allclose(blocks.xcov1, [[1.0], [0.0]])
         assert_allclose(blocks.s11_inv, [[0.5]])
-        assert_allclose(blocks.s12, [[0.0]])
         assert_allclose(blocks.xcov2, [[0.0], [1.0]])
         assert_allclose(blocks.s22_inv, [[0.5]])
 
     def test_coupled_prior(self):
         P = np.array([[1.0, 0.5], [0.5, 1.0]])
         blocks = innovation_blocks(P, np.eye(2), np.eye(2), DIMS_2X2)
-        assert_allclose(blocks.s21, [[0.5]])
         assert_allclose(blocks.s11_inv, [[0.5]])
-        assert_allclose(blocks.s12, [[0.5]])
         assert_allclose(blocks.s22_inv, [[0.5]])
         assert_allclose(blocks.xcov1, [[1.0], [0.5]])
         assert_allclose(blocks.xcov2, [[0.5], [1.0]])
@@ -74,7 +72,6 @@ class TestInnovationBlocks:
         for _ in range(20):
             P, C, V, dims = random_instance(rng)
             blocks = innovation_blocks(P, C, V, dims)
-            assert_allclose(blocks.s21, blocks.s12.T, atol=1e-12)
             for M in (blocks.s11_inv, blocks.s22_inv):
                 assert_allclose(M, M.T, atol=1e-12)
                 assert np.linalg.eigvalsh(M)[0] > 0
@@ -159,6 +156,24 @@ class TestOptimalGain:
                 assert np.array_equal(gs.for_outcome(oc),
                                       optimal_gain(prior, C, V, dims, oc))
 
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_delayed_gains_are_rows_of_kalman_and_local_gains(self, seed):
+        # property: the posterior trace separates over the rows of the
+        # gain, so an on-time subsystem keeps its rows of the Kalman gain
+        # (outcome 11) and a delayed one its local gain (outcome 00)
+        rng = np.random.default_rng(seed)
+        P, C, V, dims = random_instance(rng)
+        stack = np.array([random_psd(rng, dims.n) for _ in range(3)])
+        rows = (slice(0, dims.n1), slice(dims.n1, dims.n))
+        for prior in (P, stack):
+            full = optimal_gain(prior, C, V, dims, DelayOutcome(1, 1))
+            local = optimal_gain(prior, C, V, dims, DelayOutcome(0, 0))
+            for oc in (DelayOutcome(0, 1), DelayOutcome(1, 0)):
+                D = optimal_gain(prior, C, V, dims, oc)
+                for gamma, r in zip((oc.gamma1, oc.gamma2), rows):
+                    ref = full if gamma else local
+                    assert np.array_equal(D[..., r, :], ref[..., r, :])
+
 
 class TestOracle:
     def test_full_mask_identity_case(self):
@@ -207,3 +222,15 @@ class TestConditioning:
         V = np.diag([1.0, 1e-14, 1.0])  # sensor-1 block has condition 1e14
         with pytest.warns(RuntimeWarning, match="ill conditioned"):
             optimal_gain(np.zeros((3, 3)), np.eye(3), V, dims, DelayOutcome(0, 0))
+
+    def test_singular_cross_coupling_warns(self):
+        # S11 and S22 are 1x1, so well conditioned, but two perfectly
+        # correlated states make the full S = I + 1e14 * ones nearly
+        # singular; every outcome that uses the Kalman gain must say so
+        P = 1e14 * np.ones((2, 2))
+        for oc in (DelayOutcome(1, 1), DelayOutcome(0, 1), DelayOutcome(1, 0)):
+            with pytest.warns(RuntimeWarning, match="ill conditioned"):
+                optimal_gain(P, np.eye(2), np.eye(2), DIMS_2X2, oc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            optimal_gain(P, np.eye(2), np.eye(2), DIMS_2X2, DelayOutcome(0, 0))
