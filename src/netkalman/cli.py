@@ -26,8 +26,8 @@ import numpy as np
 from . import analysis, montecarlo
 from .config import ConfigError, dump_normalized, parse_config
 from .filtering import make_rng, run_filter
-from .gains import gain_set
-from .model import ALL_OUTCOMES, load_matrix_csv, save_matrix_csv, validate_model
+from .gains import PSD_TOL, gain_set
+from .model import ALL_OUTCOMES, SYM_RTOL, load_matrix_csv, save_matrix_csv, validate_model
 
 __all__ = ["main", "run"]
 
@@ -75,6 +75,12 @@ def _cmd_gains(args) -> int:
                           f"got {P.shape[0]}x{P.shape[1]}")
     if not np.isfinite(P).all():
         raise ConfigError("--p: prior covariance has non-finite entries")
+    if np.abs(P - P.T).max() > SYM_RTOL * np.abs(P).max():
+        raise ConfigError("--p: prior covariance is not symmetric")
+    eigs = np.linalg.eigvalsh(P)
+    if eigs[0] < -PSD_TOL * max(eigs[-1], 1.0):
+        raise ConfigError(f"--p: prior covariance is not positive semidefinite "
+                          f"(min eig {eigs[0]:.3e})")
     gs = gain_set(P, cfg.model.C, cfg.model.V, cfg.model.dims)
     buf = io.StringIO()
     buf.write("outcome,row,col,value\n")

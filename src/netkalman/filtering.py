@@ -1,14 +1,16 @@
 """Plant simulation and the distributed delay-aware estimator.
 
 The estimator predicts with the full coupled dynamics, then updates with
-the trace-optimal gain for the realized delay outcome.  Because a delayed
-cross measurement forces the corresponding gain block to exact zero, the
-stacked update and the two per-subsystem updates coincide; both forms are
-provided.  The covariance recursion is driven only by the delay
-indicators, so the recorded covariances are the exact conditional error
-covariances given the delay history.  :func:`covariance_step` runs that
-recursion for a whole stack of runs at once, with no plant; it gives each
-run the same bits as :func:`predict` and :func:`update` in a single run.
+the trace-optimal gain for the realized delay outcome: a subsystem takes
+its rows of the Kalman gain when its cross measurement is on time and its
+local gain when delayed.  A delayed cross measurement's gain block is thus
+exact zero, so the stacked update and the two per-subsystem updates
+coincide; both forms are provided.  The covariance recursion is driven
+only by the delay indicators, so the recorded covariances are the exact
+conditional error covariances given the delay history.
+:func:`covariance_step` runs it for a stack of runs, with no plant, and
+:func:`run_filter` on a stack of one beside the estimate recursion; each
+run gets the same bits as :func:`predict` and :func:`update`.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gains import optimal_gain, posterior_cov
-from .model import ALL_OUTCOMES, DelayModel, DelayOutcome, SystemModel
+from .gains import optimal_gain, posterior_cov, structured_gain
+from .model import DelayModel, DelayOutcome, SystemModel
 
 __all__ = [
     "stream_seed",
@@ -158,6 +160,13 @@ def predict(state: EstimatorState, model: SystemModel) -> EstimatorState:
     )
 
 
+def _correct(model: SystemModel, xhat: np.ndarray, D: np.ndarray, y1, y2) -> np.ndarray:
+    """Estimate ``xhat`` corrected by the innovations of both sensors, gain D."""
+    m1, n1 = model.m1, model.n1
+    return (xhat + D[:, :m1] @ (y1 - model.C1 @ xhat[:n1])
+            + D[:, m1:] @ (y2 - model.C2 @ xhat[n1:]))
+
+
 def update(
     state: EstimatorState,
     model: SystemModel,
@@ -181,10 +190,7 @@ def update(
             f"(m1, m2) = ({model.m1}, {model.m2})"
         )
     D = optimal_gain(state.P_prior, model.C, model.V, model.dims, outcome)
-    inn1 = y1 - model.C1 @ state.xhat1
-    inn2 = y2 - model.C2 @ state.xhat2
-    m1 = model.m1
-    xhat = state.xhat + D[:, :m1] @ inn1 + D[:, m1:] @ inn2
+    xhat = _correct(model, state.xhat, D, y1, y2)
     P_post = posterior_cov(state.P_prior, D, model.C, model.V)
     return EstimatorState(
         xhat1=xhat[: model.n1],
@@ -286,16 +292,12 @@ def covariance_step(model: SystemModel, P_post: np.ndarray, gamma1, gamma2):
 
     Run r is predicted, then updated with the optimal gain of outcome
     ``(gamma1[r], gamma2[r])``.  Returns the new ``(P_prior, P_post)``
-    stacks.  The gains are computed once per outcome group, and each run
-    gets the same bits as :func:`predict` followed by :func:`update`.
+    stacks and the (R, n, m) stack D of the gains used.  Each run gets
+    the same bits as :func:`predict` followed by :func:`update`.
     """
     P_prior = predict_cov(model, P_post)
-    D = np.empty(P_prior.shape[:-1] + (model.m,))
-    for outcome in ALL_OUTCOMES:
-        group = (gamma1 == outcome.gamma1) & (gamma2 == outcome.gamma2)
-        if group.any():
-            D[group] = optimal_gain(P_prior[group], model.C, model.V, model.dims, outcome)
-    return P_prior, posterior_cov(P_prior, D, model.C, model.V)
+    D = structured_gain(P_prior, model.C, model.V, model.dims, gamma1, gamma2)
+    return P_prior, posterior_cov(P_prior, D, model.C, model.V), D
 
 
 def run_filter(
@@ -308,8 +310,8 @@ def run_filter(
 
     The generator is split into two child streams (plant noise, delay
     indicators) so that the realized delays do not perturb the plant
-    sample path.  Per step: draw the delay outcome, predict, update with
-    the outcome's optimal gain, and record state, covariances and errors.
+    sample path.  Per step: :func:`covariance_step` on a stack of one,
+    then the estimate predicted and corrected with that step's gain.
     """
     plant_rng, delay_rng = rng.spawn(2)
     plant = simulate_plant(model, T, plant_rng)
@@ -321,16 +323,15 @@ def run_filter(
     P_post = np.zeros((T, n, n))
     sq_err = np.zeros(T)
 
-    state = initial_state(model)
-    for t in range(1, T + 1):
-        state = predict(state, model)
-        outcome = DelayOutcome(int(gamma1[t - 1]), int(gamma2[t - 1]))
-        state = update(state, model, plant.y1[t], plant.y2[t], outcome)
-        k = t - 1
-        xhat[k] = state.xhat
-        P_prior[k] = state.P_prior
-        P_post[k] = state.P_post
-        err = plant.x[t] - xhat[k]
+    x = np.zeros(n)
+    P = np.array(model.Sigma0, dtype=float)[None]
+    for k in range(T):
+        prior, P, D = covariance_step(model, P, gamma1[k:k + 1], gamma2[k:k + 1])
+        x = _correct(model, model.A @ x, D[0], plant.y1[k + 1], plant.y2[k + 1])
+        xhat[k] = x
+        P_prior[k] = prior[0]
+        P_post[k] = P[0]
+        err = plant.x[k + 1] - x
         sq_err[k] = float(err @ err)
 
     return TrajectoryRecord(

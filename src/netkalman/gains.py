@@ -8,9 +8,9 @@ sum of one quadratic per row of the gain, and all rows of a subsystem
 share one zero pattern, so each subsystem's rows are optimized on their
 own: a subsystem whose cross measurement arrived takes its rows of K,
 and one whose cross measurement was delayed takes its local Kalman gain
-``(P C^T)[rows_i, cols_i] S_ii^-1``.  This module computes those gains,
-and also provides an exact brute-force oracle (row-wise normal equations
-over the free entries) used to verify them.
+``(P C^T)[rows_i, cols_i] S_ii^-1``; every gain here is that row
+selection (:func:`structured_gain`).  An exact brute-force oracle
+(row-wise normal equations over the free entries) verifies them.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "mask_for_outcome",
     "mask_pattern",
     "innovation_blocks",
+    "structured_gain",
     "optimal_gain",
     "gain_set",
     "oracle_structured_gain",
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 COND_WARN = 1e12
+PSD_TOL = 1e-8  # a prior's smallest eigenvalue may reach -PSD_TOL * max(largest, 1)
 
 
 class StructuredMask(enum.Enum):
@@ -89,21 +91,19 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return (M + _T(M)) / 2.0
 
 
-def _warn_cond(M: np.ndarray, what: str):
-    c = np.max(np.linalg.cond(M))
-    if c > COND_WARN:
-        warnings.warn(f"{what} is ill conditioned (cond ~ {c:.2e})", RuntimeWarning)
-
-
 def _spd_inverse(M: np.ndarray, what: str) -> np.ndarray:
     """Inverse of each symmetric positive definite matrix, via Cholesky.
 
     NumPy's linalg gufuncs loop over a stack in C, so a matrix gets the
-    same bits whether it is inverted alone or inside a stack.
+    same bits whether it is inverted alone or inside a stack.  The
+    warning's ``cond ~`` is the 1-norm condition number ``|M|_1 |M^-1|_1``.
     """
-    _warn_cond(M, what)
     L_inv = np.linalg.inv(np.linalg.cholesky(_sym(M)))
-    return _T(L_inv) @ L_inv
+    M_inv = _T(L_inv) @ L_inv
+    c = np.max(np.linalg.norm(M, 1, axis=(-2, -1)) * np.linalg.norm(M_inv, 1, axis=(-2, -1)))
+    if c > COND_WARN:
+        warnings.warn(f"{what} is ill conditioned (cond ~ {c:.2e})", RuntimeWarning)
+    return M_inv
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def innovation_blocks(P, C, V, dims: BlockDims) -> InnovationBlocks:
     C = np.asarray(C, dtype=float)
     V = np.asarray(V, dtype=float)
     eigs = np.linalg.eigvalsh(P)
-    bad = eigs[..., 0] < -1e-8 * np.maximum(eigs[..., -1], 1.0)
+    bad = eigs[..., 0] < -PSD_TOL * np.maximum(eigs[..., -1], 1.0)
     if np.any(bad):
         worst = np.min(eigs[..., 0][bad])
         raise ValueError(f"P is not positive semidefinite (min eig {worst:.3e})")
@@ -156,25 +156,35 @@ def _kalman_gain(P, C, V) -> np.ndarray:
     return (P @ C.T) @ _spd_inverse(S, "innovation covariance")
 
 
-def _masked_gain(blocks: InnovationBlocks, K, dims: BlockDims,
-                 outcome: DelayOutcome) -> np.ndarray:
-    """Optimal gain of a delayed outcome (``01``, ``10`` or ``00``).
-
-    Subsystem i copies its rows of the Kalman gain K when its cross
-    measurement arrived on time, and applies its local Kalman gain when
-    it was delayed.  K is not read for ``00``.
-    """
+def _local_gain(blocks: InnovationBlocks, dims: BlockDims) -> np.ndarray:
+    """Block-diagonal gain of each subsystem's own sensor (outcome ``00``)."""
     n1, m1 = dims.n1, dims.m1
-    D = np.zeros(blocks.xcov1.shape[:-2] + (dims.n, dims.m))
-    if outcome.gamma1:
-        D[..., :n1, :] = K[..., :n1, :]
-    else:
-        D[..., :n1, :m1] = blocks.xcov1[..., :n1, :] @ blocks.s11_inv
-    if outcome.gamma2:
-        D[..., n1:, :] = K[..., n1:, :]
-    else:
-        D[..., n1:, m1:] = blocks.xcov2[..., n1:, :] @ blocks.s22_inv
-    return D
+    L = np.zeros(blocks.xcov1.shape[:-2] + (dims.n, dims.m))
+    L[..., :n1, :m1] = blocks.xcov1[..., :n1, :] @ blocks.s11_inv
+    L[..., n1:, m1:] = blocks.xcov2[..., n1:, :] @ blocks.s22_inv
+    return L
+
+
+def _on_time_rows(dims: BlockDims, gamma1, gamma2) -> np.ndarray:
+    """(..., n, 1) mask of the gain rows whose cross measurement is on time."""
+    g1, g2 = (np.asarray(g, dtype=bool)[..., None, None] for g in (gamma1, gamma2))
+    return np.where((np.arange(dims.n) < dims.n1)[:, None], g1, g2)
+
+
+def structured_gain(P, C, V, dims: BlockDims, gamma1, gamma2) -> np.ndarray:
+    """Trace-optimal gain for the on-time indicators ``gamma1``, ``gamma2``.
+
+    The indicators are scalars or arrays over the leading axes of a
+    stack of priors, one outcome per layer.  The Kalman gain and the
+    local gain are each computed only if some row takes it.
+    """
+    P = _sym(np.asarray(P, dtype=float))
+    C = np.asarray(C, dtype=float)
+    V = np.asarray(V, dtype=float)
+    on_time = _on_time_rows(dims, gamma1, gamma2)
+    L = 0.0 if on_time.all() else _local_gain(innovation_blocks(P, C, V, dims), dims)
+    K = _kalman_gain(P, C, V) if on_time.any() else 0.0
+    return np.where(on_time, K, L)
 
 
 def optimal_gain(P, C, V, dims: BlockDims, outcome: DelayOutcome) -> np.ndarray:
@@ -185,14 +195,7 @@ def optimal_gain(P, C, V, dims: BlockDims, outcome: DelayOutcome) -> np.ndarray:
     of the result are exact zeros.  For an (..., n, n) stack of priors
     the result is the (..., n, m) stack of their gains.
     """
-    P = _sym(np.asarray(P, dtype=float))
-    C = np.asarray(C, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if outcome.label == "11":
-        return _kalman_gain(P, C, V)
-    blocks = innovation_blocks(P, C, V, dims)
-    K = _kalman_gain(P, C, V) if outcome.gamma1 or outcome.gamma2 else None
-    return _masked_gain(blocks, K, dims, outcome)
+    return structured_gain(P, C, V, dims, outcome.gamma1, outcome.gamma2)
 
 
 @dataclass(frozen=True)
@@ -209,20 +212,17 @@ class GainSet:
 
 
 def gain_set(P, C, V, dims: BlockDims) -> GainSet:
-    """Compute all four per-outcome optimal gains from one set of blocks.
-
-    The delayed outcomes reuse the rows of the one Kalman gain.
-    """
+    """All four per-outcome optimal gains, from one Kalman and one local gain."""
     P = _sym(np.asarray(P, dtype=float))
     C = np.asarray(C, dtype=float)
     V = np.asarray(V, dtype=float)
-    blocks = innovation_blocks(P, C, V, dims)
+    L = _local_gain(innovation_blocks(P, C, V, dims), dims)
     K = _kalman_gain(P, C, V)
     return GainSet(
         d11=K,
-        d01=_masked_gain(blocks, K, dims, DelayOutcome(0, 1)),
-        d10=_masked_gain(blocks, K, dims, DelayOutcome(1, 0)),
-        d00=_masked_gain(blocks, K, dims, DelayOutcome(0, 0)),
+        d01=np.where(_on_time_rows(dims, 0, 1), K, L),
+        d10=np.where(_on_time_rows(dims, 1, 0), K, L),
+        d00=L,
     )
 
 

@@ -83,17 +83,18 @@ def _stack_run(model: SystemModel, gamma1: np.ndarray, gamma2: np.ndarray):
     sum_P = np.zeros((T, model.n, model.n))
     P_post = np.broadcast_to(model.Sigma0, (R, model.n, model.n)).copy()
     for k in range(T):
-        P_prior, P_post = covariance_step(model, P_post, gamma1[:, k], gamma2[:, k])
+        P_prior, P_post, _ = covariance_step(model, P_post, gamma1[:, k], gamma2[:, k])
         traces[:, k] = np.trace(P_prior, axis1=1, axis2=2)
         sum_P[k] = P_prior.sum(axis=0)
     return traces, sum_P
 
 
 def _trace_stats(traces: np.ndarray):
-    """Per-step mean and standard error over the runs (rows) of ``traces``."""
+    """Per-step mean and standard error (exactly 0 where all runs agree) over rows."""
     runs, horizon = traces.shape
     if runs > 1:
-        return traces.mean(axis=0), traces.std(axis=0, ddof=1) / np.sqrt(runs)
+        se = traces.std(axis=0, ddof=1) / np.sqrt(runs)
+        return traces.mean(axis=0), np.where((traces == traces[0]).all(axis=0), 0.0, se)
     return traces.mean(axis=0), np.zeros(horizon)
 
 

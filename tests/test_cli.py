@@ -211,6 +211,29 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert "error: --p:" in captured.err
 
+    @pytest.mark.parametrize("entry, value, what", [
+        ((0, 1), 0.9, "not symmetric"),
+        ((1, 1), -1.0, "not positive semidefinite"),
+    ], ids=["asymmetric", "indefinite"])
+    def test_prior_must_be_symmetric_psd(self, fixture_cfg, tmp_path, capsys,
+                                         entry, value, what):
+        P = np.eye(4)
+        P[entry] = value
+        p_path = tmp_path / "p.csv"
+        save_matrix_csv(p_path, P)
+        assert main(["gains", fixture_cfg, "--p", str(p_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --p:")
+        assert what in captured.err
+
+    def test_prior_symmetric_up_to_roundoff_passes(self, fixture_cfg, tmp_path):
+        P = np.eye(4) + 0.3
+        P[1, 0] = np.nextafter(P[0, 1], 1.0)
+        p_path = tmp_path / "p.csv"
+        save_matrix_csv(p_path, P)
+        assert main(["gains", fixture_cfg, "--p", str(p_path)]) == 0
+
     def test_module_entry_point(self, fixture_cfg, tmp_path):
         # ``python -m netkalman.cli`` runs the same CLI as the script
         src = os.path.dirname(os.path.dirname(netkalman.__file__))

@@ -16,7 +16,9 @@ from netkalman.filtering import (
     subsystem_updates,
     update,
 )
-from netkalman.gains import optimal_gain, posterior_cov
+from netkalman import gains
+from netkalman.gains import innovation_blocks, optimal_gain, posterior_cov
+from netkalman.montecarlo import kalman_baseline
 
 
 class TestSeeding:
@@ -199,6 +201,26 @@ class TestRunFilter:
                             posterior_cov(rec.P_prior[t], D, toy.C, toy.V),
                             atol=1e-14)
 
+    @given(seed=st.integers(0, 2**32 - 1),
+           lambdas=st.tuples(st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 0.5, 1.0])))
+    def test_equals_predict_update_loop(self, seed, lambdas):
+        # run_filter takes its covariances and gains from covariance_step;
+        # the single-step API on the same plant and delays keeps its bits
+        model = random_model(np.random.default_rng(seed))
+        T = 10
+        rec = run_filter(model, DelayModel(*lambdas), T, make_rng(seed))
+        plant = simulate_plant(model, T, make_rng(seed).spawn(2)[0])
+        state = initial_state(model)
+        for k in range(T):
+            state = predict(state, model)
+            oc = DelayOutcome(int(rec.gamma1[k]), int(rec.gamma2[k]))
+            state = update(state, model, plant.y1[k + 1], plant.y2[k + 1], oc)
+            err = plant.x[k + 1] - state.xhat
+            assert np.array_equal(rec.xhat[k], state.xhat)
+            assert np.array_equal(rec.P_prior[k], state.P_prior)
+            assert np.array_equal(rec.P_post[k], state.P_post)
+            assert rec.sq_err[k] == float(err @ err)
+
     def test_byte_identical_csv_for_same_seed(self, toy):
         a = run_filter(toy, DelayModel(0.5, 0.5), 30, make_rng(77)).to_csv()
         b = run_filter(toy, DelayModel(0.5, 0.5), 30, make_rng(77)).to_csv()
@@ -245,12 +267,38 @@ class TestCovarianceStep:
         stack = np.broadcast_to(model.Sigma0, (runs, model.n, model.n)).copy()
         alone = [np.array(model.Sigma0)[None] for _ in range(runs)]
         for k in range(gamma1.shape[1]):
-            prior, stack = covariance_step(model, stack, gamma1[:, k], gamma2[:, k])
+            prior, stack, D = covariance_step(model, stack, gamma1[:, k], gamma2[:, k])
             for r in range(runs):
-                prior_r, alone[r] = covariance_step(model, alone[r], gamma1[r:r + 1, k],
-                                                    gamma2[r:r + 1, k])
+                prior_r, alone[r], _ = covariance_step(model, alone[r], gamma1[r:r + 1, k],
+                                                       gamma2[r:r + 1, k])
                 assert np.array_equal(prior_r[0], prior[r])
                 assert np.array_equal(alone[r][0], stack[r])
+                # the gain each run used is the optimal gain of its outcome
+                assert np.array_equal(D[r], optimal_gain(prior[r], model.C, model.V,
+                                                         model.dims, outcomes[r][k]))
+
+    @given(seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 6))
+    def test_on_time_stack_builds_no_local_gains(self, seed, runs):
+        # a step with every run on time needs only the Kalman gain, as the
+        # no-delay baseline does; one delayed run needs the blocks once
+        model = random_model(np.random.default_rng(seed))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return innovation_blocks(*args, **kwargs)
+
+        P = np.broadcast_to(model.Sigma0, (runs, model.n, model.n)).copy()
+        on_time = np.ones(runs, dtype=int)
+        delayed = on_time.copy()
+        delayed[-1] = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gains, "innovation_blocks", counting)
+            covariance_step(model, P, on_time, on_time)
+            kalman_baseline(model, 3)
+            assert not calls
+            covariance_step(model, P, on_time, delayed)
+        assert len(calls) == 1
 
     @given(seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 6))
     def test_stacked_gain_equals_per_slice_gain(self, seed, runs):

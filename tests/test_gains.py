@@ -16,6 +16,7 @@ from netkalman.gains import (
     optimal_gain,
     oracle_structured_gain,
     posterior_cov,
+    structured_gain,
 )
 
 DIMS_2X2 = BlockDims(1, 1, 1, 1)
@@ -173,6 +174,20 @@ class TestOptimalGain:
                 for gamma, r in zip((oc.gamma1, oc.gamma2), rows):
                     ref = full if gamma else local
                     assert np.array_equal(D[..., r, :], ref[..., r, :])
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           outcomes=st.lists(st.sampled_from(ALL_OUTCOMES), min_size=1, max_size=8))
+    def test_mixed_outcome_stack_equals_optimal_gain(self, seed, outcomes):
+        # each layer of a stack may have its own outcome and keeps the bits
+        # of optimal_gain for that outcome alone
+        rng = np.random.default_rng(seed)
+        _, C, V, dims = random_instance(rng)
+        stack = np.array([random_psd(rng, dims.n) for _ in outcomes])
+        gamma1 = np.array([oc.gamma1 for oc in outcomes])
+        gamma2 = np.array([oc.gamma2 for oc in outcomes])
+        D = structured_gain(stack, C, V, dims, gamma1, gamma2)
+        for r, oc in enumerate(outcomes):
+            assert np.array_equal(D[r], optimal_gain(stack[r], C, V, dims, oc))
 
 
 class TestOracle:

@@ -115,6 +115,13 @@ class TestSweep:
         with pytest.raises(ValueError, match="at least one"):
             sweep(toy, [], [0.5], runs=1, horizon=2, master_seed=0)
 
+    def test_constant_cells_have_zero_stderr(self, case1):
+        # with lambda in {0, 1} every run draws the same outcomes, so the
+        # runs of a cell share one trace and its standard error is 0
+        res = sweep(case1, [0.0, 1.0], [0.0, 1.0], runs=10, horizon=50, master_seed=0)
+        assert np.all(res.trace_se[0, 0] == 0.0)
+        assert np.all(res.trace_se[1, 1] == 0.0)
+
     def test_degradation_with_delay_probability(self, case1):
         res = sweep(case1, [0.0, 1.0], [0.0, 1.0], runs=60, horizon=25,
                     master_seed=2024)
