@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_CSV_CHUNK = 256  # rows converted to Python floats at a time by to_csv
 
 
 def stream_seed(master_seed: int, stream_id: int) -> int:
@@ -263,15 +264,14 @@ class TrajectoryRecord:
             + [f"xhat_{i + 1}" for i in range(n)]
             + ["trace_P_prior", "trace_P_post", "sq_err"]
         )
+        row = ",".join(["%d"] * 3 + ["%.17g"] * (2 * n + 3)) + "\n"
+        columns = [self.t, self.gamma1, self.gamma2, self.x, self.xhat,
+                   self.trace_prior(), self.trace_post(), self.sq_err]
         buf = io.StringIO()
         buf.write(",".join(cols) + "\n")
-        tp, tq = self.trace_prior(), self.trace_post()
-        for k in range(self.horizon):
-            vals = [str(int(self.t[k])), str(int(self.gamma1[k])), str(int(self.gamma2[k]))]
-            vals += [f"{v:.17g}" for v in self.x[k]]
-            vals += [f"{v:.17g}" for v in self.xhat[k]]
-            vals += [f"{tp[k]:.17g}", f"{tq[k]:.17g}", f"{self.sq_err[k]:.17g}"]
-            buf.write(",".join(vals) + "\n")
+        for start in range(0, self.horizon, _CSV_CHUNK):
+            chunk = np.column_stack([c[start:start + _CSV_CHUNK] for c in columns])
+            buf.writelines(row % tuple(v) for v in chunk.tolist())
         return buf.getvalue()
 
 

@@ -84,7 +84,7 @@ def mask_pattern(mask: StructuredMask, dims: BlockDims) -> np.ndarray:
 
 def _T(M: np.ndarray) -> np.ndarray:
     """Transpose of each matrix in a stack (plain transpose in 2-D)."""
-    return np.swapaxes(M, -1, -2)
+    return M.swapaxes(-1, -2)
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -94,16 +94,45 @@ def _sym(M: np.ndarray) -> np.ndarray:
 def _spd_inverse(M: np.ndarray, what: str) -> np.ndarray:
     """Inverse of each symmetric positive definite matrix, via Cholesky.
 
-    NumPy's linalg gufuncs loop over a stack in C, so a matrix gets the
-    same bits whether it is inverted alone or inside a stack.  The
-    warning's ``cond ~`` is the 1-norm condition number ``|M|_1 |M^-1|_1``.
+    M must be exactly symmetric, as every block of the innovation pass's
+    S is; it is not symmetrized again.  NumPy's linalg gufuncs loop over
+    a stack in C, so a matrix gets the same bits whether it is inverted
+    alone or inside a stack.  The warning's ``cond ~`` is the 1-norm
+    condition number ``|M|_1 |M^-1|_1``.
     """
-    L_inv = np.linalg.inv(np.linalg.cholesky(_sym(M)))
+    L_inv = np.linalg.inv(np.linalg.cholesky(M))
     M_inv = _T(L_inv) @ L_inv
-    c = np.max(np.linalg.norm(M, 1, axis=(-2, -1)) * np.linalg.norm(M_inv, 1, axis=(-2, -1)))
+    c = (np.abs(M).sum(-2).max(-1) * np.abs(M_inv).sum(-2).max(-1)).max()
     if c > COND_WARN:
         warnings.warn(f"{what} is ill conditioned (cond ~ {c:.2e})", RuntimeWarning)
     return M_inv
+
+
+def _innovation(P, C, V):
+    """The innovation pass: the symmetrized P, ``S = V + C P C^T`` and ``P C^T``.
+
+    S is exactly symmetric, and so is each of its diagonal blocks.
+    """
+    P = _sym(np.asarray(P, dtype=float))
+    C = np.asarray(C, dtype=float)
+    return P, _sym(np.asarray(V, dtype=float) + C @ P @ C.T), P @ C.T
+
+
+def _check_psd(P: np.ndarray) -> None:
+    """Raise unless every (symmetrized) prior is positive semidefinite."""
+    eigs = np.linalg.eigvalsh(P)
+    bad = eigs[..., 0] < -PSD_TOL * np.maximum(eigs[..., -1], 1.0)
+    if np.any(bad):
+        worst = np.min(eigs[..., 0][bad])
+        raise ValueError(f"P is not positive semidefinite (min eig {worst:.3e})")
+
+
+def _s11_inverse(S: np.ndarray, m1: int) -> np.ndarray:
+    return _spd_inverse(S[..., :m1, :m1], "sensor-1 innovation covariance")
+
+
+def _s22_inverse(S: np.ndarray, m1: int) -> np.ndarray:
+    return _spd_inverse(S[..., m1:, m1:], "sensor-2 innovation covariance")
 
 
 @dataclass(frozen=True)
@@ -130,39 +159,41 @@ def innovation_blocks(P, C, V, dims: BlockDims) -> InnovationBlocks:
     P is an (n, n) matrix or an (..., n, n) stack, and each block then
     carries the same leading axes.  Every P must be symmetric positive
     semidefinite and V positive definite; the diagonal blocks are then
-    positive definite and inverted via Cholesky factors.
+    positive definite and inverted via Cholesky factors.  The blocks come
+    from the same innovation pass, and so have the same bits, as the
+    gains of :func:`structured_gain` and :func:`gain_set`.
     """
-    P = _sym(np.asarray(P, dtype=float))
-    C = np.asarray(C, dtype=float)
-    V = np.asarray(V, dtype=float)
-    eigs = np.linalg.eigvalsh(P)
-    bad = eigs[..., 0] < -PSD_TOL * np.maximum(eigs[..., -1], 1.0)
-    if np.any(bad):
-        worst = np.min(eigs[..., 0][bad])
-        raise ValueError(f"P is not positive semidefinite (min eig {worst:.3e})")
+    P, S, xcov = _innovation(P, C, V)
+    _check_psd(P)
     m1 = dims.m1
-    S = _sym(V + C @ P @ C.T)
-    xcov = P @ C.T
     return InnovationBlocks(
         xcov1=xcov[..., :m1].copy(),
-        s11_inv=_spd_inverse(S[..., :m1, :m1], "sensor-1 innovation covariance"),
+        s11_inv=_s11_inverse(S, m1),
         xcov2=xcov[..., m1:].copy(),
-        s22_inv=_spd_inverse(S[..., m1:, m1:], "sensor-2 innovation covariance"),
+        s22_inv=_s22_inverse(S, m1),
     )
 
 
-def _kalman_gain(P, C, V) -> np.ndarray:
-    S = _sym(V + C @ P @ C.T)
-    return (P @ C.T) @ _spd_inverse(S, "innovation covariance")
+def _kalman_and_local(P, C, V, dims: BlockDims, kalman: bool, late1: bool, late2: bool):
+    """The Kalman gain K and the local gain L from one innovation pass.
 
-
-def _local_gain(blocks: InnovationBlocks, dims: BlockDims) -> np.ndarray:
-    """Block-diagonal gain of each subsystem's own sensor (outcome ``00``)."""
+    K is formed only if ``kalman``.  L, the block-diagonal gain of each
+    subsystem's own sensor (outcome ``00``), gets subsystem i's block only
+    if ``late_i``; its other entries are zero.  Each is 0.0 when not
+    formed.  The PSD check runs once, whenever a block of L is formed.
+    """
+    P, S, xcov = _innovation(P, C, V)
     n1, m1 = dims.n1, dims.m1
-    L = np.zeros(blocks.xcov1.shape[:-2] + (dims.n, dims.m))
-    L[..., :n1, :m1] = blocks.xcov1[..., :n1, :] @ blocks.s11_inv
-    L[..., n1:, m1:] = blocks.xcov2[..., n1:, :] @ blocks.s22_inv
-    return L
+    L = 0.0
+    if late1 or late2:
+        _check_psd(P)
+        L = np.zeros(xcov.shape[:-2] + (dims.n, dims.m))
+        if late1:
+            L[..., :n1, :m1] = xcov[..., :n1, :m1] @ _s11_inverse(S, m1)
+        if late2:
+            L[..., n1:, m1:] = xcov[..., n1:, m1:] @ _s22_inverse(S, m1)
+    K = xcov @ _spd_inverse(S, "innovation covariance") if kalman else 0.0
+    return K, L
 
 
 def _on_time_rows(dims: BlockDims, gamma1, gamma2) -> np.ndarray:
@@ -175,15 +206,14 @@ def structured_gain(P, C, V, dims: BlockDims, gamma1, gamma2) -> np.ndarray:
     """Trace-optimal gain for the on-time indicators ``gamma1``, ``gamma2``.
 
     The indicators are scalars or arrays over the leading axes of a
-    stack of priors, one outcome per layer.  The Kalman gain and the
-    local gain are each computed only if some row takes it.
+    stack of priors, one outcome per layer.  One innovation pass serves
+    the whole stack, and it inverts only what some layer reads: S whole
+    if some row is on time, ``S11`` if some ``gamma1`` is 0 and ``S22``
+    if some ``gamma2`` is 0.
     """
-    P = _sym(np.asarray(P, dtype=float))
-    C = np.asarray(C, dtype=float)
-    V = np.asarray(V, dtype=float)
-    on_time = _on_time_rows(dims, gamma1, gamma2)
-    L = 0.0 if on_time.all() else _local_gain(innovation_blocks(P, C, V, dims), dims)
-    K = _kalman_gain(P, C, V) if on_time.any() else 0.0
+    g1, g2 = np.asarray(gamma1, dtype=bool), np.asarray(gamma2, dtype=bool)
+    on_time = _on_time_rows(dims, g1, g2)
+    K, L = _kalman_and_local(P, C, V, dims, on_time.any(), not g1.all(), not g2.all())
     return np.where(on_time, K, L)
 
 
@@ -213,11 +243,7 @@ class GainSet:
 
 def gain_set(P, C, V, dims: BlockDims) -> GainSet:
     """All four per-outcome optimal gains, from one Kalman and one local gain."""
-    P = _sym(np.asarray(P, dtype=float))
-    C = np.asarray(C, dtype=float)
-    V = np.asarray(V, dtype=float)
-    L = _local_gain(innovation_blocks(P, C, V, dims), dims)
-    K = _kalman_gain(P, C, V)
+    K, L = _kalman_and_local(P, C, V, dims, True, True, True)
     return GainSet(
         d11=K,
         d01=np.where(_on_time_rows(dims, 0, 1), K, L),

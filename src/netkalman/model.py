@@ -10,6 +10,7 @@ used to build the power-system fixtures, and the fixtures themselves.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -121,12 +122,13 @@ class SystemModel:
     def dims(self) -> BlockDims:
         return BlockDims(self.n1, self.n2, self.m1, self.m2)
 
-    @property
+    @functools.cached_property
     def C(self) -> np.ndarray:
-        """Stacked measurement matrix, block diagonal in (C1, C2)."""
+        """Stacked measurement matrix, block diagonal in (C1, C2); read-only, built once."""
         C = np.zeros((self.m, self.n))
         C[: self.m1, : self.n1] = self.C1
         C[self.m1 :, self.n1 :] = self.C2
+        C.setflags(write=False)
         return C
 
 

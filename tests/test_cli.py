@@ -1,9 +1,12 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 import netkalman
@@ -158,6 +161,84 @@ class TestParseConfig:
         path.write_text(text)
         again = dump_normalized(parse_config(path))
         assert text == again
+
+
+# A valid explicit config, one section per key group; matrices are rows
+# joined by ";".  Every key is numeric.
+FUZZ_BASE = {
+    "system": {"n1": "1", "n2": "2", "a": "0.5 0.2 0; 0.1 0.4 0; 0 0 0.3",
+               "c1": "1", "c2": "1 0", "w": "1 0 0; 0 1 0; 0 0 1", "v": "1 0; 0 1",
+               "sigma0": "1 0 0; 0 1 0; 0 0 1"},
+    "delays": {"lambda1": "0.5", "lambda2": "0.5", "lambda1_grid": "0 1",
+               "lambda2_grid": "0.25 0.75"},
+    "sim": {"steps": "6", "runs": "3", "seed": "1"},
+    "analysis": {"divergence_threshold": "1e12", "bisect_tol": "0.02", "horizon": "50"},
+}
+FUZZ_MATRIX_KEYS = ("a", "c1", "c2", "w", "v", "sigma0")
+FUZZ_KEYS = [(sec, key) for sec, keys in FUZZ_BASE.items() for key in keys]
+# Printable ASCII but "#", which starts an inline comment; the trailing
+# "?" keeps the text from spelling a number.
+NOT_A_NUMBER = st.text(st.characters(min_codepoint=33, max_codepoint=126,
+                                     exclude_characters="#"), max_size=6).map(lambda s: s + "?")
+NON_FINITE = st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e999"])
+
+
+def _fuzz_config(replaced):
+    """FUZZ_BASE as config text, with the values of ``{(section, key): value}``."""
+    return "".join(
+        f"[{sec}]\n" + "".join(f"{k} = {replaced.get((sec, k), v)}\n" for k, v in keys.items())
+        for sec, keys in FUZZ_BASE.items())
+
+
+def _wrong_shape(key):
+    """A matrix text whose shape no valid config of FUZZ_BASE's dimensions has."""
+    valid = {"c1": lambda r, c: c == 1, "c2": lambda r, c: c == 2,
+             "v": lambda r, c: (r, c) == (2, 2)}.get(key, lambda r, c: (r, c) == (3, 3))
+    shapes = st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda s: not valid(*s))
+    return shapes.map(lambda s: "; ".join(" ".join(["1"] * s[1]) for _ in range(s[0])))
+
+
+class TestConfigFuzz:
+    @given(data=st.data(), where=st.sampled_from(FUZZ_KEYS))
+    def test_malformed_numeric_value_exits_2_naming_key(self, tmp_path_factory, data, where):
+        # property: a malformed value of any numeric key fails at parsing,
+        # before any model check, and the message names the key
+        sec, key = where
+        if key in FUZZ_MATRIX_KEYS:
+            entries = FUZZ_BASE[sec][key].replace(";", " ; ").split()
+            at = data.draw(st.sampled_from([i for i, tok in enumerate(entries) if tok != ";"]))
+            entries[at] = data.draw(NOT_A_NUMBER | NON_FINITE)
+            value = data.draw(st.just(" ".join(entries)) | _wrong_shape(key))
+        else:
+            value = data.draw(NOT_A_NUMBER | NON_FINITE)
+        text = _fuzz_config({where: value})
+        path = tmp_path_factory.mktemp("fuzz") / "bad.cfg"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["validate", str(path)])
+        assert code == 2, (text, err.getvalue())
+        assert f"[{sec}] {key}:" in err.getvalue()
+
+    def test_base_config_is_valid(self, tmp_path, capsys):
+        path = tmp_path / "ok.cfg"
+        path.write_text(_fuzz_config({}))
+        assert main(["validate", str(path)]) == 0
+        assert "model valid" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key,value", [("n1", "0"), ("n2", "-1")])
+    def test_nonpositive_dimension_named(self, tmp_path, key, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(EXPLICIT_CFG.replace(f"{key} = 1", f"{key} = {value}"))
+        with pytest.raises(ConfigError, match=f"\\] {key}: must be >= 1"):
+            parse_config(path)
+
+    def test_wrong_shape_from_file_names_file_key(self, tmp_path):
+        save_matrix_csv(tmp_path / "w.csv", np.eye(3))
+        path = tmp_path / "bad.cfg"
+        path.write_text(EXPLICIT_CFG.replace("w =\n    1 0\n    0 1\n", "w_file = w.csv\n"))
+        with pytest.raises(ConfigError, match=r"\] w_file: matrix is 3x3, expected 2x2"):
+            parse_config(path)
 
 
 class TestCliExitCodes:

@@ -17,7 +17,7 @@ from netkalman.filtering import (
     update,
 )
 from netkalman import gains
-from netkalman.gains import innovation_blocks, optimal_gain, posterior_cov
+from netkalman.gains import optimal_gain, posterior_cov
 from netkalman.montecarlo import kalman_baseline
 
 
@@ -229,6 +229,19 @@ class TestRunFilter:
         assert header.startswith("t,gamma1,gamma2,x_1")
         assert len(a.splitlines()) == 31
 
+    def test_csv_rows_equal_per_value_formatting(self, case2):
+        # 1300 steps cross the overflow of case2's unstable plant near step
+        # 1202, so the rows include inf and nan values
+        rec = run_filter(case2, DelayModel(0.25, 0.75), 1300, make_rng(5))
+        assert not np.isfinite(rec.xhat).all()
+        tp, tq = rec.trace_prior(), rec.trace_post()
+        lines = rec.to_csv().split("\n")
+        assert lines[-1] == "" and len(lines) == rec.horizon + 2
+        for k in range(rec.horizon):
+            vals = [str(int(rec.t[k])), str(int(rec.gamma1[k])), str(int(rec.gamma2[k]))]
+            vals += [f"{v:.17g}" for v in (*rec.x[k], *rec.xhat[k], tp[k], tq[k], rec.sq_err[k])]
+            assert lines[k + 1] == ",".join(vals)
+
     def test_delay_frequencies_follow_probabilities(self, toy):
         rec = run_filter(toy, DelayModel(0.8, 0.1), 4000, make_rng(12))
         assert abs((rec.gamma1 == 0).mean() - 0.8) < 0.03
@@ -279,26 +292,32 @@ class TestCovarianceStep:
 
     @given(seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 6))
     def test_on_time_stack_builds_no_local_gains(self, seed, runs):
-        # a step with every run on time needs only the Kalman gain, as the
-        # no-delay baseline does; one delayed run needs the blocks once
+        # a step with every run on time inverts only the full innovation
+        # covariance, as the no-delay baseline does; a delayed run builds
+        # its local gain, and only from the diagonal block of S it reads
         model = random_model(np.random.default_rng(seed))
-        calls = []
+        spd_inverse = gains._spd_inverse
+        inverted = []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return innovation_blocks(*args, **kwargs)
+        def counting(M, what):
+            inverted.append(what)
+            return spd_inverse(M, what)
 
         P = np.broadcast_to(model.Sigma0, (runs, model.n, model.n)).copy()
         on_time = np.ones(runs, dtype=int)
         delayed = on_time.copy()
         delayed[-1] = 0
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gains, "innovation_blocks", counting)
+            mp.setattr(gains, "_spd_inverse", counting)
             covariance_step(model, P, on_time, on_time)
             kalman_baseline(model, 3)
-            assert not calls
+            assert set(inverted) == {"innovation covariance"}
+            inverted.clear()
             covariance_step(model, P, on_time, delayed)
-        assert len(calls) == 1
+            assert sorted(inverted) == ["innovation covariance", "sensor-2 innovation covariance"]
+            inverted.clear()
+            covariance_step(model, P, delayed, on_time)
+            assert sorted(inverted) == ["innovation covariance", "sensor-1 innovation covariance"]
 
     @given(seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 6))
     def test_stacked_gain_equals_per_slice_gain(self, seed, runs):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -59,6 +61,18 @@ class TestValidate:
             report = validate_model(SystemModel(n1=1, n2=1, **{**fields, name: M}))
             assert not report.ok
             assert f"{name} has non-finite entries" in report.violations
+
+
+class TestStackedC:
+    def test_built_once_read_only_and_per_instance(self):
+        model = identity_model(2, 1)
+        assert model.C is model.C
+        with pytest.raises(ValueError):
+            model.C[0, 0] = 2.0
+        other = dataclasses.replace(model, C1=np.array([[1.0, 2.0]]))
+        assert other.C is not model.C
+        assert np.array_equal(other.C, [[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.array_equal(model.C, np.eye(3))
 
 
 class TestDelayTypes:
