@@ -28,6 +28,7 @@ from .model import (
     SystemModel,
     fixture,
     load_matrix_csv,
+    shape_mismatches,
 )
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "dump_normalized"]
@@ -108,21 +109,6 @@ def _get_matrix(section, key: str, base_dir: str, where: str) -> Optional[np.nda
     return M
 
 
-def _check_shapes(section, matrices, n1: int, n2: int):
-    """Raise unless the explicit matrices fit ``n1``, ``n2`` and the sensor rows."""
-    n = n1 + n2
-    m = matrices["c1"].shape[0] + matrices["c2"].shape[0]
-    for key, rows, cols in (("a", n, n), ("c1", None, n1), ("c2", None, n2),
-                            ("w", n, n), ("v", m, m), ("sigma0", n, n)):
-        r, c = matrices[key].shape
-        if c == cols and (rows is None or r == rows):
-            continue
-        want = f"{cols} columns" if rows is None else f"{rows}x{cols}"
-        if section.get(f"{key}_file") is not None:
-            key = f"{key}_file"
-        raise ConfigError(f"[system] {key}: matrix is {r}x{c}, expected {want}")
-
-
 def _get_number(section, key: str, where: str, cast, default=None):
     raw = section.get(key)
     if raw is None or raw.strip() == "":
@@ -187,10 +173,6 @@ def parse_config(path) -> RunConfig:
         n2 = _get_number(system, "n2", "[system]", int)
         if n1 is None or n2 is None:
             raise ConfigError("[system] n1: n1 and n2 are required with explicit matrices")
-        for key, value in (("n1", n1), ("n2", n2)):
-            if value < 1:
-                raise ConfigError(f"[system] {key}: must be >= 1, got {value}")
-        _check_shapes(system, matrices, n1, n2)
         model = SystemModel(
             n1=n1,
             n2=n2,
@@ -201,15 +183,25 @@ def parse_config(path) -> RunConfig:
             V=matrices["v"],
             Sigma0=matrices["sigma0"],
         )
+        # A misshapen matrix is a config error naming its key; the other
+        # model checks are left to validate_model.
+        bad = shape_mismatches(model)
+        if bad:
+            name, (r, c), (rows, cols) = bad[0]
+            key = name.lower()
+            if system.get(f"{key}_file") is not None:
+                key = f"{key}_file"
+            want = f"{cols} columns" if rows is None else f"{rows}x{cols}"
+            raise ConfigError(f"[system] {key}: matrix is {r}x{c}, expected {want}")
 
     delays_sec = cp["delays"] if cp.has_section("delays") else {}
     where = "[delays]"
     lambda1 = _get_number(delays_sec, "lambda1", where, float, default_delays.lambda1)
     lambda2 = _get_number(delays_sec, "lambda2", where, float, default_delays.lambda2)
-    for key, value in (("lambda1", lambda1), ("lambda2", lambda2)):
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"{where} {key}: probability must lie in [0, 1], got {value}")
-    delays = DelayModel(lambda1, lambda2)
+    try:
+        delays = DelayModel(lambda1, lambda2)
+    except ValueError as exc:
+        raise ConfigError(f"{where} {exc}") from None
     l1_grid = _get_floats(delays_sec, "lambda1_grid", where)
     l2_grid = _get_floats(delays_sec, "lambda2_grid", where)
 

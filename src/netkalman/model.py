@@ -24,6 +24,7 @@ __all__ = [
     "DelayOutcome",
     "ValidationReport",
     "validate_model",
+    "shape_mismatches",
     "discretize",
     "close_loop",
     "detectable_full",
@@ -148,7 +149,7 @@ class DelayModel:
         for name in ("lambda1", "lambda2"):
             v = float(getattr(self, name))
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+                raise ValueError(f"{name}: must lie in [0, 1], got {v}")
             object.__setattr__(self, name, v)
 
     def outcome_probability(self, outcome: "DelayOutcome") -> float:
@@ -224,6 +225,27 @@ def _check_spd(M: np.ndarray, name: str, violations: list):
         violations.append(f"{name} not positive definite")
 
 
+def shape_mismatches(model: SystemModel) -> list:
+    """``(name, shape, expected)`` for each matrix whose shape does not fit.
+
+    The expected shapes follow from ``n1``, ``n2`` and the sensor rows of
+    ``C1`` and ``C2``; ``None`` in ``expected`` marks a free dimension.
+    Empty when ``n1`` or ``n2`` is not positive, since no shape is then
+    defined.
+    """
+    if model.n1 <= 0 or model.n2 <= 0:
+        return []
+    n, m = model.n, model.m
+    expected = {"A": (n, n), "C1": (None, model.n1), "C2": (None, model.n2),
+                "W": (n, n), "V": (m, m), "Sigma0": (n, n)}
+    out = []
+    for name, want in expected.items():
+        shape = getattr(model, name).shape
+        if len(shape) != 2 or any(w is not None and w != d for w, d in zip(want, shape)):
+            out.append((name, shape, want))
+    return out
+
+
 def validate_model(model: SystemModel) -> ValidationReport:
     """Check the model invariants; returns diagnostics instead of raising.
 
@@ -239,21 +261,11 @@ def validate_model(model: SystemModel) -> ValidationReport:
     if model.n1 <= 0 or model.n2 <= 0:
         v.append(f"state dimensions must be positive: n1={model.n1}, n2={model.n2}")
         return ValidationReport(tuple(v))
-    n, m = model.n, model.m
-    if model.A.shape != (n, n):
-        v.append(f"A has shape {model.A.shape}, expected {(n, n)}")
-    if model.C1.shape[1] != model.n1:
-        v.append(f"C1 has {model.C1.shape[1]} columns, expected n1={model.n1}")
-    if model.C2.shape[1] != model.n2:
-        v.append(f"C2 has {model.C2.shape[1]} columns, expected n2={model.n2}")
+    for name, shape, want in shape_mismatches(model):
+        text = f"{want[1]} columns" if want[0] is None else str(want)
+        v.append(f"{name} has shape {shape}, expected {text}")
     if model.m1 <= 0 or model.m2 <= 0:
         v.append(f"measurement dimensions must be positive: m1={model.m1}, m2={model.m2}")
-    if model.W.shape != (n, n):
-        v.append(f"W has shape {model.W.shape}, expected {(n, n)}")
-    if model.V.shape != (m, m):
-        v.append(f"V has shape {model.V.shape}, expected {(m, m)}")
-    if model.Sigma0.shape != (n, n):
-        v.append(f"Sigma0 has shape {model.Sigma0.shape}, expected {(n, n)}")
     if not v:
         _check_spd(model.W, "W", v)
         _check_spd(model.V, "V", v)

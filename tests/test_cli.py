@@ -227,11 +227,12 @@ class TestConfigFuzz:
         assert "model valid" in capsys.readouterr().out
 
     @pytest.mark.parametrize("key,value", [("n1", "0"), ("n2", "-1")])
-    def test_nonpositive_dimension_named(self, tmp_path, key, value):
+    def test_nonpositive_dimension_fails_validation(self, tmp_path, capsys, key, value):
+        # a dimension below 1 parses; validate_model reports it (exit 1)
         path = tmp_path / "bad.cfg"
         path.write_text(EXPLICIT_CFG.replace(f"{key} = 1", f"{key} = {value}"))
-        with pytest.raises(ConfigError, match=f"\\] {key}: must be >= 1"):
-            parse_config(path)
+        assert main(["validate", str(path)]) == 1
+        assert "state dimensions must be positive" in capsys.readouterr().err
 
     def test_wrong_shape_from_file_names_file_key(self, tmp_path):
         save_matrix_csv(tmp_path / "w.csv", np.eye(3))

@@ -8,10 +8,11 @@ Run from the root of a checkout::
 It times one structured gain per delay outcome, ``gain_set``, one
 ``covariance_step`` on stacks of 1, 16 and 150 runs, and
 ``expected_next_cov``, all on ``case1_stable``, and writes the best of
-``--repeats`` timings (microseconds per call) with the library, BLAS and
+``REPEATS`` timings (microseconds per call) with the library, BLAS and
 CPU details to ``bench/BENCH_layers_<label>.json``.  The package on
-PYTHONPATH, if any, is timed instead of this checkout's ``src``; timing
-two checkouts on one machine makes a change's layer effect a diff
+PYTHONPATH, if any, is timed instead of this checkout's ``src``, which
+comes before site-packages; the report names the package file it timed.
+Timing two checkouts on one machine makes a change's layer effect a diff
 between two files.
 """
 
@@ -23,16 +24,21 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import site  # noqa: E402
 import sys  # noqa: E402
 import timeit  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.append(str(ROOT / "src"))
+REPEATS = 7
+_SITE = set(site.getsitepackages()) | {site.getusersitepackages()}
+sys.path.insert(next((i for i, p in enumerate(sys.path) if p in _SITE), len(sys.path)),
+                str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
+import netkalman  # noqa: E402
 from netkalman import analysis, filtering, gains  # noqa: E402
 from netkalman.model import ALL_OUTCOMES, DelayModel, fixture  # noqa: E402
 
@@ -63,19 +69,19 @@ def _blas(config) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True)
-    parser.add_argument("--repeats", type=int, default=7)
     args = parser.parse_args()
     layers = {}
     for name, call in _cases().items():
         loops, _ = timeit.Timer(call).autorange()
-        best = min(timeit.repeat(call, number=loops, repeat=args.repeats))
+        best = min(timeit.repeat(call, number=loops, repeat=REPEATS))
         layers[name] = round(best / loops * 1e6, 2)
         print(f"{name:28s} {layers[name]:10.2f} us", file=sys.stderr)
     cpu = [ln.split(":", 1)[1].strip() for ln in open("/proc/cpuinfo")
            if ln.startswith("model name")] if os.path.exists("/proc/cpuinfo") else []
     report = {
         "label": args.label,
-        "unit": "us per call, best of repeats",
+        "unit": f"us per call, best of {REPEATS}",
+        "package": os.path.relpath(netkalman.__file__, ROOT),
         "layers": layers,
         "machine": {"cpu": cpu[0] if cpu else platform.processor(), "cpus": os.cpu_count(),
                     "arch": platform.machine(), "blas_threads": 1},
