@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .filtering import predict_cov
-from .gains import gain_set, mask_for_outcome, mask_pattern, optimal_gain, posterior_cov
+from .gains import _sym, gain_set, mask_for_outcome, mask_pattern, optimal_gain, posterior_cov
 from .model import ALL_OUTCOMES, BlockDims, DelayModel, DelayOutcome, SystemModel
 
 __all__ = [
@@ -63,10 +63,6 @@ BRANCH_TOL = 1e-9
 # 2**3 - 1 = 7 midpoints, of which it keeps the 3 on its path.  A stack of
 # 7 bound sequences costs about 1.15 times one sequence.
 _LOOKAHEAD_LEVELS = 3
-
-
-def _sym(M: np.ndarray) -> np.ndarray:
-    return (M + np.swapaxes(M, -1, -2)) / 2.0
 
 
 def closed_loop_factor(model: SystemModel, X) -> np.ndarray:
@@ -113,22 +109,38 @@ def expected_next_cov(
     gets the same bits as it would alone: the gains of the stack come
     from one :func:`gain_set` call, :func:`one_step_cov` runs only on the
     (layer, outcome) pairs of positive probability, so that a non-finite
-    gain of an impossible outcome cannot reach the sum, and each layer is
-    reduced with its own ``tensordot`` over its possible outcomes.
+    gain of an impossible outcome cannot reach the sum, and the k layers
+    with c possible outcomes are summed by one ``(k, 1, c) @ (k, c, n*n)``
+    matmul, which has the bits of a ``tensordot`` of each layer alone
+    (padding every layer to 4 outcomes with zero weights would not).
     """
-    Y = _sym(np.asarray(Y, dtype=float))
-    single = Y.ndim == 2
-    if single:
-        Y, delays = Y[None], [delays]
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim == 2:
+        return expected_next_cov(model, [delays], Y[None])[0]
+    return _expected_next(model, _outcome_probabilities(delays), Y)
+
+
+def _outcome_probabilities(delays) -> np.ndarray:
+    """(K, 4) probabilities of ``ALL_OUTCOMES`` under each of K delay models."""
+    return np.array([[d.outcome_probability(oc) for oc in ALL_OUTCOMES] for d in delays])
+
+
+def _expected_next(model, p, Y) -> np.ndarray:
+    """:func:`expected_next_cov` of a (K, n, n) stack with its (K, 4) outcome probabilities."""
+    Y = _sym(Y)
     gains = gain_set(Y, model.C, model.V, model.dims)
     X = np.stack([gains.for_outcome(oc) for oc in ALL_OUTCOMES], axis=1)
-    p = np.array([[d.outcome_probability(oc) for oc in ALL_OUTCOMES] for d in delays])
     live = p > 0.0
-    layer, outcome = np.nonzero(live)
-    stack = one_step_cov(model, X[layer, outcome], Y[layer])
-    parts = np.split(stack, np.cumsum(live.sum(axis=1))[:-1])
-    out = np.array([np.tensordot(pk[lk], part, 1) for pk, lk, part in zip(p, live, parts)])
-    return out[0] if single else out
+    layer = np.nonzero(live)[0]
+    terms = one_step_cov(model, X[live], Y[layer]).reshape(len(layer), -1)
+    weights, counts = p[live], live.sum(axis=1)
+    out = np.empty((len(Y), terms.shape[1]))
+    for c in np.unique(counts):
+        group = counts == c
+        pairs = group[layer]
+        out[group] = np.matmul(weights[pairs].reshape(-1, 1, c),
+                               terms[pairs].reshape(-1, c, out.shape[1]))[:, 0]
+    return out.reshape(Y.shape)
 
 
 @dataclass(frozen=True)
@@ -235,12 +247,13 @@ def _bound_orbits(
         divergence_threshold = 1e12 * float(np.trace(model.W))
     Y0 = first_prediction_cov(model)
     orbits = [_Orbit(Y0, steps, divergence_threshold) for _ in delays]
+    p = _outcome_probabilities(delays)
     live = [k for k, orbit in enumerate(orbits) if orbit.running]
     Y = np.array([Y0] * len(live))
     for _ in range(steps - 1):
         if not live:
             break
-        Y = expected_next_cov(model, [delays[k] for k in live], Y)
+        Y = _expected_next(model, p[live], Y)
         going = [j for j, k in enumerate(live) if orbits[k].push(Y[j])]
         live = [live[j] for j in going]
         Y = Y[going]

@@ -16,6 +16,7 @@ selection (:func:`structured_gain`).  An exact brute-force oracle
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -119,7 +120,24 @@ def _innovation(P, C, V):
 
 
 def _check_psd(P: np.ndarray) -> None:
-    """Raise unless every (symmetrized) prior is positive semidefinite."""
+    """Raise unless every (symmetrized) prior is positive semidefinite.
+
+    The test is ``min eig >= -PSD_TOL * max(max eig, 1)`` on each layer.
+    A Cholesky factorization of the stack that succeeds with a finite
+    factor passes it without eigenvalues: Cholesky is backward stable
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, Thm 10.3),
+    so the factor is exact for ``P + dP`` with ``|dP|_2 = O(n^2 u) |P|_2``,
+    and ``P + dP`` is positive semidefinite, whence
+    ``min eig(P) >= -O(n^2 u) |P|_2``, far inside the tolerance.  A
+    factorization that fails (a singular or indefinite layer) or yields a
+    non-finite factor (a non-finite prior) decides nothing, and the
+    eigenvalue test decides as before.
+    """
+    try:
+        if np.isfinite(np.linalg.cholesky(P)).all():
+            return
+    except np.linalg.LinAlgError:
+        pass
     eigs = np.linalg.eigvalsh(P)
     bad = eigs[..., 0] < -PSD_TOL * np.maximum(eigs[..., -1], 1.0)
     if np.any(bad):
@@ -196,10 +214,27 @@ def _kalman_and_local(P, C, V, dims: BlockDims, kalman: bool, late1: bool, late2
     return K, L
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=32)
+def _first_rows(dims: BlockDims) -> np.ndarray:
+    """Read-only (n, 1) mask of subsystem 1's rows, built once per ``dims``."""
+    return _read_only((np.arange(dims.n) < dims.n1)[:, None])
+
+
+@functools.lru_cache(maxsize=32)
+def _identity(n: int) -> np.ndarray:
+    """Read-only (n, n) identity, built once per ``n``."""
+    return _read_only(np.eye(n))
+
+
 def _on_time_rows(dims: BlockDims, gamma1, gamma2) -> np.ndarray:
     """(..., n, 1) mask of the gain rows whose cross measurement is on time."""
     g1, g2 = (np.asarray(g, dtype=bool)[..., None, None] for g in (gamma1, gamma2))
-    return np.where((np.arange(dims.n) < dims.n1)[:, None], g1, g2)
+    return np.where(_first_rows(dims), g1, g2)
 
 
 def structured_gain(P, C, V, dims: BlockDims, gamma1, gamma2) -> np.ndarray:
@@ -288,5 +323,5 @@ def posterior_cov(P, D, C, V) -> np.ndarray:
     """
     P = np.asarray(P, dtype=float)
     D = np.asarray(D, dtype=float)
-    IDC = np.eye(P.shape[-1]) - D @ C
+    IDC = _identity(P.shape[-1]) - D @ C
     return _sym(IDC @ P @ _T(IDC) + D @ V @ _T(D))

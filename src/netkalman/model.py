@@ -103,6 +103,11 @@ class SystemModel:
         for name in ("A", "C1", "C2", "W", "V", "Sigma0"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
+    def __setstate__(self, state):
+        """Unpickle with read-only arrays; a pickled ``C`` is dropped and rebuilt on use."""
+        self.__dict__.update((k, v) for k, v in state.items() if k != "C")
+        self.__post_init__()
+
     @property
     def m1(self) -> int:
         return self.C1.shape[0]

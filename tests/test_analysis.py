@@ -235,6 +235,22 @@ class TestExpectedNextCov:
             assert np.array_equal(got, want)
             assert np.array_equal(expected_next_cov(model, d, Y), want)
 
+    def test_mixed_live_outcome_counts_keep_single_bits(self):
+        # a 7-layer stack, the shape of one bisection stack, whose layers
+        # have 1, 2 and 4 possible outcomes: each count is summed by its
+        # own matmul, and every layer keeps the bits it has alone
+        rng = np.random.default_rng(77)
+        model = random_model(rng)
+        lams = [(0.0, 0.0), (1.0, 0.5), (0.3, 0.6), (0.5, 1.0), (0.0, 1.0), (0.3, 0.6),
+                (1.0, 0.5)]
+        delays = [DelayModel(*lam) for lam in lams]
+        counts = [sum(d.outcome_probability(oc) > 0.0 for oc in ALL_OUTCOMES) for d in delays]
+        assert sorted(set(counts)) == [1, 2, 4]
+        Ys = np.array([random_psd(rng, model.n) for _ in delays])
+        stacked = expected_next_cov(model, delays, Ys)
+        for Y, d, got in zip(Ys, delays, stacked):
+            assert np.array_equal(got, expected_next_cov(model, d, Y))
+
 
 def plain_bound_sequence(model, delays, steps):
     """Reference bound sequence: every step iterated, no cycle exit."""

@@ -8,7 +8,9 @@ from numpy.testing import assert_allclose
 from conftest import random_instance, random_psd
 from netkalman.model import ALL_OUTCOMES, BlockDims, DelayOutcome
 from netkalman.gains import (
+    PSD_TOL,
     StructuredMask,
+    _check_psd,
     gain_set,
     innovation_blocks,
     mask_for_outcome,
@@ -188,6 +190,105 @@ class TestOptimalGain:
         D = structured_gain(stack, C, V, dims, gamma1, gamma2)
         for r, oc in enumerate(outcomes):
             assert np.array_equal(D[r], optimal_gain(stack[r], C, V, dims, oc))
+
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           outcomes=st.lists(st.sampled_from(ALL_OUTCOMES), min_size=1, max_size=6))
+    def test_gain_set_and_structured_gain_equal_oracle(self, seed, outcomes):
+        # property: both stacked entry points give the exact masked
+        # minimizer, to the tolerance of acceptance criterion 1
+        rng = np.random.default_rng(seed)
+        P, C, V, dims = random_instance(rng)
+        gs = gain_set(P, C, V, dims)
+        for oc in ALL_OUTCOMES:
+            Dref = oracle_structured_gain(P, C, V, dims, mask_for_outcome(oc))
+            assert np.abs(gs.for_outcome(oc) - Dref).max() < 1e-8
+        stack = np.array([random_psd(rng, dims.n) for _ in outcomes])
+        D = structured_gain(stack, C, V, dims, [oc.gamma1 for oc in outcomes],
+                            [oc.gamma2 for oc in outcomes])
+        for prior, oc, got in zip(stack, outcomes, D):
+            Dref = oracle_structured_gain(prior, C, V, dims, mask_for_outcome(oc))
+            assert np.abs(got - Dref).max() < 1e-8
+
+
+def _prior_with_min_eig(rel, n=3, seed=0):
+    """Symmetric prior with eigenvalues 1, 0.5, ..., and ``rel`` times the largest."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    eigs = np.r_[1.0, np.linspace(0.5, 0.1, n - 2), rel]
+    P = (Q * eigs) @ Q.T
+    return (P + P.T) / 2.0
+
+
+class TestPsdCheck:
+    # The check runs whenever a local gain is built: in gain_set,
+    # innovation_blocks and structured_gain with some subsystem late.
+    DIMS = BlockDims(2, 1, 1, 1)
+    C = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    V = np.eye(2)
+
+    def _calls(self, P):
+        C, V, dims = self.C, self.V, self.DIMS
+        return [lambda: gain_set(P, C, V, dims), lambda: innovation_blocks(P, C, V, dims),
+                lambda: structured_gain(P, C, V, dims, 0, 1),
+                lambda: structured_gain(np.array([P, P]), C, V, dims, [1, 1], [1, 0])]
+
+    @pytest.mark.parametrize("P", [np.zeros((3, 3)), _prior_with_min_eig(0.0),
+                                   _prior_with_min_eig(-1e-10)],
+                             ids=["zero", "singular", "slightly_negative"])
+    def test_psd_within_tolerance_passes(self, P):
+        # the Cholesky factorization fails on each; the eigenvalue test passes it
+        for call in self._calls(P):
+            call()
+
+    def test_indefinite_beyond_tolerance_raises(self):
+        for call in self._calls(_prior_with_min_eig(-1e-6)):
+            with pytest.raises(ValueError, match="not positive semidefinite"):
+                call()
+
+    def test_one_bad_layer_fails_the_stack(self):
+        stack = np.array([np.eye(3), _prior_with_min_eig(-1e-6)])
+        with pytest.raises(ValueError, match="min eig -1.000e-06"):
+            gain_set(stack, self.C, self.V, self.DIMS)
+
+    def test_infinite_prior_raises_linalg_error(self):
+        # the Cholesky factor of an infinite prior is not finite, so the
+        # eigenvalue test decides, as it always has
+        P = np.diag([1.0, np.inf, 1.0])
+        for call in self._calls(P):
+            with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+                call()
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           rel=st.sampled_from([0.0, 1e-12, -1e-12, -1e-9, -5e-9, -2e-8, -1e-6, -1.0]),
+           scale=st.sampled_from([1e-6, 1.0, 1e6]),
+           poison=st.sampled_from([None, np.inf, -np.inf, np.nan]))
+    def test_verdict_equals_eigenvalue_test(self, seed, rel, scale, poison):
+        # the Cholesky shortcut never changes the verdict of the
+        # eigenvalue test it stands in front of, non-finite priors included
+        P = scale * _prior_with_min_eig(rel, n=2 + seed % 3, seed=seed)
+        stack = np.array([P, scale * np.eye(len(P))])
+        if poison is not None:
+            stack[seed % 2, 0, -1] = stack[seed % 2, -1, 0] = poison
+
+        def verdict(check):
+            try:
+                with np.errstate(invalid="ignore"):
+                    check(stack)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                return type(exc), str(exc)
+            return None
+
+        def eigenvalue_test(P):
+            eigs = np.linalg.eigvalsh(P)
+            bad = eigs[..., 0] < -PSD_TOL * np.maximum(eigs[..., -1], 1.0)
+            if np.any(bad):
+                worst = np.min(eigs[..., 0][bad])
+                raise ValueError(f"P is not positive semidefinite (min eig {worst:.3e})")
+
+        assert verdict(_check_psd) == verdict(eigenvalue_test)
+
+    def test_all_on_time_runs_no_check(self):
+        structured_gain(_prior_with_min_eig(-1e-6), self.C, self.V, self.DIMS, 1, 1)
 
 
 class TestOracle:

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -73,6 +75,17 @@ class TestStackedC:
         assert other.C is not model.C
         assert np.array_equal(other.C, [[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
         assert np.array_equal(model.C, np.eye(3))
+
+    @pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_round_trip_keeps_arrays_read_only(self, clone):
+        model = fixture("case1_stable")[0]
+        model.C  # cached before the round trip, so it travels with the state
+        back = clone(model)
+        for name in ("A", "C1", "C2", "W", "V", "Sigma0", "C"):
+            assert np.array_equal(getattr(back, name), getattr(model, name)), name
+            assert not getattr(back, name).flags.writeable, name
+        assert back.C is back.C
 
 
 class TestDelayTypes:

@@ -7,7 +7,10 @@ Run from the root of a checkout::
 
 It times one structured gain per delay outcome, ``gain_set``, one
 ``covariance_step`` on stacks of 1, 16 and 150 runs, and
-``expected_next_cov``, all on ``case1_stable``, and writes the best of
+``expected_next_cov`` on one matrix and on a stack of 7 (the shape of one
+bisection stack of ``empirical_critical``: lambda2 fixed at 0.5, lambda1
+at the midpoints of three bisection levels of [0, 1]), all on
+``case1_stable``, and writes the best of
 ``REPEATS`` timings (microseconds per call) with the library, BLAS and
 CPU details to ``bench/BENCH_layers_<label>.json``.  The package on
 PYTHONPATH, if any, is timed instead of this checkout's ``src``, which
@@ -58,6 +61,9 @@ def _cases():
         cases[f"covariance_step.R{runs}"] = (lambda s=stack, a=g1, b=g2:
                                              filtering.covariance_step(model, s, a, b))
     cases["expected_next_cov"] = lambda: analysis.expected_next_cov(model, delays, P[0])
+    lookahead = [DelayModel(l1, 0.5) for l1 in (0.5, 0.25, 0.125, 0.375, 0.75, 0.625, 0.875)]
+    stack7 = np.broadcast_to(P, (len(lookahead),) + P.shape[1:]).copy()
+    cases["expected_next_cov.K7"] = lambda: analysis.expected_next_cov(model, lookahead, stack7)
     return cases
 
 
