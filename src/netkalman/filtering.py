@@ -26,6 +26,7 @@ from .model import DelayModel, DelayOutcome, SystemModel
 __all__ = [
     "stream_seed",
     "make_rng",
+    "delay_rng",
     "PlantTrajectory",
     "simulate_plant",
     "EstimatorState",
@@ -60,6 +61,18 @@ def stream_seed(master_seed: int, stream_id: int) -> int:
 def make_rng(master_seed: int, stream_id: int = 0) -> np.random.Generator:
     """Deterministic generator for a (seed, stream) pair."""
     return np.random.default_rng(stream_seed(master_seed, stream_id))
+
+
+def delay_rng(master_seed: int, stream_id: int = 0) -> np.random.Generator:
+    """The delay-indicator stream of ``make_rng(master_seed, stream_id)``.
+
+    Equal to ``make_rng(master_seed, stream_id).spawn(2)[1]``, the child
+    from which :func:`run_filter` draws its delay indicators, built
+    directly from that child's seed sequence (spawn key ``(1,)``) without
+    the parent and plant-noise generators.
+    """
+    seq = np.random.SeedSequence(stream_seed(master_seed, stream_id), spawn_key=(1,))
+    return np.random.default_rng(seq)
 
 
 def _chol_psd(M: np.ndarray) -> np.ndarray:

@@ -3,13 +3,17 @@
 The prediction covariance depends only on the delay indicators, so a
 Monte-Carlo run needs no plant: run r draws its indicators from the delay
 stream that :func:`~netkalman.filtering.run_filter` would use for the
-generator ``make_rng(master_seed, r)``, and all runs advance together as
-one stack through :func:`~netkalman.filtering.covariance_step`.  Each run
-gets the same covariances as its filter run, bit for bit, whatever else
-is in the stack.  The headline metric is the trace of the average
-prediction covariance per step, compared against the no-delay Kalman
-recursion.  Run seeds derive from the master seed through a fixed mixing
-function and results are reduced in run-index order, so output is
+generator ``make_rng(master_seed, r)``
+(:func:`~netkalman.filtering.delay_rng`), and all runs advance together
+as one stack through :func:`~netkalman.filtering.covariance_step`.  Runs
+that share a delay history prefix share one covariance computation: each
+step advances one representative per distinct prefix.  Each run gets the
+same covariances as its filter run, bit for bit, whatever else is in the
+stack.  The headline metric is the trace of the average prediction
+covariance per step, compared against the no-delay Kalman recursion,
+which a sweep runs as one all-on-time layer of the same stack.  Run seeds
+derive from the master seed through a fixed mixing function and results
+are reduced over every run in run-index order, so output is
 byte-identical for a given seed.
 """
 
@@ -21,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .filtering import covariance_step, delay_indicators, make_rng, stream_seed
+from .filtering import covariance_step, delay_indicators, delay_rng, stream_seed
 # Not called here; kept as a module attribute because the benchmark's
 # traced run (perfbench/spans.py) wraps ``montecarlo.run_filter`` by name.
 from .filtering import run_filter  # noqa: F401
@@ -65,27 +69,36 @@ def _run_indicators(delays: DelayModel, runs: int, horizon: int, master_seed: in
         raise ValueError(f"runs must be >= 1, got {runs}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    draws = [
-        delay_indicators(delays, horizon, make_rng(master_seed, r).spawn(2)[1])
-        for r in range(runs)
-    ]
+    draws = [delay_indicators(delays, horizon, delay_rng(master_seed, r)) for r in range(runs)]
     return np.stack([g1 for g1, _ in draws]), np.stack([g2 for _, g2 in draws])
 
 
 def _stack_run(model: SystemModel, gamma1: np.ndarray, gamma2: np.ndarray):
     """Run the covariance recursion of R runs over T steps as one stack.
 
-    Returns the (R, T) traces of the prediction covariances and their
-    (T, n, n) sums over the runs, accumulated in run order.
+    Runs that share a delay history prefix share its covariances, so each
+    step advances one layer per distinct prefix, keyed by
+    ``4 * parent layer + 2 * gamma1 + gamma2``.  Returns the (R, T) traces
+    of the prediction covariances and their (T, n, n) sums over the runs,
+    accumulated in run order over every run's gathered covariance, so
+    both have the bits of a stack with one layer per run.
     """
     R, T = gamma1.shape
     traces = np.zeros((R, T))
     sum_P = np.zeros((T, model.n, model.n))
-    P_post = np.broadcast_to(model.Sigma0, (R, model.n, model.n)).copy()
+    layer = np.zeros(R, dtype=np.intp)  # the layer of P_post holding each run
+    P_post = np.array(model.Sigma0, dtype=float)[None]
     for k in range(T):
-        P_prior, P_post, _ = covariance_step(model, P_post, gamma1[:, k], gamma2[:, k])
-        traces[:, k] = np.trace(P_prior, axis1=1, axis2=2)
-        sum_P[k] = P_prior.sum(axis=0)
+        key = 4 * layer + 2 * gamma1[:, k] + gamma2[:, k]
+        # A presence table lists the distinct keys in ascending order
+        # without a sort, and its running count numbers them.
+        seen = np.zeros(4 * len(P_post), dtype=bool)
+        seen[key] = True
+        keys = np.flatnonzero(seen)
+        layer = np.cumsum(seen)[key] - 1
+        P_prior, P_post, _ = covariance_step(model, P_post[keys >> 2], (keys >> 1) & 1, keys & 1)
+        traces[:, k] = np.trace(P_prior, axis1=1, axis2=2)[layer]
+        sum_P[k] = P_prior[layer].sum(axis=0)
     return traces, sum_P
 
 
@@ -176,7 +189,10 @@ def sweep(
 
     Cell (i, j) equals :func:`estimate_eec` with the seed
     ``stream_seed(master_seed, row-major cell index)``; the runs of all
-    cells advance as one stack.  ``workers`` is accepted for
+    cells advance as one stack, in which runs sharing a delay history
+    prefix share one covariance computation.  ``kalman_trace`` is read
+    from one more all-on-time layer of that stack and equals
+    :func:`kalman_baseline` bit for bit.  ``workers`` is accepted for
     compatibility and ignored.
     """
     l1s = np.asarray(list(lambda1_values), dtype=float)
@@ -192,8 +208,10 @@ def sweep(
         for i, l1 in enumerate(l1s)
         for j, l2 in enumerate(l2s)
     ]
-    gamma1 = np.concatenate([g1 for g1, _ in cells])
-    gamma2 = np.concatenate([g2 for _, g2 in cells])
+    # A last all-on-time row gives the Kalman baseline from the same stack.
+    on_time = np.ones((1, horizon), dtype=int)
+    gamma1 = np.concatenate([g1 for g1, _ in cells] + [on_time])
+    gamma2 = np.concatenate([g2 for _, g2 in cells] + [on_time])
     traces = _stack_run(model, gamma1, gamma2)[0]
 
     trace_mean = np.zeros((len(l1s), len(l2s), horizon))
@@ -206,7 +224,7 @@ def sweep(
         lambda2_values=l2s,
         trace_mean=trace_mean,
         trace_se=trace_se,
-        kalman_trace=kalman_baseline(model, horizon),
+        kalman_trace=traces[-1].copy(),
         runs=runs,
         horizon=horizon,
         master_seed=master_seed,

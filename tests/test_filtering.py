@@ -7,6 +7,8 @@ from conftest import random_instance, random_model, random_psd, textbook_riccati
 from netkalman.model import ALL_OUTCOMES, DelayModel, DelayOutcome, SystemModel, fixture
 from netkalman.filtering import (
     covariance_step,
+    delay_indicators,
+    delay_rng,
     initial_state,
     make_rng,
     predict,
@@ -37,6 +39,20 @@ class TestSeeding:
         assert stream_seed(0, 0) == 16294208416658607535
         assert stream_seed(123, 4) == 12656037256202479922
         assert stream_seed(2**64 - 1, 7) < 2**64
+
+    @given(seed=st.integers(0, 2**64 - 1) | st.integers(2**64 - 64, 2**64 - 1),
+           stream=st.integers(0, 1000) | st.integers(1001, 2**32),
+           lambdas=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    def test_delay_rng_is_run_filter_delay_stream(self, seed, stream, lambdas):
+        # the direct stream gives the indicators run_filter draws from
+        # the second child of make_rng(seed, stream)
+        delays = DelayModel(*lambdas)
+        direct = delay_indicators(delays, 40, delay_rng(seed, stream))
+        spawned = delay_indicators(delays, 40, make_rng(seed, stream).spawn(2)[1])
+        for a, b in zip(direct, spawned):
+            assert np.array_equal(a, b)
+        assert np.array_equal(delay_rng(seed, stream).random(8),
+                              make_rng(seed, stream).spawn(2)[1].random(8))
 
 
 class TestSimulatePlant:

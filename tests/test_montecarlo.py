@@ -1,11 +1,40 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from netkalman import montecarlo
 from netkalman.model import DelayModel, SystemModel, fixture
-from netkalman.filtering import make_rng, run_filter, stream_seed
+from netkalman.filtering import covariance_step, make_rng, run_filter, stream_seed
 from netkalman.analysis import cov_bound_sequence, expected_next_cov
-from netkalman.montecarlo import estimate_eec, kalman_baseline, sweep
+from netkalman.montecarlo import _run_indicators, _stack_run, estimate_eec, kalman_baseline, sweep
+
+MODELS = {name: fixture(name)[0] for name in ("toy_identity", "case1_stable", "case2_unstable")}
+
+
+def plain_stack_run(model, gamma1, gamma2):
+    """Reference stack: every run through covariance_step at every step."""
+    R, T = gamma1.shape
+    traces = np.zeros((R, T))
+    sum_P = np.zeros((T, model.n, model.n))
+    P_post = np.broadcast_to(model.Sigma0, (R, model.n, model.n)).copy()
+    for k in range(T):
+        P_prior, P_post, _ = covariance_step(model, P_post, gamma1[:, k], gamma2[:, k])
+        traces[:, k] = np.trace(P_prior, axis1=1, axis2=2)
+        sum_P[k] = P_prior.sum(axis=0)
+    return traces, sum_P
+
+
+def count_layers(monkeypatch):
+    """Record the stack size of every covariance_step call montecarlo makes."""
+    layers = []
+
+    def counted(model, P_post, gamma1, gamma2):
+        layers.append(len(P_post))
+        return covariance_step(model, P_post, gamma1, gamma2)
+
+    monkeypatch.setattr(montecarlo, "covariance_step", counted)
+    return layers
 
 
 class TestEstimateEec:
@@ -70,6 +99,52 @@ class TestEstimateEec:
             assert np.trace(mean_next) <= np.trace(mapped) + 5 * max(se, 1e-12)
 
 
+class TestStackRun:
+    lam = st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95)
+
+    @given(model=st.sampled_from(sorted(MODELS)),
+           cells=st.lists(st.tuples(lam, lam, st.integers(1, 6), st.integers(0, 2**32)),
+                          min_size=1, max_size=4),
+           horizon=st.integers(1, 12), on_time_row=st.booleans())
+    def test_shared_histories_keep_plain_stack_bits(self, model, cells, horizon, on_time_row):
+        # one covariance_step per distinct history prefix gives every run,
+        # every trace and the run-order sum the bits of the plain stack
+        model = MODELS[model]
+        draws = [_run_indicators(DelayModel(l1, l2), runs, horizon, seed)
+                 for l1, l2, runs, seed in cells]
+        if on_time_row:
+            draws.append((np.ones((1, horizon), dtype=int),) * 2)
+        gamma1 = np.concatenate([g1 for g1, _ in draws])
+        gamma2 = np.concatenate([g2 for _, g2 in draws])
+        traces, sum_P = _stack_run(model, gamma1, gamma2)
+        ref_traces, ref_sum = plain_stack_run(model, gamma1, gamma2)
+        assert np.array_equal(traces, ref_traces)
+        assert np.array_equal(sum_P, ref_sum)
+
+    def test_constant_grid_steps_one_layer_per_cell(self, case1, monkeypatch):
+        # with lambda in {0, 1} each cell is one history, and the Kalman
+        # baseline row shares the lambda = (0, 0) cell's
+        layers = count_layers(monkeypatch)
+        sweep(case1, [0.0, 1.0], [0.0, 1.0], runs=10, horizon=50, master_seed=0)
+        assert len(layers) == 50
+        assert max(layers) <= 4
+
+    def test_each_step_sends_one_layer_per_distinct_prefix(self, toy, monkeypatch):
+        l1s, l2s, runs, horizon, seed = [0.0, 0.5], [0.3, 1.0], 6, 9, 21
+        layers = count_layers(monkeypatch)
+        sweep(toy, l1s, l2s, runs=runs, horizon=horizon, master_seed=seed)
+        draws = [_run_indicators(DelayModel(l1, l2), runs, horizon,
+                                 stream_seed(seed, i * len(l2s) + j))
+                 for i, l1 in enumerate(l1s) for j, l2 in enumerate(l2s)]
+        draws.append((np.ones((1, horizon), dtype=int),) * 2)
+        gamma1 = np.concatenate([g1 for g1, _ in draws])
+        gamma2 = np.concatenate([g2 for _, g2 in draws])
+        prefixes = [len(np.unique(np.hstack([gamma1[:, :k + 1], gamma2[:, :k + 1]]), axis=0))
+                    for k in range(horizon)]
+        assert layers == prefixes
+        assert max(layers) <= runs * len(l1s) * len(l2s) + 1
+
+
 class TestKalmanBaseline:
     def test_converges_for_detectable_model(self, case2):
         tr = kalman_baseline(case2, 400)
@@ -102,6 +177,11 @@ class TestSweep:
         assert lines[0] == "lambda1,lambda2,t,trace_mean,stderr,trace_kalman"
         assert len(lines) == 1 + 2 * 1 * 3
         assert lines[1].startswith("0,0.5,1,")
+
+    @pytest.mark.parametrize("l1s, l2s", [([0.0, 0.5], [0.0, 0.7]), ([0.4, 1.0], [0.2])])
+    def test_kalman_trace_equals_baseline_exactly(self, case2, l1s, l2s):
+        res = sweep(case2, l1s, l2s, runs=3, horizon=30, master_seed=8)
+        assert np.array_equal(res.kalman_trace, kalman_baseline(case2, 30))
 
     def test_worker_count_does_not_change_bytes(self, toy):
         kwargs = dict(runs=4, horizon=6, master_seed=42)

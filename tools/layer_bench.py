@@ -9,8 +9,11 @@ It times one structured gain per delay outcome, ``gain_set``, one
 ``covariance_step`` on stacks of 1, 16 and 150 runs, and
 ``expected_next_cov`` on one matrix and on a stack of 7 (the shape of one
 bisection stack of ``empirical_critical``: lambda2 fixed at 0.5, lambda1
-at the midpoints of three bisection levels of [0, 1]), all on
-``case1_stable``, and writes the best of
+at the midpoints of three bisection levels of [0, 1]), ``sweep`` on the
+benchmark's 3x3 grid (lambda in {0, 0.5, 1}, 10 runs x 50 steps a cell)
+and ``estimate_eec`` at lambda (0.5, 0.5) over 1000 runs x 50 steps, where
+most delay histories are distinct, all on ``case1_stable``, and writes
+the best of
 ``REPEATS`` timings (microseconds per call) with the library, BLAS and
 CPU details to ``bench/BENCH_layers_<label>.json``.  The package on
 PYTHONPATH, if any, is timed instead of this checkout's ``src``, which
@@ -42,7 +45,7 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import netkalman  # noqa: E402
-from netkalman import analysis, filtering, gains  # noqa: E402
+from netkalman import analysis, filtering, gains, montecarlo  # noqa: E402
 from netkalman.model import ALL_OUTCOMES, DelayModel, fixture  # noqa: E402
 
 
@@ -64,6 +67,10 @@ def _cases():
     lookahead = [DelayModel(l1, 0.5) for l1 in (0.5, 0.25, 0.125, 0.375, 0.75, 0.625, 0.875)]
     stack7 = np.broadcast_to(P, (len(lookahead),) + P.shape[1:]).copy()
     cases["expected_next_cov.K7"] = lambda: analysis.expected_next_cov(model, lookahead, stack7)
+    grid = (0.0, 0.5, 1.0)
+    cases["sweep.case1_3x3.R10"] = lambda: montecarlo.sweep(model, grid, grid, 10, 50, 7)
+    cases["estimate_eec.R1000"] = lambda: montecarlo.estimate_eec(
+        model, DelayModel(0.5, 0.5), 1000, 50, 7)
     return cases
 
 
