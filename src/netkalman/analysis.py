@@ -8,8 +8,8 @@ map (the working upper bound for the expected covariance; see README
 linear update whose spectral radius certifies convergence for a fixed
 gain, the masked spectral-norm minima r1..r4 whose probability-weighted
 sum yields an easily checked boundedness certificate, and the
-closed-form bracket for the critical delay probability (plus an
-empirical bisection counterpart).
+closed-form bracket for the critical delay probability, which is [1, 1]
+or [0, 1] (plus an empirical bisection counterpart).
 
 Because the stacked sensing matrix is block diagonal, the pseudo-inverse
 gain ``C^+`` is admissible under every delay mask and minimizes all four
@@ -54,10 +54,6 @@ __all__ = [
     "EmpiricalCritical",
     "empirical_critical",
 ]
-
-# Relative tolerance within which r1 and r4 count as equal in
-# bounds_from_minima.
-BRANCH_TOL = 1e-9
 
 # Bisection levels empirical_critical evaluates per stack: up to
 # 2**3 - 1 = 7 midpoints, of which it keeps the 3 on its path.  A stack of
@@ -230,6 +226,13 @@ class _Orbit:
         return self._ys[idx], self._traces[idx]
 
 
+def _divergence_threshold(model: SystemModel, steps: int, threshold: Optional[float]) -> float:
+    """``threshold``, ``1e12 * trace(W)`` if None, for a run of ``steps >= 1`` steps."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    return 1e12 * float(np.trace(model.W)) if threshold is None else threshold
+
+
 def _bound_orbits(
     model: SystemModel,
     delays: Sequence[DelayModel],
@@ -241,10 +244,7 @@ def _bound_orbits(
     Each layer leaves the stack when it diverges or cycles, and keeps
     the bits it has when iterated alone (see :func:`expected_next_cov`).
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if divergence_threshold is None:
-        divergence_threshold = 1e12 * float(np.trace(model.W))
+    divergence_threshold = _divergence_threshold(model, steps, divergence_threshold)
     Y0 = first_prediction_cov(model)
     orbits = [_Orbit(Y0, steps, divergence_threshold) for _ in delays]
     p = _outcome_probabilities(delays)
@@ -507,13 +507,14 @@ class InapplicableError(ValueError):
 
 @dataclass(frozen=True)
 class GainFloorResult:
-    """Residual-Gram floor over block-diagonal gains.
+    """Residual-Gram floor at the block-diagonal pseudo-inverse gain.
 
-    ``alpha`` is the smallest eigenvalue of ``F^T F`` at the
-    block-diagonal pseudo-inverse gain, where ``F = A - A X C``.  It
-    lower-bounds the smallest eigenvalue of the residual Gram over all
-    block-diagonal gains, which is the rate constant in the divergence
-    witness for the critical-probability upper bound.
+    ``alpha`` is the smallest eigenvalue of ``F^T F``, ``F = A - A X C``,
+    at the gain ``X = blkdiag(X1, X2)`` of the per-block right
+    pseudo-inverses.  ``X C`` is then a nonzero orthogonal projector and
+    F vanishes on its range, so ``F^T F`` is singular and ``alpha`` is
+    exactly 0; it is reported as 0.0, since an eigensolve returns only
+    rounding that grows with the scale of A.
     """
 
     alpha: float
@@ -538,18 +539,16 @@ def _right_pinv(Cblock: np.ndarray, name: str) -> np.ndarray:
 
 
 def residual_gram_floor(model: SystemModel) -> GainFloorResult:
-    """Smallest eigenvalue of the residual Gram at the pseudo-inverse gain.
+    """The residual floor at the pseudo-inverse gain, which is 0.
 
-    Requires both sensor blocks to be full row rank; the per-block right
+    Requires both sensor blocks to be full row rank (raises
+    :class:`InapplicableError` otherwise); the per-block right
     pseudo-inverses then make ``X C`` the orthogonal projector onto the
-    measured row space, which minimizes the smallest eigenvalue of the
-    residual Gram over block-diagonal gains.
+    measured row space (see :class:`GainFloorResult`).
     """
     X1 = _right_pinv(model.C1, "C1")
     X2 = _right_pinv(model.C2, "C2")
-    Xstar = GainFloorResult(alpha=0.0, X1=X1, X2=X2).stacked(model.dims)
-    alpha = float(np.linalg.eigvalsh(_sym(residual_gram(model, Xstar)))[0])
-    return GainFloorResult(alpha=max(alpha, 0.0), X1=X1, X2=X2)
+    return GainFloorResult(alpha=0.0, X1=X1, X2=X2)
 
 
 @dataclass(frozen=True)
@@ -558,10 +557,10 @@ class CriticalBounds:
 
     ``fixed_which`` names the held probability (1 or 2); ``lambda_fixed``
     its value.  ``lower``/``upper`` bracket the critical value of the
-    free probability; ``alpha`` is the residual floor (None when the
-    sensor blocks are not full row rank, in which case the upper bound
-    degenerates to 1).  ``empirical`` optionally carries a bisection
-    estimate.
+    free probability: [1, 1] when the certificate covers the whole axis,
+    [0, 1] otherwise.  ``alpha`` is the residual floor, 0.0, or None
+    when the sensor blocks are not full row rank; no bound depends on
+    it.  ``empirical`` optionally carries a bisection estimate.
     """
 
     fixed_which: int
@@ -609,61 +608,29 @@ def bounds_from_minima(
 ) -> CriticalBounds:
     """Evaluate the closed-form critical-probability bracket.
 
-    Branches on whether the block-diagonal and unconstrained minima
-    coincide (to relative tolerance ``BRANCH_TOL``): if they do and are
-    at most one, the weighted sum is constant and at most one, so the
-    whole axis is certified (bracket [1, 1]); if they coincide above
-    one, nothing is certified (lower bound 0).  Otherwise the lower
-    bound solves the weighted-sum condition for the free probability, and
-    the upper bound is ``1/(alpha * lambda_fixed)`` capped at one.
+    The weighted sum is a convex combination of r1..r4, and ordered
+    minima (r4 <= r2, r3 <= r1: a larger mask minimizes over more gains)
+    keep it at most r1 everywhere on the axis.  So ``r1 <= 1`` certifies
+    the whole axis (bracket [1, 1]); otherwise nothing is certified
+    (bracket [0, 1]).  The upper bound is 1 because the residual floor is
+    0 (see :class:`GainFloorResult`); ``alpha`` is recorded, not used.
     """
     if fixed_which not in (1, 2):
         raise ValueError(f"fixed_which must be 1 or 2, got {fixed_which}")
     if not 0.0 <= lambda_fixed <= 1.0:
         raise ValueError(f"lambda_fixed must lie in [0, 1], got {lambda_fixed}")
-    r1, r2, r3, r4 = minima.r1, minima.r2, minima.r3, minima.r4
-    v = float(lambda_fixed)
-    same = abs(r1 - r4) <= BRANCH_TOL * max(1.0, abs(r1), abs(r4))
-
-    if same:
-        if r1 <= 1.0:
-            lower, upper = 1.0, 1.0
-        else:
-            lower = 0.0
-            upper = _upper_bound(alpha, v)
-    else:
-        # Weighted sum <= 1 solved for the free probability.
-        if fixed_which == 1:
-            num = 1.0 - r2 * v - r4 * (1.0 - v)
-            den = (r1 - r2) * v + (r3 - r4) * (1.0 - v)
-        else:
-            num = 1.0 - r3 * v - r4 * (1.0 - v)
-            den = (r1 - r3) * v + (r2 - r4) * (1.0 - v)
-        if den <= 0.0:
-            # Degenerate axis: the weighted sum does not depend on the
-            # free probability at this fixed value.
-            lower = 1.0 if num >= 0.0 else 0.0
-        else:
-            lower = min(max(num / den, 0.0), 1.0)
-        upper = _upper_bound(alpha, v)
     return CriticalBounds(
         fixed_which=fixed_which,
-        lambda_fixed=v,
-        lower=lower,
-        upper=upper,
+        lambda_fixed=float(lambda_fixed),
+        lower=1.0 if minima.r1 <= 1.0 else 0.0,
+        upper=1.0,
         alpha=alpha,
         empirical=empirical,
-        r1=r1,
-        r2=r2,
-        r3=r3,
-        r4=r4,
+        r1=minima.r1,
+        r2=minima.r2,
+        r3=minima.r3,
+        r4=minima.r4,
     )
-
-
-def _upper_bound(alpha: Optional[float], lambda_fixed: float) -> float:
-    if alpha is None or alpha <= 0.0 or lambda_fixed <= 0.0:
-        return 1.0
-    return min(1.0 / (alpha * lambda_fixed), 1.0)
 
 
 def critical_bounds(
@@ -710,10 +677,7 @@ def divergence_witness(
     covariance.  As in :func:`cov_bound_sequence`, a bitwise repeat of an
     earlier iterate ends the iteration and its cycle fills the horizon.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if divergence_threshold is None:
-        divergence_threshold = 1e12 * float(np.trace(model.W))
+    divergence_threshold = _divergence_threshold(model, steps, divergence_threshold)
     p00 = delays.lambda1 * delays.lambda2
     Y = first_prediction_cov(model)
     orbit = _Orbit(Y, steps, divergence_threshold)

@@ -130,14 +130,16 @@ def _check_psd(P: np.ndarray) -> None:
     and ``P + dP`` is positive semidefinite, whence
     ``min eig(P) >= -O(n^2 u) |P|_2``, far inside the tolerance.  A
     factorization that fails (a singular or indefinite layer) or yields a
-    non-finite factor (a non-finite prior) decides nothing, and the
-    eigenvalue test decides as before.
+    non-finite factor decides nothing: a non-finite prior is rejected by
+    name, and any other goes to the eigenvalue test.
     """
     try:
         if np.isfinite(np.linalg.cholesky(P)).all():
             return
     except np.linalg.LinAlgError:
         pass
+    if not np.isfinite(P).all():
+        raise ValueError("P has non-finite entries")
     eigs = np.linalg.eigvalsh(P)
     bad = eigs[..., 0] < -PSD_TOL * np.maximum(eigs[..., -1], 1.0)
     if np.any(bad):

@@ -6,7 +6,9 @@ from numpy.testing import assert_allclose
 from scipy import linalg as sla
 
 from conftest import random_model, random_psd
-from netkalman.model import ALL_OUTCOMES, BlockDims, DelayModel, DelayOutcome, SystemModel
+from netkalman.model import (
+    ALL_OUTCOMES, BlockDims, DelayModel, DelayOutcome, SystemModel, validate_model,
+)
 from netkalman import analysis
 from netkalman.analysis import (
     EmpiricalCritical,
@@ -16,6 +18,7 @@ from netkalman.analysis import (
     boundedness_test,
     bounds_from_minima,
     cov_bound_sequence,
+    critical_bounds,
     divergence_witness,
     empirical_critical,
     expected_kron_update,
@@ -648,37 +651,27 @@ class TestCriticalBounds:
         b = bounds_from_minima(m, 0.5, 1, alpha=1.5)
         assert b.upper == 1.0  # alpha * lambda_fixed < 1
 
-    def test_upper_bound_reciprocal_branch(self):
-        m = synthetic_minima(2.0, 1.5, 1.2, 0.5)
-        b = bounds_from_minima(m, 0.8, 1, alpha=5.0)
-        assert_allclose(b.upper, 1.0 / (5.0 * 0.8))
+    def test_large_dynamics_give_exact_zero_floor_and_unit_upper(self):
+        # at this scale an eigensolve of the singular residual Gram
+        # returns rounding of order one, which no bound may use
+        r = np.random.default_rng(9)
+        A = 1e8 * r.standard_normal((5, 5))
+        model = make_model(A, r.standard_normal((1, 3)), r.standard_normal((1, 2)), 3)
+        assert validate_model(model).ok
+        b = critical_bounds(model, 1.0, 1)
+        assert b.alpha == 0.0
+        assert b.lower == 0.0 and b.upper == 1.0
 
-    def test_lower_bound_formula_fixed_lambda1(self):
-        m = synthetic_minima(2.0, 1.5, 1.2, 0.5)
-        v = 0.4
-        b = bounds_from_minima(m, v, 1, alpha=None)
-        num = 1 - 1.5 * v - 0.5 * (1 - v)
-        den = (2.0 - 1.5) * v + (1.2 - 0.5) * (1 - v)
-        assert_allclose(b.lower, num / den)
-        # the weighted sum at (v, lower) sits exactly on the certificate edge
-        l2 = b.lower
-        ws = 2.0 * v * l2 + 1.5 * v * (1 - l2) + 1.2 * (1 - v) * l2 \
-            + 0.5 * (1 - v) * (1 - l2)
-        assert_allclose(ws, 1.0, rtol=1e-12)
-
-    def test_lower_bound_formula_fixed_lambda2(self):
-        m = synthetic_minima(2.0, 1.5, 1.2, 0.5)
-        v = 0.4
-        b = bounds_from_minima(m, v, 2, alpha=None)
-        num = 1 - 1.2 * v - 0.5 * (1 - v)
-        den = (2.0 - 1.2) * v + (1.5 - 0.5) * (1 - v)
-        assert_allclose(b.lower, num / den)
-
-    def test_degenerate_denominator(self):
-        # free probability drops out of the weighted sum at this corner
-        m = synthetic_minima(2.0, 0.5, 0.5, 0.5)
-        b = bounds_from_minima(m, 0.0, 1, alpha=None)
-        assert b.lower == 1.0  # weighted sum = r4 <= 1 independent of lambda2
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lam=st.floats(0.0, 1.0),
+           fixed_which=st.sampled_from([1, 2]))
+    def test_bracket_is_closed_form(self, seed, lam, fixed_which):
+        # property: alpha is exactly 0 and the bracket is [1, 1] if r1 <= 1,
+        # [0, 1] otherwise, with no rounding left in either
+        model = random_model(np.random.default_rng(seed), full_row_rank=True)
+        b = critical_bounds(model, lam, fixed_which)
+        assert b.alpha == 0.0
+        assert (b.lower, b.upper) == ((1.0, 1.0) if b.r1 <= 1.0 else (0.0, 1.0))
 
     def test_case1_hits_certified_branch(self, case1):
         from netkalman.analysis import critical_bounds

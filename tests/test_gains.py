@@ -252,10 +252,10 @@ class TestPsdCheck:
 
     def test_infinite_prior_raises_linalg_error(self):
         # the Cholesky factor of an infinite prior is not finite, so the
-        # eigenvalue test decides, as it always has
+        # fallback runs and rejects the prior by name before any eigensolve
         P = np.diag([1.0, np.inf, 1.0])
         for call in self._calls(P):
-            with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
                 call()
 
     @given(seed=st.integers(0, 2**32 - 1),
@@ -264,7 +264,8 @@ class TestPsdCheck:
            poison=st.sampled_from([None, np.inf, -np.inf, np.nan]))
     def test_verdict_equals_eigenvalue_test(self, seed, rel, scale, poison):
         # the Cholesky shortcut never changes the verdict of the
-        # eigenvalue test it stands in front of, non-finite priors included
+        # eigenvalue test it stands in front of; a non-finite prior is
+        # rejected by name
         P = scale * _prior_with_min_eig(rel, n=2 + seed % 3, seed=seed)
         stack = np.array([P, scale * np.eye(len(P))])
         if poison is not None:
@@ -279,6 +280,8 @@ class TestPsdCheck:
             return None
 
         def eigenvalue_test(P):
+            if not np.isfinite(P).all():
+                raise ValueError("P has non-finite entries")
             eigs = np.linalg.eigvalsh(P)
             bad = eigs[..., 0] < -PSD_TOL * np.maximum(eigs[..., -1], 1.0)
             if np.any(bad):

@@ -10,14 +10,15 @@ It times one structured gain per delay outcome, ``gain_set``, one
 ``expected_next_cov`` on one matrix and on a stack of 7 (the shape of one
 bisection stack of ``empirical_critical``: lambda2 fixed at 0.5, lambda1
 at the midpoints of three bisection levels of [0, 1]), ``sweep`` on the
-benchmark's 3x3 grid (lambda in {0, 0.5, 1}, 10 runs x 50 steps a cell)
-and ``estimate_eec`` at lambda (0.5, 0.5) over 1000 runs x 50 steps, where
-most delay histories are distinct, all on ``case1_stable``, and writes
-the best of
-``REPEATS`` timings (microseconds per call) with the library, BLAS and
-CPU details to ``bench/BENCH_layers_<label>.json``.  The package on
-PYTHONPATH, if any, is timed instead of this checkout's ``src``, which
-comes before site-packages; the report names the package file it timed.
+benchmark's 3x3 grid (lambda in {0, 0.5, 1}, 10 runs x 50 steps a cell),
+``estimate_eec`` at lambda (0.5, 0.5) over 1000 runs x 50 steps, where
+most delay histories are distinct, and the boundedness minima
+(``masked_norm_minima``, and ``critical_bounds`` at lambda1 = 1), all on
+``case1_stable``.  It writes the best of ``REPEATS`` timings
+(microseconds per call) with the library, BLAS and CPU details to
+``bench/BENCH_layers_<label>.json``.  The package on PYTHONPATH, if any,
+is timed instead of this checkout's ``src``, which comes before
+site-packages; the report names the package file it timed.
 Timing two checkouts on one machine makes a change's layer effect a diff
 between two files.
 """
@@ -71,6 +72,8 @@ def _cases():
     cases["sweep.case1_3x3.R10"] = lambda: montecarlo.sweep(model, grid, grid, 10, 50, 7)
     cases["estimate_eec.R1000"] = lambda: montecarlo.estimate_eec(
         model, DelayModel(0.5, 0.5), 1000, 50, 7)
+    cases["masked_norm_minima"] = lambda: analysis.masked_norm_minima(model)
+    cases["critical_bounds"] = lambda: analysis.critical_bounds(model, 1.0, 1)
     return cases
 
 
