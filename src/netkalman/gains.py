@@ -8,8 +8,10 @@ sum of one quadratic per row of the gain, and all rows of a subsystem
 share one zero pattern, so each subsystem's rows are optimized on their
 own: a subsystem whose cross measurement arrived takes its rows of K,
 and one whose cross measurement was delayed takes its local Kalman gain
-``(P C^T)[rows_i, cols_i] S_ii^-1``; every gain here is that row
-selection (:func:`structured_gain`).  An exact brute-force oracle
+``(P C^T)[rows_i, cols_i] S_ii^-1``.  :func:`structured_gain` is the
+one function that makes that row selection: :func:`optimal_gain` is one
+call for one outcome, and :func:`gain_set` one call for all four, which
+lie on a broadcast axis of the prior.  An exact brute-force oracle
 (row-wise normal equations over the free entries) verifies them.
 """
 
@@ -194,28 +196,6 @@ def innovation_blocks(P, C, V, dims: BlockDims) -> InnovationBlocks:
     )
 
 
-def _kalman_and_local(P, C, V, dims: BlockDims, kalman: bool, late1: bool, late2: bool):
-    """The Kalman gain K and the local gain L from one innovation pass.
-
-    K is formed only if ``kalman``.  L, the block-diagonal gain of each
-    subsystem's own sensor (outcome ``00``), gets subsystem i's block only
-    if ``late_i``; its other entries are zero.  Each is 0.0 when not
-    formed.  The PSD check runs once, whenever a block of L is formed.
-    """
-    P, S, xcov = _innovation(P, C, V)
-    n1, m1 = dims.n1, dims.m1
-    L = 0.0
-    if late1 or late2:
-        _check_psd(P)
-        L = np.zeros(xcov.shape[:-2] + (dims.n, dims.m))
-        if late1:
-            L[..., :n1, :m1] = xcov[..., :n1, :m1] @ _s11_inverse(S, m1)
-        if late2:
-            L[..., n1:, m1:] = xcov[..., n1:, m1:] @ _s22_inverse(S, m1)
-    K = xcov @ _spd_inverse(S, "innovation covariance") if kalman else 0.0
-    return K, L
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -242,15 +222,27 @@ def _on_time_rows(dims: BlockDims, gamma1, gamma2) -> np.ndarray:
 def structured_gain(P, C, V, dims: BlockDims, gamma1, gamma2) -> np.ndarray:
     """Trace-optimal gain for the on-time indicators ``gamma1``, ``gamma2``.
 
-    The indicators are scalars or arrays over the leading axes of a
-    stack of priors, one outcome per layer.  One innovation pass serves
-    the whole stack, and it inverts only what some layer reads: S whole
-    if some row is on time, ``S11`` if some ``gamma1`` is 0 and ``S22``
-    if some ``gamma2`` is 0.
+    The indicators are scalars or arrays that broadcast against the
+    leading axes of a stack of priors, one outcome per layer.  One
+    innovation pass serves the whole stack, and it inverts only what
+    some layer reads: S whole if some row is on time, ``S11`` if some
+    ``gamma1`` is 0 and ``S22`` if some ``gamma2`` is 0.  The PSD check
+    runs once, whenever some subsystem is late.
     """
     g1, g2 = np.asarray(gamma1, dtype=bool), np.asarray(gamma2, dtype=bool)
     on_time = _on_time_rows(dims, g1, g2)
-    K, L = _kalman_and_local(P, C, V, dims, on_time.any(), not g1.all(), not g2.all())
+    late1, late2 = not g1.all(), not g2.all()
+    P, S, xcov = _innovation(P, C, V)
+    n1, m1 = dims.n1, dims.m1
+    L = 0.0
+    if late1 or late2:
+        _check_psd(P)
+        L = np.zeros(xcov.shape[:-2] + (dims.n, dims.m))
+        if late1:
+            L[..., :n1, :m1] = xcov[..., :n1, :m1] @ _s11_inverse(S, m1)
+        if late2:
+            L[..., n1:, m1:] = xcov[..., n1:, m1:] @ _s22_inverse(S, m1)
+    K = xcov @ _spd_inverse(S, "innovation covariance") if on_time.any() else 0.0
     return np.where(on_time, K, L)
 
 
@@ -279,14 +271,15 @@ class GainSet:
 
 
 def gain_set(P, C, V, dims: BlockDims) -> GainSet:
-    """All four per-outcome optimal gains, from one Kalman and one local gain."""
-    K, L = _kalman_and_local(P, C, V, dims, True, True, True)
-    return GainSet(
-        d11=K,
-        d01=np.where(_on_time_rows(dims, 0, 1), K, L),
-        d10=np.where(_on_time_rows(dims, 1, 0), K, L),
-        d00=L,
-    )
+    """All four per-outcome optimal gains, from one :func:`structured_gain` call.
+
+    The outcomes ``11``, ``01``, ``10``, ``00`` lie on a broadcast axis
+    before P's matrix axes, so P is not repeated; each field is a view
+    of the (..., 4, n, m) result.
+    """
+    D = structured_gain(np.asarray(P, dtype=float)[..., None, :, :], C, V, dims,
+                        (1, 0, 1, 0), (1, 1, 0, 0))
+    return GainSet(*np.moveaxis(D, -3, 0))
 
 
 def oracle_structured_gain(P, C, V, dims: BlockDims, mask: StructuredMask) -> np.ndarray:

@@ -141,6 +141,8 @@ def kalman_baseline(model: SystemModel, horizon: int) -> np.ndarray:
     A stack of one run with every outcome on time, so it matches
     :func:`estimate_eec` at zero delay probabilities bit for bit.
     """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     on_time = np.ones((1, horizon), dtype=int)
     return _stack_run(model, on_time, on_time)[0][0]
 

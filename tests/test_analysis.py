@@ -11,6 +11,7 @@ from netkalman.model import (
 )
 from netkalman import analysis
 from netkalman.analysis import (
+    CovBoundSequence,
     EmpiricalCritical,
     InapplicableError,
     NormMinima,
@@ -32,7 +33,9 @@ from netkalman.analysis import (
     residual_gram_floor,
 )
 from netkalman.filtering import initial_state, predict, predict_cov, update
-from netkalman.gains import StructuredMask, gain_set, mask_pattern, optimal_gain, posterior_cov
+from netkalman.gains import (
+    StructuredMask, gain_set, mask_pattern, optimal_gain, posterior_cov, structured_gain,
+)
 
 
 # One (lambda1, lambda2) pair per layer of a stack; 0 and 1 make outcomes
@@ -714,6 +717,33 @@ class TestDivergenceWitness:
         w = divergence_witness(model, DelayModel(0.5, 1.0), steps=400)
         assert not w.diverged
 
+    def test_returns_the_bound_sequence_type(self, case1):
+        w = divergence_witness(case1, DelayModel(1.0, 1.0), steps=30)
+        assert isinstance(w, CovBoundSequence)
+        assert w.Y.shape == (30, case1.n, case1.n)
+        assert np.array_equal(w.traces, np.trace(w.Y, axis1=1, axis2=2))
+        assert w.diverged_at is None
+
+
+# The analysis entry points that take a divergence threshold, by name, each
+# called over 50 steps.
+THRESHOLD_CALLS = {
+    "cov_bound_sequence": lambda model, t: cov_bound_sequence(model, DelayModel(0.5, 0.5), 50, t),
+    "divergence_witness": lambda model, t: divergence_witness(model, DelayModel(0.5, 0.5), 50, t),
+    "empirical_critical": lambda model, t: empirical_critical(
+        model, 0.5, 1, horizon=50, divergence_threshold=t),
+}
+
+
+class TestDivergenceThreshold:
+    # NaN used to make nothing diverge, a negative or zero threshold made
+    # step 1 diverge, and inf let a diverging sequence overflow unreported
+    @pytest.mark.parametrize("entry", sorted(THRESHOLD_CALLS))
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_threshold_rejected(self, case1, entry, threshold):
+        with pytest.raises(ValueError, match="divergence_threshold must be finite and > 0"):
+            THRESHOLD_CALLS[entry](case1, threshold)
+
 
 class TestEmpiricalCritical:
     def test_nonpositive_tolerance_rejected(self):
@@ -756,17 +786,17 @@ class TestEmpiricalCritical:
 
     @pytest.fixture(scope="class")
     def hidden_mode_runs(self, hidden_mode):
-        """(result, gain_set calls) of empirical_critical and of the reference."""
+        """(result, expected-map gain calls) of empirical_critical and of the reference."""
         runs = {}
         for name, bisect in (("stacked", empirical_critical), ("sequential", sequential_critical)):
             calls = [0]
 
-            def counting_gain_set(*args, **kwargs):
+            def counting_structured_gain(*args, **kwargs):
                 calls[0] += 1
-                return gain_set(*args, **kwargs)
+                return structured_gain(*args, **kwargs)
 
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(analysis, "gain_set", counting_gain_set)
+                mp.setattr(analysis, "structured_gain", counting_structured_gain)
                 runs[name] = bisect(hidden_mode, 0.5, 2, 400, bisect_tol=0.02), calls[0]
         return runs
 
@@ -784,5 +814,6 @@ class TestEmpiricalCritical:
 
     def test_hidden_mode_halves_gain_set_calls(self, hidden_mode_runs):
         # work-count guard: the stacked probes and the cycle exit make at
-        # most half the gain_set calls of probe-by-probe plain iteration
+        # most half the expected-map gain calls (one structured_gain call
+        # a step) of probe-by-probe plain iteration
         assert hidden_mode_runs["stacked"][1] <= hidden_mode_runs["sequential"][1] / 2

@@ -157,6 +157,15 @@ class TestKalmanBaseline:
         tr = kalman_baseline(model, 10)
         assert_allclose(tr[1:], 5.0, rtol=1e-14)
 
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_nonpositive_horizon_rejected_as_in_estimate_eec(self, toy, horizon):
+        # a zero horizon used to return an empty series, and a negative one
+        # raised numpy's unnamed negative-dimension error
+        for call in (lambda: kalman_baseline(toy, horizon),
+                     lambda: estimate_eec(toy, DelayModel(0.5, 0.5), 2, horizon, 0)):
+            with pytest.raises(ValueError, match=f"horizon must be >= 1, got {horizon}"):
+                call()
+
 
 class TestSweep:
     def test_single_cell_reduces_to_estimate(self, toy):

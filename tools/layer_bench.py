@@ -14,11 +14,17 @@ benchmark's 3x3 grid (lambda in {0, 0.5, 1}, 10 runs x 50 steps a cell),
 ``estimate_eec`` at lambda (0.5, 0.5) over 1000 runs x 50 steps, where
 most delay histories are distinct, and the boundedness minima
 (``masked_norm_minima``, and ``critical_bounds`` at lambda1 = 1), all on
-``case1_stable``.  It writes the best of ``REPEATS`` timings
-(microseconds per call) with the library, BLAS and CPU details to
-``bench/BENCH_layers_<label>.json``.  The package on PYTHONPATH, if any,
-is timed instead of this checkout's ``src``, which comes before
-site-packages; the report names the package file it timed.
+``case1_stable``; and, on the test suite's ``hidden_mode`` model (an
+unstable mode hidden from sensor 1), ``divergence_witness`` at lambda
+(1, 0.5) and ``empirical_critical`` with lambda2 fixed at 0.5, both over
+400 steps.  It writes the best of ``REPEATS`` timings (microseconds per
+call) with the library, BLAS and CPU details to
+``bench/BENCH_layers_<label>.json``.  A fixed numpy kernel that uses no
+part of the package is timed in the same process before and after the
+layers, and each layer is also given as a multiple of it, so that files
+written at different host speeds can be compared.  The package on
+PYTHONPATH, if any, is timed instead of this checkout's ``src``, which
+comes before site-packages; the report names the package file it timed.
 Timing two checkouts on one machine makes a change's layer effect a diff
 between two files.
 """
@@ -47,7 +53,13 @@ import scipy  # noqa: E402
 
 import netkalman  # noqa: E402
 from netkalman import analysis, filtering, gains, montecarlo  # noqa: E402
-from netkalman.model import ALL_OUTCOMES, DelayModel, fixture  # noqa: E402
+from netkalman.model import ALL_OUTCOMES, DelayModel, SystemModel, fixture  # noqa: E402
+
+# The test suite's hidden_mode model: subsystem 1's mode 1.25 is seen only
+# by sensor 2, so its critical lambda1 lies inside (0, 1).
+HIDDEN_MODE = SystemModel(
+    n1=2, n2=1, A=np.array([[1.25, 0.0, 0.0], [0.0, 0.5, 0.0], [1.0, 0.1, 0.4]]),
+    C1=np.array([[0.0, 1.0]]), C2=np.array([[1.0]]), W=np.eye(3), V=np.eye(2), Sigma0=np.eye(3))
 
 
 def _cases():
@@ -74,7 +86,29 @@ def _cases():
         model, DelayModel(0.5, 0.5), 1000, 50, 7)
     cases["masked_norm_minima"] = lambda: analysis.masked_norm_minima(model)
     cases["critical_bounds"] = lambda: analysis.critical_bounds(model, 1.0, 1)
+    cases["divergence_witness.hidden_mode"] = lambda: analysis.divergence_witness(
+        HIDDEN_MODE, DelayModel(1.0, 0.5), 400)
+    cases["empirical_critical.hidden_mode"] = lambda: analysis.empirical_critical(
+        HIDDEN_MODE, 0.5, 2, 400)
     return cases
+
+
+def _reference():
+    """Cholesky inverses and products of a fixed (16, 4, 4) SPD stack, in numpy alone."""
+    G = np.random.default_rng(0).standard_normal((16, 4, 4))
+    S = G @ G.swapaxes(-1, -2) + 4.0 * np.eye(4)
+
+    def kernel():
+        L_inv = np.linalg.inv(np.linalg.cholesky(S))
+        return L_inv.swapaxes(-1, -2) @ L_inv @ S
+
+    return kernel
+
+
+def _time(call) -> float:
+    """Best of ``REPEATS`` timings of ``call``, in microseconds per call."""
+    loops, _ = timeit.Timer(call).autorange()
+    return round(min(timeit.repeat(call, number=loops, repeat=REPEATS)) / loops * 1e6, 2)
 
 
 def _blas(config) -> dict:
@@ -86,12 +120,15 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True)
     args = parser.parse_args()
+    reference = _reference()
+    ref_before = _time(reference)
     layers = {}
     for name, call in _cases().items():
-        loops, _ = timeit.Timer(call).autorange()
-        best = min(timeit.repeat(call, number=loops, repeat=REPEATS))
-        layers[name] = round(best / loops * 1e6, 2)
-        print(f"{name:28s} {layers[name]:10.2f} us", file=sys.stderr)
+        layers[name] = _time(call)
+        print(f"{name:32s} {layers[name]:12.2f} us", file=sys.stderr)
+    ref_after = _time(reference)
+    ref = (ref_before + ref_after) / 2.0
+    print(f"{'reference':32s} {ref_before:12.2f} / {ref_after:.2f} us", file=sys.stderr)
     cpu = [ln.split(":", 1)[1].strip() for ln in open("/proc/cpuinfo")
            if ln.startswith("model name")] if os.path.exists("/proc/cpuinfo") else []
     report = {
@@ -99,6 +136,9 @@ def main() -> None:
         "unit": f"us per call, best of {REPEATS}",
         "package": os.path.relpath(netkalman.__file__, ROOT),
         "layers": layers,
+        "reference": {"kernel": _reference.__doc__, "before_us": ref_before,
+                      "after_us": ref_after},
+        "layers_per_reference": {k: round(v / ref, 3) for k, v in layers.items()},
         "machine": {"cpu": cpu[0] if cpu else platform.processor(), "cpus": os.cpu_count(),
                     "arch": platform.machine(), "blas_threads": 1},
         "python": platform.python_version(),
