@@ -64,7 +64,6 @@ from .analysis import (
     masked_norm_minima,
     min_structured_norm,
     one_step_cov,
-    residual_gram,
     residual_gram_floor,
 )
 from .montecarlo import EecEstimate, SweepResult, estimate_eec, kalman_baseline, sweep

@@ -33,7 +33,6 @@ from .model import ALL_OUTCOMES, BlockDims, DelayModel, DelayOutcome, SystemMode
 
 __all__ = [
     "one_step_cov",
-    "residual_gram",
     "expected_next_cov",
     "first_prediction_cov",
     "CovBoundSequence",
@@ -78,12 +77,6 @@ def one_step_cov(model: SystemModel, X, Y) -> np.ndarray:
     broadcast.
     """
     return predict_cov(model, posterior_cov(Y, X, model.C, model.V))
-
-
-def residual_gram(model: SystemModel, X) -> np.ndarray:
-    """Gram matrix of the propagation factor, ``F^T F`` with F = A - AXC."""
-    F = closed_loop_factor(model, X)
-    return F.T @ F
 
 
 def first_prediction_cov(model: SystemModel) -> np.ndarray:
@@ -531,12 +524,6 @@ class GainFloorResult:
     alpha: float
     X1: np.ndarray
     X2: np.ndarray
-
-    def stacked(self, dims: BlockDims) -> np.ndarray:
-        X = np.zeros((dims.n, dims.m))
-        X[: dims.n1, : dims.m1] = self.X1
-        X[dims.n1 :, dims.m1 :] = self.X2
-        return X
 
 
 def _right_pinv(Cblock: np.ndarray, name: str) -> np.ndarray:

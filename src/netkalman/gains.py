@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .model import BlockDims, DelayOutcome
 
@@ -288,8 +287,10 @@ def oracle_structured_gain(P, C, V, dims: BlockDims, mask: StructuredMask) -> np
     The objective ``trace((I - D C) P (I - D C)^T + D V D^T)`` decouples
     across rows of D: row i minimizes ``d S d^T - 2 d b_i^T`` over its
     free entries, with ``S = V + C P C^T`` and ``b = P C^T``.  Each row
-    is solved exactly with a Cholesky factorization of the corresponding
-    principal submatrix of S.  Independent of :func:`optimal_gain`.
+    is solved exactly with a Cholesky factorization ``L L^T`` of the
+    corresponding principal submatrix of S, through L and then ``L^T``;
+    a support block that is not positive definite raises
+    ``np.linalg.LinAlgError``.  Independent of :func:`structured_gain`.
     """
     P = _sym(np.asarray(P, dtype=float))
     C = np.asarray(C, dtype=float)
@@ -304,9 +305,9 @@ def oracle_structured_gain(P, C, V, dims: BlockDims, mask: StructuredMask) -> np
         cols = np.where(free[rows[0]])[0]
         if cols.size == 0:
             continue
-        factor = sla.cho_factor(S[np.ix_(cols, cols)], lower=True)
-        sol = sla.cho_solve(factor, B[np.ix_(rows, cols)].T).T
-        D[np.ix_(rows, cols)] = sol
+        L = np.linalg.cholesky(S[np.ix_(cols, cols)])
+        sol = np.linalg.solve(L.T, np.linalg.solve(L, B[np.ix_(rows, cols)].T))
+        D[np.ix_(rows, cols)] = sol.T
     return D
 
 

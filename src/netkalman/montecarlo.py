@@ -199,8 +199,6 @@ def sweep(
     """
     l1s = np.asarray(list(lambda1_values), dtype=float)
     l2s = np.asarray(list(lambda2_values), dtype=float)
-    if ((l1s < 0) | (l1s > 1)).any() or ((l2s < 0) | (l2s > 1)).any():
-        raise ValueError("grid probabilities must lie in [0, 1]")
     if l1s.size == 0 or l2s.size == 0:
         raise ValueError("each grid axis needs at least one probability")
 

@@ -29,7 +29,6 @@ from netkalman.analysis import (
     masked_norm_minima,
     min_structured_norm,
     one_step_cov,
-    residual_gram,
     residual_gram_floor,
 )
 from netkalman.filtering import initial_state, predict, predict_cov, update
@@ -90,13 +89,6 @@ class TestCovOperators:
         for k in range(3):
             via_filter = predict_cov(toy, posterior_cov(Ys[k], Ds[k], toy.C, toy.V))
             assert np.array_equal(stacked[k], via_filter)
-
-    def test_residual_gram_psd(self, case1):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            X = rng.standard_normal((4, 3))
-            G = residual_gram(case1, X)
-            assert np.linalg.eigvalsh((G + G.T) / 2)[0] >= -1e-12
 
 
 class TestExpectedNextCov:
@@ -566,6 +558,12 @@ class TestBoundednessTest:
         assert rho <= rep.weighted_sum + 1e-9
 
 
+def residual_gram(model, X):
+    """``F^T F`` for the propagation factor ``F = A - A X C``."""
+    F = analysis.closed_loop_factor(model, X)
+    return F.T @ F
+
+
 class TestResidualGramFloor:
     def test_identity_sensing_gives_zero_floor(self):
         model = make_model(0.8 * np.eye(2), np.eye(1), np.eye(1), 1)
@@ -583,7 +581,7 @@ class TestResidualGramFloor:
         assert_allclose(res.X1, np.array([[1.0], [0.0]]))
         assert_allclose(res.X2, np.eye(1))
         # independent evaluation of the floor
-        Xstar = res.stacked(model.dims)
+        Xstar = sla.block_diag(res.X1, res.X2)
         F = A - A @ Xstar @ model.C
         assert_allclose(res.alpha, np.linalg.eigvalsh(F.T @ F)[0], atol=1e-12)
         # the pseudo-inverse gain attains the smallest possible floor:
@@ -604,7 +602,7 @@ class TestResidualGramFloor:
         C2 = np.eye(1)
         model = make_model(np.eye(3), C1, C2, 2)
         res = residual_gram_floor(model)
-        Xstar = res.stacked(model.dims)
+        Xstar = sla.block_diag(res.X1, res.X2)
         # masked least squares: vec(X C) = (C^T kron I) vec(X), Fortran order
         free = mask_pattern(StructuredMask.BLOCK_DIAG, model.dims).flatten(order="F")
         design = np.kron(model.C.T, np.eye(3))[:, free]

@@ -329,6 +329,18 @@ class TestCliExitCodes:
             assert proc.returncode == code, proc.stderr
         assert "bogus" in proc.stderr
 
+    def test_import_loads_no_scipy(self):
+        # the library and its CLI run on numpy alone
+        src = os.path.dirname(os.path.dirname(netkalman.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys, netkalman, netkalman.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestCliCommands:
     def test_dump_normalized_round_trip(self, fixture_cfg, tmp_path):

@@ -314,6 +314,13 @@ class TestOracle:
             K = P @ C.T @ np.linalg.inv(V + C @ P @ C.T)
             assert_allclose(D, K, atol=1e-10)
 
+    def test_non_pd_support_raises(self):
+        # S = V is indefinite, and every mask's support holds its -1 entry
+        for mask in StructuredMask:
+            with pytest.raises(np.linalg.LinAlgError):
+                oracle_structured_gain(np.zeros((2, 2)), np.eye(2), np.diag([1.0, -1.0]),
+                                       DIMS_2X2, mask)
+
 
 class TestPosteriorCov:
     def test_zero_gain_returns_prior(self):

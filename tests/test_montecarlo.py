@@ -199,8 +199,9 @@ class TestSweep:
         assert serial.to_csv() == parallel.to_csv()
 
     def test_grid_values_validated(self, toy):
-        with pytest.raises(ValueError):
-            sweep(toy, [0.5, 1.5], [0.5], runs=1, horizon=2, master_seed=0)
+        for bad in (1.5, float("nan")):
+            with pytest.raises(ValueError, match="lambda1"):
+                sweep(toy, [0.5, bad], [0.5], runs=1, horizon=2, master_seed=0)
         with pytest.raises(ValueError, match="at least one"):
             sweep(toy, [], [0.5], runs=1, horizon=2, master_seed=0)
 

@@ -17,14 +17,18 @@ most delay histories are distinct, and the boundedness minima
 ``case1_stable``; and, on the test suite's ``hidden_mode`` model (an
 unstable mode hidden from sensor 1), ``divergence_witness`` at lambda
 (1, 0.5) and ``empirical_critical`` with lambda2 fixed at 0.5, both over
-400 steps.  It writes the best of ``REPEATS`` timings (microseconds per
-call) with the library, BLAS and CPU details to
-``bench/BENCH_layers_<label>.json``.  A fixed numpy kernel that uses no
-part of the package is timed in the same process before and after the
-layers, and each layer is also given as a multiple of it, so that files
-written at different host speeds can be compared.  The package on
-PYTHONPATH, if any, is timed instead of this checkout's ``src``, which
-comes before site-packages; the report names the package file it timed.
+400 steps.  ``cold_import`` is the median time of ``import netkalman`` in
+``REPEATS`` fresh interpreters run with ``PYTHONDONTWRITEBYTECODE=1``, as
+the benchmark's set-up probes take it, so it is per process, not per call.
+It writes the best of ``REPEATS`` timings (microseconds per call) with the
+library, BLAS and CPU details to ``bench/BENCH_layers_<label>.json``.  A
+fixed numpy kernel that uses no part of the package is timed in the same
+process right before each layer, and each layer is also given as a
+multiple of that neighbouring reference, so that files written at
+different host speeds, or at a speed that drifts within one run, can be
+compared.  The package on PYTHONPATH, if any, is timed instead of this
+checkout's ``src``, which comes before site-packages; the report names the
+package file it timed, and the fresh interpreters import the same file.
 Timing two checkouts on one machine makes a change's layer effect a diff
 between two files.
 """
@@ -38,6 +42,8 @@ import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import site  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import timeit  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -105,6 +111,24 @@ def _reference():
     return kernel
 
 
+_IMPORT = ("import time; t0 = time.perf_counter(); import netkalman; "
+           "print(time.perf_counter() - t0, netkalman.__file__)")
+
+
+def _cold_import() -> float:
+    """Median ``import netkalman`` time of ``REPEATS`` fresh interpreters, in microseconds."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [os.environ.get("PYTHONPATH"), str(ROOT / "src")])))
+    times = []
+    for _ in range(REPEATS):
+        out = subprocess.run([sys.executable, "-c", _IMPORT], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        if out[1] != netkalman.__file__:
+            raise RuntimeError(f"fresh interpreter imported {out[1]}, not {netkalman.__file__}")
+        times.append(float(out[0]))
+    return round(statistics.median(times) * 1e6, 2)
+
+
 def _time(call) -> float:
     """Best of ``REPEATS`` timings of ``call``, in microseconds per call."""
     loops, _ = timeit.Timer(call).autorange()
@@ -121,24 +145,25 @@ def main() -> None:
     parser.add_argument("--label", required=True)
     args = parser.parse_args()
     reference = _reference()
-    ref_before = _time(reference)
-    layers = {}
-    for name, call in _cases().items():
-        layers[name] = _time(call)
-        print(f"{name:32s} {layers[name]:12.2f} us", file=sys.stderr)
-    ref_after = _time(reference)
-    ref = (ref_before + ref_after) / 2.0
-    print(f"{'reference':32s} {ref_before:12.2f} / {ref_after:.2f} us", file=sys.stderr)
+    timers = {name: (lambda call=call: _time(call)) for name, call in _cases().items()}
+    timers["cold_import"] = _cold_import
+    layers, refs = {}, {}
+    for name, timer in timers.items():
+        refs[name] = _time(reference)
+        layers[name] = timer()
+        print(f"{name:32s} {layers[name]:12.2f} us  (reference {refs[name]:.2f} us)",
+              file=sys.stderr)
     cpu = [ln.split(":", 1)[1].strip() for ln in open("/proc/cpuinfo")
            if ln.startswith("model name")] if os.path.exists("/proc/cpuinfo") else []
     report = {
         "label": args.label,
-        "unit": f"us per call, best of {REPEATS}",
+        "unit": f"us per call, best of {REPEATS}; cold_import: us per process, "
+                f"median of {REPEATS} fresh interpreters",
         "package": os.path.relpath(netkalman.__file__, ROOT),
         "layers": layers,
-        "reference": {"kernel": _reference.__doc__, "before_us": ref_before,
-                      "after_us": ref_after},
-        "layers_per_reference": {k: round(v / ref, 3) for k, v in layers.items()},
+        "reference": {"kernel": _reference.__doc__, "timed": "right before each layer",
+                      "us": refs},
+        "layers_per_reference": {k: round(v / refs[k], 3) for k, v in layers.items()},
         "machine": {"cpu": cpu[0] if cpu else platform.processor(), "cpus": os.cpu_count(),
                     "arch": platform.machine(), "blas_threads": 1},
         "python": platform.python_version(),
