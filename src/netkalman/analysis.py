@@ -9,9 +9,9 @@ README "Known limitations" for the matrix-order caveat), the
 Kronecker-form linear update whose spectral radius certifies convergence
 for a fixed gain, the masked spectral-norm minima r1..r4 whose
 probability-weighted sum yields an easily checked boundedness
-certificate, and the closed-form bracket for the critical delay
-probability, which is [1, 1] or [0, 1] (plus an empirical bisection
-counterpart).
+certificate, the closed-form bracket for the critical delay probability,
+which is [1, 1] or [0, 1], and an empirical estimate of that probability
+that bisects on the growth rate of the homogenized expected map.
 
 Because the stacked sensing matrix is block diagonal, the pseudo-inverse
 gain ``C^+`` is admissible under every delay mask and minimizes all four
@@ -56,10 +56,10 @@ __all__ = [
     "empirical_critical",
 ]
 
-# Bisection levels empirical_critical evaluates per stack: up to
-# 2**3 - 1 = 7 midpoints, of which it keeps the 3 on its path.  A stack of
-# 7 bound sequences costs about 1.15 times one sequence.
+# Bisection levels empirical_critical evaluates per stack: the 7 points they
+# can probe, as shares of the bracket, of which it keeps the 3 on its path.
 _LOOKAHEAD_LEVELS = 3
+_LOOKAHEAD_GRID = np.arange(1, 2**_LOOKAHEAD_LEVELS) / 2**_LOOKAHEAD_LEVELS
 
 
 def closed_loop_factor(model: SystemModel, X) -> np.ndarray:
@@ -489,15 +489,8 @@ def boundedness_test(
     ws = weighted_sum_of(minima, delays)
     verdict = "BoundedCertified" if ws <= 1.0 else "Inconclusive"
     return BoundednessReport(
-        lambda1=delays.lambda1,
-        lambda2=delays.lambda2,
-        r1=minima.r1,
-        r2=minima.r2,
-        r3=minima.r3,
-        r4=minima.r4,
-        weighted_sum=ws,
-        verdict=verdict,
-        minima=minima,
+        lambda1=delays.lambda1, lambda2=delays.lambda2, r1=minima.r1, r2=minima.r2,
+        r3=minima.r3, r4=minima.r4, weighted_sum=ws, verdict=verdict, minima=minima,
     )
 
 
@@ -618,16 +611,9 @@ def bounds_from_minima(
     if not 0.0 <= lambda_fixed <= 1.0:
         raise ValueError(f"lambda_fixed must lie in [0, 1], got {lambda_fixed}")
     return CriticalBounds(
-        fixed_which=fixed_which,
-        lambda_fixed=float(lambda_fixed),
-        lower=1.0 if minima.r1 <= 1.0 else 0.0,
-        upper=1.0,
-        alpha=alpha,
-        empirical=empirical,
-        r1=minima.r1,
-        r2=minima.r2,
-        r3=minima.r3,
-        r4=minima.r4,
+        fixed_which=fixed_which, lambda_fixed=float(lambda_fixed),
+        lower=1.0 if minima.r1 <= 1.0 else 0.0, upper=1.0, alpha=alpha, empirical=empirical,
+        r1=minima.r1, r2=minima.r2, r3=minima.r3, r4=minima.r4,
     )
 
 
@@ -682,6 +668,40 @@ def divergence_witness(
     return _sequence(orbit)
 
 
+def _growth_verdicts(model, delays, budget) -> np.ndarray:
+    """Whether the growth rate of each layer's homogenized expected map is below 1.
+
+    ``G_s(Y) = G(s Y) / s``, G the expected map, is homogeneous of degree
+    one up to O(1/s); ``s = 1e8 (tr W + tr V)`` lets ``s Y`` dwarf both
+    noises.  From ``Y_0 = I`` each layer takes power steps ``r_k = ||G_s(Y_k)||_2``,
+    ``Y_{k+1} = G_s(Y_k) / r_k``; ``r_k`` tends to the growth rate rho (cone
+    spectral radius).  A layer leaves the stack once (a) ``r_k`` settles to
+    1e-12 relative: bounded iff ``r_k < 1``; or (b) ``U_k = (r_0 ... r_k) **
+    (1/(k+1)) = ||G_s^(k+1)(I)||_2 ** (1/(k+1)) < 1``: bounded, as ``U_k >=
+    rho`` if ``G_s`` preserves the matrix order (a conjecture), which makes
+    ``log ||G_s^k(I)||`` subadditive.  (b) decides the maps of rate 0, whose
+    ``r_k`` alternate and never settle; after ``budget`` steps the last
+    ``r_k < 1`` decides.
+    """
+    s = 1e8 * (np.trace(model.W) + np.trace(model.V))
+    p = _outcome_probabilities(delays)
+    bounded = np.zeros(len(p), bool)
+    live, log_u, last = np.arange(len(p)), 0.0, np.nan
+    Y = np.array([np.eye(model.n)] * len(p))
+    for k in range(budget):
+        Y = _expected_next(model, p[live], s * Y) / s
+        rate = np.linalg.eigvalsh(Y)[:, -1]  # ||Y||_2 of a PSD Y
+        with np.errstate(divide="ignore"):  # a rate of 0 makes U_k = 0
+            log_u = log_u + np.log(rate)
+        bounded[live] = (log_u < 0) | (rate < 1)  # kept by a layer that leaves
+        done = (log_u < 0) | (abs(rate - last) <= 1e-12 * rate) | (k == budget - 1)
+        live, log_u, last = live[~done], log_u[~done], rate[~done]
+        Y = Y[~done] / last[:, None, None]
+        if not live.size:
+            break
+    return bounded
+
+
 @dataclass(frozen=True)
 class EmpiricalCritical:
     """Bisection estimate of the critical probability along one axis.
@@ -709,70 +729,50 @@ def empirical_critical(
     divergence_threshold: Optional[float] = None,
     bisect_tol: float = 0.02,
 ) -> EmpiricalCritical:
-    """Bisect the free delay probability for bound-sequence divergence.
+    """Bisect the free delay probability on the growth rate of the expected map.
 
-    A probability is declared divergent when the deterministic bound
-    sequence exceeds the threshold within the horizon.  Bisection takes
-    boundedness to be monotone in the probability, a working assumption
-    (criterion 4 shows the map is not monotone in the matrix order).  The
-    probes at 1 and 0 run as one stack of bound sequences, then each stack
-    holds the midpoints of the next few bisection levels; ``probes``
-    counts only those on the path the bisection takes, so every field is
-    what a probe-by-probe bisection returns.
+    A probability counts as bounded when :func:`_growth_verdicts` finds
+    the growth rate below 1, within ``horizon`` steps.  That this decides
+    boundedness, and that the rate grows with the probability, are
+    conjectures (README "Known limitations").  ``divergence_threshold``
+    governs only the ``horizon``-step :func:`divergence_witness` behind
+    ``h_diverged``.  The probes at 1 and 0 run as one stack, then each stack
+    holds the points of the next few bisection levels; ``probes`` counts
+    only those on the path taken, as a probe-by-probe bisection does.
     """
     if fixed_which not in (1, 2):
         raise ValueError(f"fixed_which must be 1 or 2, got {fixed_which}")
-    if not bisect_tol > 0.0:
-        # With a zero tolerance the loop never ends: the bracket stops
-        # shrinking once its ends are adjacent doubles.
-        raise ValueError(f"bisect_tol must be positive, got {bisect_tol}")
+    if not isinstance(horizon, (int, np.integer)) or horizon < 1:
+        raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
+    if not 0.0 < bisect_tol < np.inf:
+        # With a zero tolerance the bracket stops shrinking at adjacent doubles.
+        raise ValueError(f"bisect_tol must be finite and > 0, got {bisect_tol}")
 
     def delays_at(free: float) -> DelayModel:
         if fixed_which == 1:
             return DelayModel(lambda_fixed, free)
         return DelayModel(free, lambda_fixed)
 
-    def verdicts(frees: List[float]) -> dict:
-        orbits = _bound_orbits(model, [delays_at(f) for f in frees], horizon,
-                               divergence_threshold)
-        return {f: orbit.diverged_at is None for f, orbit in zip(frees, orbits)}
+    def verdicts(frees):
+        return dict(zip(frees, _growth_verdicts(model, [delays_at(f) for f in frees], horizon)))
 
     witness = divergence_witness(model, delays_at(1.0), horizon, divergence_threshold)
     ends = verdicts([1.0, 0.0])
-    if ends[1.0]:
-        return EmpiricalCritical(fixed_which, lambda_fixed, 1.0, 1.0, 1.0, witness.diverged, 1)
-    if not ends[0.0]:
-        return EmpiricalCritical(fixed_which, lambda_fixed, 0.0, 0.0, 0.0, witness.diverged, 2)
-    probes = 2
-    lo, hi = 0.0, 1.0
+    lo, hi, probes = 0.0, 1.0, 2
+    if ends[1.0]:  # bounded on the whole axis
+        lo, probes = 1.0, 1
+    elif not ends[0.0]:  # unbounded on the whole axis
+        hi = 0.0
     while hi - lo > bisect_tol:
-        # Every midpoint the next levels of the bisection could probe, as
-        # one stack; only the verdicts on the path taken count as probes.
-        bounded = verdicts(_bisection_midpoints(lo, hi, bisect_tol, _LOOKAHEAD_LEVELS))
+        # Every point the next levels of the bisection could probe, as one
+        # stack; only the verdicts on the path taken count as probes.
+        bounded = verdicts(lo + (hi - lo) * _LOOKAHEAD_GRID)
         for _ in range(_LOOKAHEAD_LEVELS):
             if not hi - lo > bisect_tol:
                 break
             mid = (lo + hi) / 2.0
-            if bounded[mid]:
-                lo = mid
-            else:
-                hi = mid
+            lo, hi = (mid, hi) if bounded[mid] else (lo, mid)
             probes += 1
-    return EmpiricalCritical(
-        fixed_which,
-        lambda_fixed,
-        (lo + hi) / 2.0,
-        lo,
-        hi,
-        witness.diverged,
-        probes,
-    )
+    return EmpiricalCritical(fixed_which, lambda_fixed, (lo + hi) / 2.0, lo, hi,
+                             witness.diverged, probes)
 
-
-def _bisection_midpoints(lo: float, hi: float, tol: float, levels: int) -> List[float]:
-    """Every midpoint the bisection of [lo, hi] to width ``tol`` can probe in ``levels`` levels."""
-    if levels == 0 or not hi - lo > tol:
-        return []
-    mid = (lo + hi) / 2.0
-    return ([mid] + _bisection_midpoints(lo, mid, tol, levels - 1)
-            + _bisection_midpoints(mid, hi, tol, levels - 1))

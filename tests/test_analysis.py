@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,8 +276,24 @@ def plain_witness_traces(model, delays, steps):
     return np.array(traces)
 
 
+def plain_growth_bounded(model, delays, budget):
+    """Reference rate verdict of one probe: normalized power steps of G(sY)/s, one at a time."""
+    s = 1e8 * (np.trace(model.W) + np.trace(model.V))
+    Y, log_u, last = np.eye(model.n), 0.0, np.nan
+    for _ in range(budget):
+        Y = expected_next_cov(model, delays, s * Y) / s
+        rate = np.linalg.eigvalsh(Y)[-1]
+        log_u += np.log(rate) if rate > 0.0 else -np.inf
+        if log_u < 0.0:  # (b): the norm-product bound is below 1
+            return True
+        if abs(rate - last) <= 1e-12 * rate:  # (a): the rate has settled
+            break
+        Y, last = Y / rate, rate
+    return bool(rate < 1.0)
+
+
 def sequential_critical(model, lambda_fixed, fixed_which, horizon, bisect_tol):
-    """Reference bisection: one plain bound sequence per probe, in order."""
+    """Reference bisection: one plain rate verdict per probe, in order."""
 
     def delays_at(free):
         if fixed_which == 1:
@@ -283,7 +301,7 @@ def sequential_critical(model, lambda_fixed, fixed_which, horizon, bisect_tol):
         return DelayModel(free, lambda_fixed)
 
     def bounded(free):
-        return plain_bound_sequence(model, delays_at(free), horizon)[2] is None
+        return plain_growth_bounded(model, delays_at(free), horizon)
 
     threshold = 1e12 * float(np.trace(model.W))
     h = bool(plain_witness_traces(model, delays_at(1.0), horizon)[-1] > threshold)
@@ -300,6 +318,18 @@ def sequential_critical(model, lambda_fixed, fixed_which, horizon, bisect_tol):
             hi = mid
         probes += 1
     return EmpiricalCritical(fixed_which, lambda_fixed, (lo + hi) / 2.0, lo, hi, h, probes)
+
+
+def hidden_mode_draw(a, poles, coupling, rng):
+    """A model shaped like the benchmark's seeded hidden-mode models, with mode ``a``."""
+    A = np.array([[a, 0.0, 0.0], [0.0, poles[0], 0.0], [coupling[0], coupling[1], poles[1]]])
+
+    def psd(n):
+        G = 0.3 * rng.standard_normal((n, n))
+        return G @ G.T + np.eye(n)
+
+    return SystemModel(n1=2, n2=1, A=A, C1=np.array([[0.0, 1.0]]), C2=np.array([[1.0]]),
+                       W=psd(3), V=psd(2), Sigma0=psd(3))
 
 
 class TestCovBoundSequence:
@@ -748,9 +778,30 @@ class TestEmpiricalCritical:
         # a zero tolerance used to bisect forever on a model that bisects
         model = make_model(np.array([[0.5, 1.0], [0.0, 1.3]]),
                            np.eye(1), np.zeros((1, 1)), 1)
-        for tol in (0.0, -0.01, float("nan")):
-            with pytest.raises(ValueError, match="bisect_tol"):
+        for tol in (0.0, -0.01, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="bisect_tol must be finite and > 0"):
                 empirical_critical(model, 1.0, 1, horizon=50, bisect_tol=tol)
+
+    @pytest.mark.parametrize("horizon", [0, -3, 2.5, "400"])
+    def test_bad_horizon_rejected_before_any_step(self, hidden_mode, horizon):
+        # 0 used to raise "steps must be >= 1", naming no argument of this
+        # function, and 2.5 a bare TypeError
+        def no_step(*args, **kwargs):
+            raise AssertionError("a probe ran before the arguments were checked")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "structured_gain", no_step)
+            mp.setattr(analysis, "optimal_gain", no_step)
+            with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
+                empirical_critical(hidden_mode, 0.5, 2, horizon=horizon)
+
+    def test_zero_map_is_bounded_without_warnings(self):
+        # A = 0 and W = 0 make every rate exactly 0, so U_1 = 0 decides
+        model = make_model(np.zeros((2, 2)), np.eye(1), np.eye(1), 1, W=np.zeros((2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = empirical_critical(model, 0.5, 1, horizon=20)
+        assert (est.estimate, est.probes) == (1.0, 1)
 
     def test_identity_sensing_never_diverges(self):
         model = make_model(0.9 * np.eye(2), np.eye(1), np.eye(1), 1)
@@ -759,16 +810,17 @@ class TestEmpiricalCritical:
         assert not est.h_diverged
 
     def test_bisection_brackets_partially_observable_system(self):
+        # the mode 1.3 is seen by no sensor while subsystem 2 is late, so
+        # the critical lambda2 is 1 / 1.3**2 = 0.5917
         model = make_model(np.array([[0.5, 1.0], [0.0, 1.3]]),
                            np.eye(1), np.zeros((1, 1)), 1)
         est = empirical_critical(model, 1.0, 1, horizon=300, bisect_tol=0.02)
         assert 0.0 < est.estimate < 1.0
         assert est.bracket_high - est.bracket_low <= 0.02 + 1e-12
-        # boundedness really flips across the bracket
-        lo_seq = cov_bound_sequence(model, DelayModel(1.0, est.bracket_low), 300)
-        hi_seq = cov_bound_sequence(model, DelayModel(1.0, est.bracket_high), 300)
-        assert not lo_seq.diverged
-        assert hi_seq.diverged
+        assert est.bracket_low <= 1 / 1.3**2 <= est.bracket_high
+        # the rate verdict really flips across the bracket
+        assert plain_growth_bounded(model, DelayModel(1.0, est.bracket_low), 300)
+        assert not plain_growth_bounded(model, DelayModel(1.0, est.bracket_high), 300)
         assert est.h_diverged  # at free probability one the witness blows up
 
     def test_estimate_within_closed_form_bracket(self, case1, case2):
@@ -805,13 +857,55 @@ class TestEmpiricalCritical:
 
     @pytest.mark.parametrize("bisect_tol", [0.05, 0.1])
     def test_partial_lookahead_equals_sequential_bisection(self, hidden_mode, bisect_tol):
-        # 5 and 4 bisection levels: the last stack of midpoints is cut short
+        # 5 and 4 bisection levels: the last stack holds points of levels
+        # the bisection never reaches
         for fixed_which in (1, 2):
             est = empirical_critical(hidden_mode, 0.5, fixed_which, 200, bisect_tol=bisect_tol)
             assert est == sequential_critical(hidden_mode, 0.5, fixed_which, 200, bisect_tol)
 
     def test_hidden_mode_halves_gain_set_calls(self, hidden_mode_runs):
-        # work-count guard: the stacked probes and the cycle exit make at
-        # most half the expected-map gain calls (one structured_gain call
-        # a step) of probe-by-probe plain iteration
+        # work-count guard: the stacked probes make at most half the
+        # expected-map gain calls (one structured_gain call a step) of
+        # probe-by-probe rate verdicts
         assert hidden_mode_runs["stacked"][1] <= hidden_mode_runs["sequential"][1] / 2
+
+    @pytest.mark.parametrize("lambda2", [0.0, 0.25, 0.5, 1.0])
+    def test_hidden_mode_estimate_is_one_over_a_squared(self, hidden_mode, lambda2):
+        # the unstable mode a = 1.25 is seen only through the cross
+        # measurement, so the critical lambda1 is 1 / a**2 = 0.64 whatever
+        # lambda2 is (Sinopoli et al. 2004)
+        est = empirical_critical(hidden_mode, lambda2, 2, 400, bisect_tol=0.02)
+        assert abs(est.estimate - 0.64) <= 0.02
+        assert est.bracket_low <= 0.64 <= est.bracket_high
+
+    @settings(max_examples=25)
+    @given(
+        a=st.floats(1.05, 1.6),
+        poles=st.tuples(st.floats(0.3, 0.6), st.floats(0.3, 0.6)),
+        coupling=st.tuples(st.floats(0.8, 1.2), st.floats(-0.2, 0.2)),
+        lambda2=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_hidden_mode_bracket_contains_one_over_a_squared(
+            self, a, poles, coupling, lambda2, seed):
+        model = hidden_mode_draw(a, poles, coupling, np.random.default_rng(seed))
+        est = empirical_critical(model, lambda2, 2, 400, bisect_tol=0.02)
+        assert est.bracket_low <= 1 / a**2 <= est.bracket_high
+
+    def test_fixture_ends_take_few_gain_calls(self, case1, case2, toy):
+        # work-count guard: the growth rate decides both ends of every
+        # fixture axis within a few steps (a 300-step threshold race used
+        # to run all 300 on a bounded end)
+        for model in (case1, case2, toy):
+            for fixed_which, lam in ((1, 1.0), (2, 0.5)):
+                calls = [0]
+
+                def counting_structured_gain(*args, **kwargs):
+                    calls[0] += 1
+                    return structured_gain(*args, **kwargs)
+
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(analysis, "structured_gain", counting_structured_gain)
+                    est = empirical_critical(model, lam, fixed_which, horizon=300)
+                assert est.estimate == 1.0
+                assert calls[0] <= 6

@@ -17,8 +17,11 @@ most delay histories are distinct, and the boundedness minima
 ``case1_stable``; and, on the test suite's ``hidden_mode`` model (an
 unstable mode hidden from sensor 1), ``divergence_witness`` at lambda
 (1, 0.5) and ``empirical_critical`` with lambda2 fixed at 0.5, both over
-400 steps.  ``cold_import`` is the median time of ``import netkalman`` in
-``REPEATS`` fresh interpreters run with ``PYTHONDONTWRITEBYTECODE=1``, as
+400 steps, and ``growth_rate``: the growth-rate verdicts of one stack of
+the 7 bisection points above (a budget of 400 steps; left out for a
+package that has no growth-rate bisection).  ``cold_import`` is the
+median time of ``import netkalman`` in ``REPEATS`` fresh interpreters
+run with ``PYTHONDONTWRITEBYTECODE=1``, as
 the benchmark's set-up probes take it, so it is per process, not per call.
 It writes the best of ``REPEATS`` timings (microseconds per call) with the
 library, BLAS and CPU details to ``bench/BENCH_layers_<label>.json``.  A
@@ -96,6 +99,9 @@ def _cases():
         HIDDEN_MODE, DelayModel(1.0, 0.5), 400)
     cases["empirical_critical.hidden_mode"] = lambda: analysis.empirical_critical(
         HIDDEN_MODE, 0.5, 2, 400)
+    if hasattr(analysis, "_growth_verdicts"):
+        cases["growth_rate.hidden_mode"] = lambda: analysis._growth_verdicts(
+            HIDDEN_MODE, lookahead, 400)
     return cases
 
 
