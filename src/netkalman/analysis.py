@@ -56,11 +56,6 @@ __all__ = [
     "empirical_critical",
 ]
 
-# Bisection levels empirical_critical evaluates per stack: the 7 points they
-# can probe, as shares of the bracket, of which it keeps the 3 on its path.
-_LOOKAHEAD_LEVELS = 3
-_LOOKAHEAD_GRID = np.arange(1, 2**_LOOKAHEAD_LEVELS) / 2**_LOOKAHEAD_LEVELS
-
 
 def closed_loop_factor(model: SystemModel, X) -> np.ndarray:
     """``A - A X C``: the error propagation factor under update gain X."""
@@ -489,8 +484,15 @@ def boundedness_test(
     ws = weighted_sum_of(minima, delays)
     verdict = "BoundedCertified" if ws <= 1.0 else "Inconclusive"
     return BoundednessReport(
-        lambda1=delays.lambda1, lambda2=delays.lambda2, r1=minima.r1, r2=minima.r2,
-        r3=minima.r3, r4=minima.r4, weighted_sum=ws, verdict=verdict, minima=minima,
+        lambda1=delays.lambda1,
+        lambda2=delays.lambda2,
+        r1=minima.r1,
+        r2=minima.r2,
+        r3=minima.r3,
+        r4=minima.r4,
+        weighted_sum=ws,
+        verdict=verdict,
+        minima=minima,
     )
 
 
@@ -611,9 +613,16 @@ def bounds_from_minima(
     if not 0.0 <= lambda_fixed <= 1.0:
         raise ValueError(f"lambda_fixed must lie in [0, 1], got {lambda_fixed}")
     return CriticalBounds(
-        fixed_which=fixed_which, lambda_fixed=float(lambda_fixed),
-        lower=1.0 if minima.r1 <= 1.0 else 0.0, upper=1.0, alpha=alpha, empirical=empirical,
-        r1=minima.r1, r2=minima.r2, r3=minima.r3, r4=minima.r4,
+        fixed_which=fixed_which,
+        lambda_fixed=float(lambda_fixed),
+        lower=1.0 if minima.r1 <= 1.0 else 0.0,
+        upper=1.0,
+        alpha=alpha,
+        empirical=empirical,
+        r1=minima.r1,
+        r2=minima.r2,
+        r3=minima.r3,
+        r4=minima.r4,
     )
 
 
@@ -672,33 +681,41 @@ def _growth_verdicts(model, delays, budget) -> np.ndarray:
     """Whether the growth rate of each layer's homogenized expected map is below 1.
 
     ``G_s(Y) = G(s Y) / s``, G the expected map, is homogeneous of degree
-    one up to O(1/s); ``s = 1e8 (tr W + tr V)`` lets ``s Y`` dwarf both
-    noises.  From ``Y_0 = I`` each layer takes power steps ``r_k = ||G_s(Y_k)||_2``,
+    one up to O(1/s).  ``s = 1e8 max(tr W, tr V / ||C||_F^2)`` lets ``s Y``
+    dwarf W and, through C, V; both terms are in state units, so a change
+    of state or sensor units leaves ``s C Y C^T`` against V as it was.
+    From ``Y_0 = I`` each layer takes power steps ``r_k = ||G_s(Y_k)||_2``,
     ``Y_{k+1} = G_s(Y_k) / r_k``; ``r_k`` tends to the growth rate rho (cone
     spectral radius).  A layer leaves the stack once (a) ``r_k`` settles to
     1e-12 relative: bounded iff ``r_k < 1``; or (b) ``U_k = (r_0 ... r_k) **
     (1/(k+1)) = ||G_s^(k+1)(I)||_2 ** (1/(k+1)) < 1``: bounded, as ``U_k >=
     rho`` if ``G_s`` preserves the matrix order (a conjecture), which makes
     ``log ||G_s^k(I)||`` subadditive.  (b) decides the maps of rate 0, whose
-    ``r_k`` alternate and never settle; after ``budget`` steps the last
-    ``r_k < 1`` decides.
+    ``r_k`` alternate and never settle.  After ``budget`` steps the mean
+    ``log r_k`` over the second half of the budget decides; it tends to
+    ``log rho`` also where the ``r_k`` cycle instead of settling.
     """
-    s = 1e8 * (np.trace(model.W) + np.trace(model.V))
+    s = 1e8 * max(np.trace(model.W), np.trace(model.V) / (np.sum(model.C**2) or np.inf))
     p = _outcome_probabilities(delays)
     bounded = np.zeros(len(p), bool)
+    log_half = np.zeros(len(p))  # log ||G_s^(budget // 2)(I)||_2 of each layer
     live, log_u, last = np.arange(len(p)), 0.0, np.nan
     Y = np.array([np.eye(model.n)] * len(p))
     for k in range(budget):
         Y = _expected_next(model, p[live], s * Y) / s
         rate = np.linalg.eigvalsh(Y)[:, -1]  # ||Y||_2 of a PSD Y
         with np.errstate(divide="ignore"):  # a rate of 0 makes U_k = 0
-            log_u = log_u + np.log(rate)
+            log_u += np.log(rate)
+        if k < budget // 2:
+            log_half[live] = log_u
         bounded[live] = (log_u < 0) | (rate < 1)  # kept by a layer that leaves
-        done = (log_u < 0) | (abs(rate - last) <= 1e-12 * rate) | (k == budget - 1)
+        done = (log_u < 0) | (abs(rate - last) <= 1e-12 * rate)
         live, log_u, last = live[~done], log_u[~done], rate[~done]
         Y = Y[~done] / last[:, None, None]
         if not live.size:
             break
+    # budget spent: the mean log rate over its second half decides
+    bounded[live] = log_u < log_half[live]
     return bounded
 
 
@@ -757,22 +774,27 @@ def empirical_critical(
         return dict(zip(frees, _growth_verdicts(model, [delays_at(f) for f in frees], horizon)))
 
     witness = divergence_witness(model, delays_at(1.0), horizon, divergence_threshold)
-    ends = verdicts([1.0, 0.0])
+    bounded = verdicts([1.0, 0.0])
     lo, hi, probes = 0.0, 1.0, 2
-    if ends[1.0]:  # bounded on the whole axis
+    if bounded[1.0]:  # bounded on the whole axis
         lo, probes = 1.0, 1
-    elif not ends[0.0]:  # unbounded on the whole axis
+    elif not bounded[0.0]:  # unbounded on the whole axis
         hi = 0.0
     while hi - lo > bisect_tol:
-        # Every point the next levels of the bisection could probe, as one
-        # stack; only the verdicts on the path taken count as probes.
-        bounded = verdicts(lo + (hi - lo) * _LOOKAHEAD_GRID)
-        for _ in range(_LOOKAHEAD_LEVELS):
-            if not hi - lo > bisect_tol:
-                break
-            mid = (lo + hi) / 2.0
-            lo, hi = (mid, hi) if bounded[mid] else (lo, mid)
-            probes += 1
-    return EmpiricalCritical(fixed_which, lambda_fixed, (lo + hi) / 2.0, lo, hi,
-                             witness.diverged, probes)
+        mid = (lo + hi) / 2.0
+        if mid not in bounded:
+            # The 7 points the next 3 levels of the bisection could probe,
+            # as one stack; only the verdicts on the path taken count as probes.
+            bounded = verdicts(np.linspace(lo, hi, 9)[1:-1])
+        lo, hi = (mid, hi) if bounded[mid] else (lo, mid)
+        probes += 1
+    return EmpiricalCritical(
+        fixed_which,
+        lambda_fixed,
+        (lo + hi) / 2.0,
+        lo,
+        hi,
+        witness.diverged,
+        probes,
+    )
 

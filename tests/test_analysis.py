@@ -278,18 +278,35 @@ def plain_witness_traces(model, delays, steps):
 
 def plain_growth_bounded(model, delays, budget):
     """Reference rate verdict of one probe: normalized power steps of G(sY)/s, one at a time."""
-    s = 1e8 * (np.trace(model.W) + np.trace(model.V))
-    Y, log_u, last = np.eye(model.n), 0.0, np.nan
-    for _ in range(budget):
+    s = 1e8 * max(np.trace(model.W), np.trace(model.V) / (np.sum(model.C**2) or np.inf))
+    Y, log_u, log_half, last = np.eye(model.n), 0.0, 0.0, np.nan
+    for k in range(budget):
         Y = expected_next_cov(model, delays, s * Y) / s
         rate = np.linalg.eigvalsh(Y)[-1]
         log_u += np.log(rate) if rate > 0.0 else -np.inf
         if log_u < 0.0:  # (b): the norm-product bound is below 1
             return True
         if abs(rate - last) <= 1e-12 * rate:  # (a): the rate has settled
-            break
+            return bool(rate < 1.0)
+        if k < budget // 2:
+            log_half = log_u
         Y, last = Y / rate, rate
-    return bool(rate < 1.0)
+    # budget spent: the mean log rate over its second half decides
+    return bool(log_u < log_half)
+
+
+def period_two_model():
+    """A model whose normalized rates cycle with period 2 and never settle.
+
+    Subsystem 2 (states 1 and 2) has no sensor and swaps its states,
+    ``A22 @ A22 = 1.1 I``.  State 1 drives state 0, which sensor 1 sees;
+    with lambda1 = 0 that measurement reveals state 1 unless the
+    subsystem-2 estimate is late (probability lambda2).  So the rates
+    alternate between 4 lambda2 and 0.3025, and over two steps the map
+    grows by 1.21 lambda2: the critical lambda2 is 1 / 1.21.
+    """
+    A = np.array([[0.5, 1.0, 0.0], [0.0, 0.0, 0.55], [0.0, 2.0, 0.0]])
+    return make_model(A, np.eye(1), np.zeros((1, 2)), 1)
 
 
 def sequential_critical(model, lambda_fixed, fixed_which, horizon, bisect_tol):
@@ -794,6 +811,33 @@ class TestEmpiricalCritical:
             mp.setattr(analysis, "optimal_gain", no_step)
             with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
                 empirical_critical(hidden_mode, 0.5, 2, horizon=horizon)
+
+    @pytest.mark.parametrize("horizon", [300, 400, 401])
+    def test_cycling_rates_decide_by_mean_log_rate(self, horizon):
+        # at lambda2 = 1 the rates alternate 4, 0.3025 (rho = 1.1): neither
+        # rule fires, and at an odd last step the last rate 0.3025 used to
+        # call the whole axis bounded
+        model = period_two_model()
+        delays = [DelayModel(0.0, 1.0), DelayModel(0.0, 0.8)]
+        assert list(analysis._growth_verdicts(model, delays, horizon)) == [False, True]
+        assert [plain_growth_bounded(model, d, horizon) for d in delays] == [False, True]
+        est = empirical_critical(model, 0.0, 1, horizon=horizon)
+        assert 0.0 < est.estimate < 1.0
+        assert est.bracket_low <= 1 / 1.21 <= est.bracket_high
+        assert est == sequential_critical(model, 0.0, 1, horizon, 0.02)
+
+    @pytest.mark.parametrize("c, d", [(1e3, 1.0), (1.0, 1e3), (1e-3, 1e-3)])
+    def test_rescaled_units_give_the_same_estimate_without_warnings(self, hidden_mode, c, d):
+        # sensor units times c (C -> c C, V -> c**2 V) and state units times
+        # d (C -> C / d, W -> d**2 W) describe the same estimator; s is in
+        # state units, so S = V + s C Y C^T keeps its condition number
+        m = hidden_mode
+        rescaled = SystemModel(n1=2, n2=1, A=m.A, C1=c / d * m.C1, C2=c / d * m.C2,
+                               W=d**2 * m.W, V=c**2 * m.V, Sigma0=d**2 * m.Sigma0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = empirical_critical(rescaled, 0.5, 2, 400)
+        assert est == empirical_critical(hidden_mode, 0.5, 2, 400)
 
     def test_zero_map_is_bounded_without_warnings(self):
         # A = 0 and W = 0 make every rate exactly 0, so U_1 = 0 decides
