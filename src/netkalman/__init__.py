@@ -15,7 +15,6 @@ from .model import (
     SystemModel,
     ValidationReport,
     close_loop,
-    detectable_full,
     discretize,
     fixture,
     validate_model,

@@ -22,7 +22,7 @@ form and ``C^+`` is the one certificate gain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "first_prediction_cov",
     "CovBoundSequence",
     "cov_bound_sequence",
-    "expected_kron_update",
     "kron_update_radius",
     "NormMinResult",
     "min_structured_norm",
@@ -150,10 +149,6 @@ class CovBoundSequence:
     diverged_at: Optional[int]
     threshold: float
 
-    def value_at(self, t: int) -> np.ndarray:
-        """Bound for the prediction covariance at step t (t >= 1)."""
-        return self.Y[t - 1]
-
     @property
     def steps_completed(self) -> int:
         return len(self.traces)
@@ -192,21 +187,19 @@ class _Orbit:
     def running(self) -> bool:
         return self.cycle_start is None and self.diverged_at is None
 
-    def push(self, Y: np.ndarray) -> bool:
-        """Record the next iterate; return whether the iteration goes on."""
+    def push(self, Y: np.ndarray) -> None:
+        """Record the next iterate, or the cycle it closes."""
         trace = float(np.trace(Y))
         n = self.length
         for s in np.flatnonzero(self._traces[:n] == trace):
             if self._ys[s].tobytes() == Y.tobytes():
                 self.cycle_start = int(s)
-                return False
+                return
         self._ys[n] = Y
         self._traces[n] = trace
         self.length = n + 1
         if trace > self.threshold:
             self.diverged_at = self.length
-            return False
-        return True
 
     def tiled(self):
         """Iterates and traces up to the horizon, or to the diverging step."""
@@ -227,31 +220,26 @@ def _divergence_threshold(model: SystemModel, steps: int, threshold: Optional[fl
     return 1e12 * float(np.trace(model.W)) if threshold is None else threshold
 
 
-def _bound_orbits(
-    model: SystemModel,
-    delays: Sequence[DelayModel],
-    steps: int,
-    divergence_threshold: Optional[float],
-) -> List[_Orbit]:
-    """Bound sequences of several delay models, iterated as one stack.
+def _iterate(model: SystemModel, step, steps: int, threshold: Optional[float]) -> CovBoundSequence:
+    """The sequence ``Y_{k+1} = step(Y_k)`` from the step-1 prediction covariance.
 
-    Each layer leaves the stack when it diverges or cycles, and keeps
-    the bits it has when iterated alone (see :func:`expected_next_cov`).
+    ``threshold`` as in :func:`_divergence_threshold`; the iteration ends as
+    an :class:`_Orbit` does, and its cycle, if any, fills the horizon.
     """
-    divergence_threshold = _divergence_threshold(model, steps, divergence_threshold)
-    Y0 = first_prediction_cov(model)
-    orbits = [_Orbit(Y0, steps, divergence_threshold) for _ in delays]
-    p = _outcome_probabilities(delays)
-    live = [k for k, orbit in enumerate(orbits) if orbit.running]
-    Y = np.array([Y0] * len(live))
-    for _ in range(steps - 1):
-        if not live:
-            break
-        Y = _expected_next(model, p[live], Y)
-        going = [j for j, k in enumerate(live) if orbits[k].push(Y[j])]
-        live = [live[j] for j in going]
-        Y = Y[going]
-    return orbits
+    threshold = _divergence_threshold(model, steps, threshold)
+    Y = first_prediction_cov(model)
+    orbit = _Orbit(Y, steps, threshold)
+    while orbit.running and orbit.length < steps:
+        Y = step(Y)
+        orbit.push(Y)
+    Y, traces = orbit.tiled()
+    return CovBoundSequence(
+        Y=Y,
+        traces=traces,
+        diverged=orbit.diverged_at is not None,
+        diverged_at=orbit.diverged_at,
+        threshold=threshold,
+    )
 
 
 def cov_bound_sequence(
@@ -267,19 +255,9 @@ def cov_bound_sequence(
     repeats an earlier one bit for bit, the rest of the horizon is that
     cycle, filled in without further steps.
     """
-    return _sequence(_bound_orbits(model, [delays], steps, divergence_threshold)[0])
-
-
-def _sequence(orbit: _Orbit) -> CovBoundSequence:
-    """The bound sequence an orbit records, tiled to its horizon."""
-    Y, traces = orbit.tiled()
-    return CovBoundSequence(
-        Y=Y,
-        traces=traces,
-        diverged=orbit.diverged_at is not None,
-        diverged_at=orbit.diverged_at,
-        threshold=orbit.threshold,
-    )
+    p = _outcome_probabilities([delays])
+    return _iterate(model, lambda Y: _expected_next(model, p, Y[None])[0], steps,
+                    divergence_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +280,8 @@ def _certified_factor(model: SystemModel, delays: DelayModel, X) -> np.ndarray:
     return closed_loop_factor(model, X)
 
 
-def expected_kron_update(model: SystemModel, delays: DelayModel, X) -> np.ndarray:
-    """Kronecker-form update of the covariance recursion under one fixed gain.
+def kron_update_radius(model: SystemModel, delays: DelayModel, X) -> float:
+    """Spectral radius of the Kronecker-form covariance update under one fixed gain.
 
     X is an (n, m) gain applied whatever the delay outcome, so it must
     respect the mask of every outcome with positive probability (raises
@@ -311,17 +289,8 @@ def expected_kron_update(model: SystemModel, delays: DelayModel, X) -> np.ndarra
     recursion is then affine with the (n^2, n^2) matrix ``kron(F, F)``,
     ``F = A - A X C`` (the probability-weighted sum of identical terms);
     its spectral radius below one certifies convergence of the covariance
-    for that gain.
-    """
-    F = _certified_factor(model, delays, X)
-    return np.kron(F, F)
-
-
-def kron_update_radius(model: SystemModel, delays: DelayModel, X) -> float:
-    """Spectral radius of :func:`expected_kron_update`.
-
-    The eigenvalues of ``kron(F, F)`` are the products of pairs of
-    eigenvalues of F, so the radius is ``rho(F)**2``, read off the
+    for that gain.  The eigenvalues of ``kron(F, F)`` are the products of
+    pairs of eigenvalues of F, so the radius is ``rho(F)**2``, read off the
     (n, n) factor.
     """
     F = _certified_factor(model, delays, X)
@@ -466,10 +435,10 @@ def weighted_sum_of(minima: NormMinima, delays: DelayModel) -> float:
 # Compatibility with the benchmark in perfbench/, which is versioned apart
 # from the library: it passes ``RunConfig.solver`` (always None) into the
 # ``options`` slot of boundedness_test and critical_bounds, which is
-# accepted and ignored; its traced run wraps min_structured_norm,
-# masked_norm_minima, residual_gram_floor and gain_set by name and reads
-# ``NormMinResult.iterations``.  Nothing here calls gain_set; it is
-# imported only so that the benchmark finds it.
+# accepted and ignored, and its traced run wraps names of this module by
+# name (gain_set among them, imported only so that it is found there) and
+# reads ``NormMinResult.iterations``.  tests/test_perfbench_names.py
+# installs the benchmark's tracer, so removing a name it wraps fails there.
 
 
 def boundedness_test(
@@ -661,20 +630,15 @@ def divergence_witness(
     covariance.  As in :func:`cov_bound_sequence`, a bitwise repeat of an
     earlier iterate ends the iteration and its cycle fills the horizon.
     """
-    divergence_threshold = _divergence_threshold(model, steps, divergence_threshold)
     p00 = delays.lambda1 * delays.lambda2
-    Y = first_prediction_cov(model)
-    orbit = _Orbit(Y, steps, divergence_threshold)
-    for _ in range(steps - 1):
-        if not orbit.running:
-            break
-        if p00 == 0.0:
-            Y = np.zeros_like(Y)
-        else:
-            D = optimal_gain(Y, model.C, model.V, model.dims, DelayOutcome(0, 0))
-            Y = p00 * one_step_cov(model, D, Y)
-        orbit.push(Y)
-    return _sequence(orbit)
+
+    def step(Y):
+        if p00 == 0.0:  # no gain needed; and 0 * Y would give -0.0 where Y < 0
+            return np.zeros_like(Y)
+        D = optimal_gain(Y, model.C, model.V, model.dims, DelayOutcome(0, 0))
+        return p00 * one_step_cov(model, D, Y)
+
+    return _iterate(model, step, steps, divergence_threshold)
 
 
 def _growth_verdicts(model, delays, budget) -> np.ndarray:
@@ -755,7 +719,9 @@ def empirical_critical(
     governs only the ``horizon``-step :func:`divergence_witness` behind
     ``h_diverged``.  The probes at 1 and 0 run as one stack, then each stack
     holds the points of the next few bisection levels; ``probes`` counts
-    only those on the path taken, as a probe-by-probe bisection does.
+    only those on the path taken, as a probe-by-probe bisection does.  The
+    bisection also stops once the midpoint rounds onto an end, so a
+    ``bisect_tol`` below the spacing of doubles ends at adjacent doubles.
     """
     if fixed_which not in (1, 2):
         raise ValueError(f"fixed_which must be 1 or 2, got {fixed_which}")
@@ -780,7 +746,7 @@ def empirical_critical(
         lo, probes = 1.0, 1
     elif not bounded[0.0]:  # unbounded on the whole axis
         hi = 0.0
-    while hi - lo > bisect_tol:
+    while hi - lo > bisect_tol and lo < (lo + hi) / 2.0 < hi:
         mid = (lo + hi) / 2.0
         if mid not in bounded:
             # The 7 points the next 3 levels of the bisection could probe,

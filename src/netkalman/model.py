@@ -27,7 +27,6 @@ __all__ = [
     "shape_mismatches",
     "discretize",
     "close_loop",
-    "detectable_full",
     "fixture",
     "FIXTURE_NAMES",
     "load_matrix_csv",
@@ -186,12 +185,6 @@ class DelayOutcome:
     def label(self) -> str:
         return f"{self.gamma1}{self.gamma2}"
 
-    @classmethod
-    def from_label(cls, label: str) -> "DelayOutcome":
-        if len(label) != 2 or any(ch not in "01" for ch in label):
-            raise ValueError(f"outcome label must be two bits, got {label!r}")
-        return cls(int(label[0]), int(label[1]))
-
 
 ALL_OUTCOMES = tuple(
     DelayOutcome(g1, g2) for g1 in (0, 1) for g2 in (0, 1)
@@ -305,24 +298,6 @@ def close_loop(A_d, B_d, L) -> np.ndarray:
             f"incompatible shapes: A_d {A_d.shape}, B_d {B_d.shape}, L {L.shape}"
         )
     return A_d + B_d @ L
-
-
-def detectable_full(A, C, tol: float = 1e-9) -> bool:
-    """Rank test for detectability of (A, C) with an unconstrained gain.
-
-    True iff ``[A - z I; C]`` has full column rank at every eigenvalue z
-    of A with ``|z| >= 1`` (checked with a small tolerance on the unit
-    circle).
-    """
-    A = np.asarray(A, dtype=float)
-    C = np.asarray(C, dtype=float)
-    n = A.shape[0]
-    for z in np.linalg.eigvals(A):
-        if abs(z) >= 1.0 - tol:
-            stacked = np.vstack([A - z * np.eye(n), C.astype(complex)])
-            if np.linalg.matrix_rank(stacked) < n:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

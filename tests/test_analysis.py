@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import linalg as sla
@@ -17,14 +17,12 @@ from netkalman.analysis import (
     EmpiricalCritical,
     InapplicableError,
     NormMinima,
-    _bound_orbits,
     boundedness_test,
     bounds_from_minima,
     cov_bound_sequence,
     critical_bounds,
     divergence_witness,
     empirical_critical,
-    expected_kron_update,
     expected_next_cov,
     first_prediction_cov,
     kron_update_radius,
@@ -45,6 +43,9 @@ LAMBDA_TABLES = st.lists(
     st.tuples(*[st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)] * 2),
     min_size=1, max_size=5,
 )
+# One bisection stack: 7 layers with 1, 2 and 4 possible outcomes.
+BISECTION_STACK = [(0.0, 0.0), (1.0, 0.5), (0.3, 0.6), (0.5, 1.0), (0.0, 1.0), (0.3, 0.6),
+                   (1.0, 0.5)]
 
 
 def make_model(A, C1, C2, n1, W=None, V=None, Sigma0=None):
@@ -130,7 +131,8 @@ class TestExpectedNextCov:
         for _ in range(25):
             Y = random_psd(rng, 4)
             gs = gain_set(Y, case1.C, case1.V, case1.dims)
-            t = {lab: one_step_cov(case1, gs.for_outcome(DelayOutcome.from_label(lab)), Y)
+            t = {lab: one_step_cov(
+                     case1, gs.for_outcome(DelayOutcome(int(lab[0]), int(lab[1]))), Y)
                  for lab in ("11", "01", "10", "00")}
             for high in ("01", "10", "00"):
                 assert np.linalg.eigvalsh(t[high] - t["11"])[0] >= -1e-9
@@ -192,7 +194,8 @@ class TestExpectedNextCov:
         for _ in range(25):
             Y = random_psd(rng, 4)
             gs = gain_set(Y, case1.C, case1.V, case1.dims)
-            t = {lab: one_step_cov(case1, gs.for_outcome(DelayOutcome.from_label(lab)), Y)
+            t = {lab: one_step_cov(
+                     case1, gs.for_outcome(DelayOutcome(int(lab[0]), int(lab[1]))), Y)
                  for lab in ("11", "01", "10", "00")}
             for low, high in (("01", "00"), ("10", "00")):
                 assert np.linalg.eigvalsh(t[high] - t[low])[0] >= -1e-9
@@ -235,17 +238,22 @@ class TestExpectedNextCov:
             assert np.array_equal(got, want)
             assert np.array_equal(expected_next_cov(model, d, Y), want)
 
-    def test_mixed_live_outcome_counts_keep_single_bits(self):
-        # a 7-layer stack, the shape of one bisection stack, whose layers
-        # have 1, 2 and 4 possible outcomes: each count is summed by its
-        # own matmul, and every layer keeps the bits it has alone
-        rng = np.random.default_rng(77)
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lams=LAMBDA_TABLES,
+    )
+    @example(seed=77, lams=BISECTION_STACK)
+    def test_mixed_live_outcome_counts_keep_single_bits(self, seed, lams):
+        # property: layers with different counts of possible outcomes are
+        # summed by one matmul per count, and every layer of a random stack
+        # keeps the bits it has alone, including outcomes that are
+        # impossible (lambda 0 or 1) in some layers and possible in others
+        rng = np.random.default_rng(seed)
         model = random_model(rng)
-        lams = [(0.0, 0.0), (1.0, 0.5), (0.3, 0.6), (0.5, 1.0), (0.0, 1.0), (0.3, 0.6),
-                (1.0, 0.5)]
         delays = [DelayModel(*lam) for lam in lams]
-        counts = [sum(d.outcome_probability(oc) > 0.0 for oc in ALL_OUTCOMES) for d in delays]
-        assert sorted(set(counts)) == [1, 2, 4]
+        counts = {sum(d.outcome_probability(oc) > 0.0 for oc in ALL_OUTCOMES) for d in delays}
+        assert lams != BISECTION_STACK or counts == {1, 2, 4}
         Ys = np.array([random_psd(rng, model.n) for _ in delays])
         stacked = expected_next_cov(model, delays, Ys)
         for Y, d, got in zip(Ys, delays, stacked):
@@ -352,7 +360,7 @@ def hidden_mode_draw(a, poles, coupling, rng):
 class TestCovBoundSequence:
     def test_starts_at_first_prediction_cov(self, case1):
         seq = cov_bound_sequence(case1, DelayModel(0.5, 0.5), 3)
-        assert_allclose(seq.value_at(1), first_prediction_cov(case1))
+        assert_allclose(seq.Y[0], first_prediction_cov(case1))
 
     def test_stable_always_delayed_plateaus(self, case1):
         seq = cov_bound_sequence(case1, DelayModel(1.0, 1.0), 200)
@@ -371,7 +379,7 @@ class TestCovBoundSequence:
                            W=np.zeros((2, 2)))
         seq = cov_bound_sequence(model, DelayModel(0.5, 0.5), 5,
                                  divergence_threshold=1e6)
-        assert_allclose(seq.value_at(1), 0.0)
+        assert_allclose(seq.Y[0], 0.0)
         assert_allclose(seq.traces, 0.0)
 
     def test_divergence_flag_and_truncation(self):
@@ -400,25 +408,6 @@ class TestCovBoundSequence:
             w = divergence_witness(model, delays, 400)
             assert np.array_equal(w.traces, plain_witness_traces(model, delays, 400))
 
-    @settings(max_examples=40)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        lams=LAMBDA_TABLES,
-    )
-    def test_stacked_layers_equal_single_sequences(self, seed, lams):
-        # property: a layer's bits do not depend on the other layers of
-        # its stack, including outcomes that are impossible (lambda 0 or 1)
-        # in some layers and possible in others
-        rng = np.random.default_rng(seed)
-        model = random_model(rng, spectral_radius=rng.uniform(0.5, 1.5))
-        delays = [DelayModel(*lam) for lam in lams]
-        for layer, d in zip(_bound_orbits(model, delays, 50, None), delays):
-            single = cov_bound_sequence(model, d, 50)
-            Y, traces = layer.tiled()
-            assert np.array_equal(Y, single.Y)
-            assert np.array_equal(traces, single.traces)
-            assert (layer.diverged_at, layer.threshold) == (single.diverged_at, single.threshold)
-
 
 class TestKronUpdate:
     def test_zero_gains_give_transition_square(self, case1):
@@ -430,8 +419,7 @@ class TestKronUpdate:
         # with C = I, the identity gain zeroes out the propagation factor,
         # so the update matrix vanishes
         model = make_model(np.eye(2) * 0.9, np.eye(1), np.eye(1), 1)
-        M = expected_kron_update(model, DelayModel(0.5, 0.5), np.eye(2))
-        assert_allclose(M, 0.0, atol=1e-15)
+        assert kron_update_radius(model, DelayModel(0.5, 0.5), np.eye(2)) == 0.0
 
     def test_steady_kalman_gain_contracts_at_zero_delay(self, case2):
         # with no delays only the unconstrained outcome is possible, so
@@ -460,7 +448,8 @@ class TestKronUpdate:
     def test_radius_equals_kron_eigenvalues(self, case1, case2):
         for model in (case1, case2):
             X = masked_norm_minima(model).X
-            M = expected_kron_update(model, DelayModel(0.5, 0.5), X)
+            F = model.A - model.A @ X @ model.C
+            M = np.kron(F, F)
             assert_allclose(kron_update_radius(model, DelayModel(0.5, 0.5), X),
                             np.abs(np.linalg.eigvals(M)).max(), rtol=1e-12)
 
@@ -798,6 +787,17 @@ class TestEmpiricalCritical:
         for tol in (0.0, -0.01, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="bisect_tol must be finite and > 0"):
                 empirical_critical(model, 1.0, 1, horizon=50, bisect_tol=tol)
+
+    @pytest.mark.parametrize("tol", [1e-17, 5e-324])
+    def test_tolerance_below_double_spacing_ends_at_adjacent_doubles(self, hidden_mode, tol):
+        # the midpoint of adjacent doubles is one of them, so the bracket
+        # stops shrinking there; such a tolerance used to bisect forever
+        est = empirical_critical(hidden_mode, 0.5, 2, bisect_tol=tol)
+        assert np.nextafter(est.bracket_low, 1.0) == est.bracket_high
+        assert est.probes == 55
+        default = empirical_critical(hidden_mode, 0.5, 2)
+        assert (default.estimate, default.bracket_low, default.bracket_high, default.probes) \
+            == (0.6328125, 0.625, 0.640625, 8)
 
     @pytest.mark.parametrize("horizon", [0, -3, 2.5, "400"])
     def test_bad_horizon_rejected_before_any_step(self, hidden_mode, horizon):

@@ -11,7 +11,6 @@ from netkalman.model import (
     DelayOutcome,
     SystemModel,
     close_loop,
-    detectable_full,
     discretize,
     fixture,
     load_matrix_csv,
@@ -96,7 +95,7 @@ class TestDelayTypes:
             DelayModel(0.5, 1.5)
 
     def test_outcome_labels(self):
-        oc = DelayOutcome.from_label("01")
+        oc = DelayOutcome(0, 1)
         assert (oc.gamma1, oc.gamma2) == (0, 1)
         assert oc.label == "01"
         with pytest.raises(ValueError):
@@ -178,23 +177,6 @@ class TestCloseLoop:
         else:
             assert abs(A_c[0, 0] - (-1.2053)) < 2.5e-3
             assert max(abs(np.linalg.eigvals(A_c))) > 1.0
-
-
-class TestDetectability:
-    def test_stable_system_always_detectable(self):
-        assert detectable_full(0.5 * np.eye(3), np.zeros((1, 3)))
-
-    def test_unobserved_unstable_mode(self):
-        assert not detectable_full(2.0 * np.eye(2), np.array([[1.0, 0.0]]))
-
-    def test_unstable_fixture_detectable_with_full_sensing(self, case2):
-        assert detectable_full(case2.A, case2.C)
-        # independent PBH evaluation at each unstable eigenvalue
-        for z in np.linalg.eigvals(case2.A):
-            if abs(z) >= 1:
-                stacked = np.vstack([case2.A - z * np.eye(4), case2.C.astype(complex)])
-                sv = np.linalg.svd(stacked, compute_uv=False)
-                assert sv[3] > 1e-8
 
 
 class TestFixtures:
