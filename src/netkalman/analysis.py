@@ -21,8 +21,9 @@ form and ``C^+`` is the one certificate gain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -690,7 +691,9 @@ class EmpiricalCritical:
     ``estimate`` is the midpoint of the final bracket
     ``[largest probability seen bounded, smallest seen divergent]``;
     ``h_diverged`` reports the divergence witness at the free
-    probability's extreme (free probability = 1).
+    probability's extreme (free probability = 1).  It is computed on
+    first read, by the keyword-only ``_witness`` callable, and cached;
+    equality compares every field but the witness.
     """
 
     fixed_which: int
@@ -698,8 +701,12 @@ class EmpiricalCritical:
     estimate: float
     bracket_low: float
     bracket_high: float
-    h_diverged: bool
     probes: int
+    _witness: Callable[[], CovBoundSequence] = field(compare=False, repr=False, kw_only=True)
+
+    @cached_property
+    def h_diverged(self) -> bool:
+        return self._witness().diverged
 
 
 def empirical_critical(
@@ -717,11 +724,14 @@ def empirical_critical(
     boundedness, and that the rate grows with the probability, are
     conjectures (README "Known limitations").  ``divergence_threshold``
     governs only the ``horizon``-step :func:`divergence_witness` behind
-    ``h_diverged``.  The probes at 1 and 0 run as one stack, then each stack
-    holds the points of the next few bisection levels; ``probes`` counts
-    only those on the path taken, as a probe-by-probe bisection does.  The
-    bisection also stops once the midpoint rounds onto an end, so a
-    ``bisect_tol`` below the spacing of doubles ends at adjacent doubles.
+    ``h_diverged``, which runs at the first read of ``h_diverged``, not
+    here: its arguments are checked now, but a warning or error raised
+    inside the witness surfaces at that read.  The probes at 1 and 0 run
+    as one stack, then each stack holds the points of the next few
+    bisection levels; ``probes`` counts only those on the path taken, as
+    a probe-by-probe bisection does.  The bisection also stops once the
+    midpoint rounds onto an end, so a ``bisect_tol`` below the spacing of
+    doubles ends at adjacent doubles.
     """
     if fixed_which not in (1, 2):
         raise ValueError(f"fixed_which must be 1 or 2, got {fixed_which}")
@@ -739,7 +749,7 @@ def empirical_critical(
     def verdicts(frees):
         return dict(zip(frees, _growth_verdicts(model, [delays_at(f) for f in frees], horizon)))
 
-    witness = divergence_witness(model, delays_at(1.0), horizon, divergence_threshold)
+    _divergence_threshold(model, horizon, divergence_threshold)
     bounded = verdicts([1.0, 0.0])
     lo, hi, probes = 0.0, 1.0, 2
     if bounded[1.0]:  # bounded on the whole axis
@@ -760,7 +770,8 @@ def empirical_critical(
         (lo + hi) / 2.0,
         lo,
         hi,
-        witness.diverged,
         probes,
+        _witness=partial(divergence_witness, model, delays_at(1.0), horizon,
+                         divergence_threshold),
     )
 

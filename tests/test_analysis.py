@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -317,6 +318,59 @@ def period_two_model():
     return make_model(A, np.eye(1), np.zeros((1, 2)), 1)
 
 
+def witness_counterexample_model():
+    """A random model whose witness map diverges where its norm-product bound is below 1.
+
+    Draw 43 of ``random_model(rng, max_n=3, max_m=1, spectral_radius=rng.uniform(1.05,
+    2.5))`` with ``rng = np.random.default_rng(2026)`` (each draw followed by one
+    ``rng.uniform(0, 1)`` per axis), written out to full precision.  With lambda1
+    fixed at 0.34777963752430907 and lambda2 = 1, the homogenized witness map's
+    first rates from I are 6.33, 2.95, 0.143, 0.143, so their product ``U_3`` is
+    below 1, yet its long-run rate is about 1.16 and the witness diverges.
+    """
+    A = np.array([
+        [2.275517773434127, -0.11709757326250175, -0.6562400413251057, -1.1729416718238197,
+         -3.743787471376904],
+        [-0.8368050465507308, -0.4407472438330792, -1.0499612178278674, -1.5052208357476184,
+         -0.15716771622936274],
+        [-0.5896638741027583, 0.18115601893422054, -1.532099599379193, 2.839260069546553,
+         0.7964917585033079],
+        [-0.27512616466494866, -1.2233589644661358, -1.5061902172339088, 1.1709825624768064,
+         -0.6558077458092673],
+        [0.043775526230827935, 0.5977266288598974, -0.859764049609641, 0.35740918439607217,
+         -2.8658006726728433],
+    ])
+    W = np.array([
+        [3.0500390821502865, -2.038646171694327, -0.7841280000458771, -2.758941006084177,
+         -0.7067799721783585],
+        [-2.038646171694327, 7.237101461555082, -2.312718387669793, 1.6862618152823057,
+         1.5228956578630575],
+        [-0.7841280000458771, -2.312718387669793, 2.624774572067805, 0.36996245231999403,
+         0.18343390480143895],
+        [-2.758941006084177, 1.6862618152823057, 0.36996245231999403, 4.014364099473249,
+         -0.5906492735703098],
+        [-0.7067799721783585, 1.5228956578630575, 0.18343390480143895, -0.5906492735703098,
+         2.220761331590143],
+    ])
+    V = np.array([[1.8413253027191312, -1.2196949756608326],
+                  [-1.2196949756608326, 1.1063853346797015]])
+    Sigma0 = np.array([
+        [11.42151045238559, 0.11104690251125804, 3.0410025580144526, -1.4451497305317142,
+         0.06312159032213575],
+        [0.11104690251125804, 4.473718404393984, 1.3154077699820799, 1.4097001921350996,
+         -2.133259822293709],
+        [3.0410025580144526, 1.3154077699820799, 3.6690996063022956, 1.3136356472049562,
+         -1.701748660688901],
+        [-1.4451497305317142, 1.4097001921350996, 1.3136356472049562, 7.368345921682325,
+         0.6580418426042213],
+        [0.06312159032213575, -2.133259822293709, -1.701748660688901, 0.6580418426042213,
+         2.4667603491101575],
+    ])
+    C1 = np.array([[-0.984088105656567, -1.9519285710788044]])
+    C2 = np.array([[-0.43167093073078694, -0.4479876069776393, 1.7289640163821058]])
+    return make_model(A, C1, C2, 2, W=W, V=V, Sigma0=Sigma0)
+
+
 def sequential_critical(model, lambda_fixed, fixed_which, horizon, bisect_tol):
     """Reference bisection: one plain rate verdict per probe, in order."""
 
@@ -328,12 +382,15 @@ def sequential_critical(model, lambda_fixed, fixed_which, horizon, bisect_tol):
     def bounded(free):
         return plain_growth_bounded(model, delays_at(free), horizon)
 
-    threshold = 1e12 * float(np.trace(model.W))
-    h = bool(plain_witness_traces(model, delays_at(1.0), horizon)[-1] > threshold)
+    def witness():
+        threshold = 1e12 * float(np.trace(model.W))
+        traces = plain_witness_traces(model, delays_at(1.0), horizon)
+        return SimpleNamespace(diverged=bool(traces[-1] > threshold))
+
     if bounded(1.0):
-        return EmpiricalCritical(fixed_which, lambda_fixed, 1.0, 1.0, 1.0, h, 1)
+        return EmpiricalCritical(fixed_which, lambda_fixed, 1.0, 1.0, 1.0, 1, _witness=witness)
     if not bounded(0.0):
-        return EmpiricalCritical(fixed_which, lambda_fixed, 0.0, 0.0, 0.0, h, 2)
+        return EmpiricalCritical(fixed_which, lambda_fixed, 0.0, 0.0, 0.0, 2, _witness=witness)
     lo, hi, probes = 0.0, 1.0, 2
     while hi - lo > bisect_tol:
         mid = (lo + hi) / 2.0
@@ -342,7 +399,14 @@ def sequential_critical(model, lambda_fixed, fixed_which, horizon, bisect_tol):
         else:
             hi = mid
         probes += 1
-    return EmpiricalCritical(fixed_which, lambda_fixed, (lo + hi) / 2.0, lo, hi, h, probes)
+    return EmpiricalCritical(fixed_which, lambda_fixed, (lo + hi) / 2.0, lo, hi, probes,
+                             _witness=witness)
+
+
+def assert_same_estimate(est, ref):
+    """``est == ref`` leaves the deferred witness out, so its verdict is compared apart."""
+    assert est == ref
+    assert est.h_diverged == ref.h_diverged
 
 
 def hidden_mode_draw(a, poles, coupling, rng):
@@ -812,6 +876,50 @@ class TestEmpiricalCritical:
             with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
                 empirical_critical(hidden_mode, 0.5, 2, horizon=horizon)
 
+    def test_witness_runs_at_first_read_only(self, case1, case2, hidden_mode):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a witness step ran before h_diverged was read")
+
+        cases = [(case1, 1.0, 1), (case2, 0.5, 2), (hidden_mode, 1.0, 1), (hidden_mode, 0.5, 2),
+                 (period_two_model(), 0.0, 1)]
+        seen = set()
+        for model, lam, fixed_which in cases:
+            calls = []
+
+            def counting_witness(*args, **kwargs):
+                calls.append(args)
+                return divergence_witness(*args, **kwargs)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(analysis, "divergence_witness", counting_witness)
+                with pytest.MonkeyPatch.context() as no_gain:
+                    no_gain.setattr(analysis, "optimal_gain", no_step)
+                    est = empirical_critical(model, lam, fixed_which, 400)
+                assert calls == []
+                first = est.h_diverged
+                assert est.h_diverged == first and len(calls) == 1  # cached
+            delays = DelayModel(lam, 1.0) if fixed_which == 1 else DelayModel(1.0, lam)
+            assert first == divergence_witness(model, delays, 400).diverged
+            seen.add(first)
+        assert seen == {False, True}  # the hidden-mode axes differ
+
+    def test_witness_diverges_where_its_norm_product_bound_is_below_one(self):
+        # a rate verdict's rule (b) would call this witness map bounded,
+        # so h_diverged must come from the witness itself
+        model = witness_counterexample_model()
+        lam = 0.34777963752430907
+        delays = DelayModel(lam, 1.0)
+        s = 1e8 * max(np.trace(model.W), np.trace(model.V) / np.sum(model.C**2))
+        Y, rates = np.eye(model.n), []
+        for _ in range(4):
+            D = optimal_gain(s * Y, model.C, model.V, model.dims, DelayOutcome(0, 0))
+            Y = lam * one_step_cov(model, D, s * Y) / s
+            rates.append(np.linalg.eigvalsh(Y)[-1])
+            Y = Y / rates[-1]
+        assert np.prod(rates) < 1.0
+        assert divergence_witness(model, delays, 400).diverged_at == 130
+        assert empirical_critical(model, lam, 1).h_diverged
+
     @pytest.mark.parametrize("horizon", [300, 400, 401])
     def test_cycling_rates_decide_by_mean_log_rate(self, horizon):
         # at lambda2 = 1 the rates alternate 4, 0.3025 (rho = 1.1): neither
@@ -824,7 +932,7 @@ class TestEmpiricalCritical:
         est = empirical_critical(model, 0.0, 1, horizon=horizon)
         assert 0.0 < est.estimate < 1.0
         assert est.bracket_low <= 1 / 1.21 <= est.bracket_high
-        assert est == sequential_critical(model, 0.0, 1, horizon, 0.02)
+        assert_same_estimate(est, sequential_critical(model, 0.0, 1, horizon, 0.02))
 
     @pytest.mark.parametrize("c, d", [(1e3, 1.0), (1.0, 1e3), (1e-3, 1e-3)])
     def test_rescaled_units_give_the_same_estimate_without_warnings(self, hidden_mode, c, d):
@@ -837,7 +945,8 @@ class TestEmpiricalCritical:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = empirical_critical(rescaled, 0.5, 2, 400)
-        assert est == empirical_critical(hidden_mode, 0.5, 2, 400)
+            est.h_diverged  # the witness runs at this first read
+        assert_same_estimate(est, empirical_critical(hidden_mode, 0.5, 2, 400))
 
     def test_zero_map_is_bounded_without_warnings(self):
         # A = 0 and W = 0 make every rate exactly 0, so U_1 = 0 decides
@@ -845,6 +954,7 @@ class TestEmpiricalCritical:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = empirical_critical(model, 0.5, 1, horizon=20)
+            assert not est.h_diverged  # the witness runs at this first read
         assert (est.estimate, est.probes) == (1.0, 1)
 
     def test_identity_sensing_never_diverges(self):
@@ -897,7 +1007,7 @@ class TestEmpiricalCritical:
     def test_hidden_mode_equals_sequential_bisection(self, hidden_mode_runs):
         est = hidden_mode_runs["stacked"][0]
         assert 0.0 < est.estimate < 1.0
-        assert est == hidden_mode_runs["sequential"][0]
+        assert_same_estimate(est, hidden_mode_runs["sequential"][0])
 
     @pytest.mark.parametrize("bisect_tol", [0.05, 0.1])
     def test_partial_lookahead_equals_sequential_bisection(self, hidden_mode, bisect_tol):
@@ -905,7 +1015,8 @@ class TestEmpiricalCritical:
         # the bisection never reaches
         for fixed_which in (1, 2):
             est = empirical_critical(hidden_mode, 0.5, fixed_which, 200, bisect_tol=bisect_tol)
-            assert est == sequential_critical(hidden_mode, 0.5, fixed_which, 200, bisect_tol)
+            assert_same_estimate(
+                est, sequential_critical(hidden_mode, 0.5, fixed_which, 200, bisect_tol))
 
     def test_hidden_mode_halves_gain_set_calls(self, hidden_mode_runs):
         # work-count guard: the stacked probes make at most half the

@@ -17,8 +17,10 @@ most delay histories are distinct, and the boundedness minima
 ``case1_stable``; and, on the test suite's ``hidden_mode`` model (an
 unstable mode hidden from sensor 1), ``divergence_witness`` at lambda
 (1, 0.5) and ``empirical_critical`` with lambda2 fixed at 0.5, both over
-400 steps, and ``growth_rate``: the growth-rate verdicts of one stack of
-the 7 bisection points above (a budget of 400 steps; left out for a
+400 steps, the latter also with a read of its ``h_diverged`` (which runs
+the 400-step witness at lambda (1, 0.5) on first read), and
+``growth_rate``: the growth-rate verdicts of one stack of the 7
+bisection points above (a budget of 400 steps; left out for a
 package that has no growth-rate bisection).  ``cold_import`` is the
 median time of ``import netkalman`` in ``REPEATS`` fresh interpreters
 run with ``PYTHONDONTWRITEBYTECODE=1``, as
@@ -99,6 +101,8 @@ def _cases():
         HIDDEN_MODE, DelayModel(1.0, 0.5), 400)
     cases["empirical_critical.hidden_mode"] = lambda: analysis.empirical_critical(
         HIDDEN_MODE, 0.5, 2, 400)
+    cases["empirical_critical.hidden_mode.h_diverged"] = lambda: analysis.empirical_critical(
+        HIDDEN_MODE, 0.5, 2, 400).h_diverged
     if hasattr(analysis, "_growth_verdicts"):
         cases["growth_rate.hidden_mode"] = lambda: analysis._growth_verdicts(
             HIDDEN_MODE, lookahead, 400)
@@ -157,7 +161,7 @@ def main() -> None:
     for name, timer in timers.items():
         refs[name] = _time(reference)
         layers[name] = timer()
-        print(f"{name:32s} {layers[name]:12.2f} us  (reference {refs[name]:.2f} us)",
+        print(f"{name:44s} {layers[name]:12.2f} us  (reference {refs[name]:.2f} us)",
               file=sys.stderr)
     cpu = [ln.split(":", 1)[1].strip() for ln in open("/proc/cpuinfo")
            if ln.startswith("model name")] if os.path.exists("/proc/cpuinfo") else []
