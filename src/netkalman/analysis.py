@@ -57,12 +57,6 @@ __all__ = [
 ]
 
 
-def closed_loop_factor(model: SystemModel, X) -> np.ndarray:
-    """``A - A X C``: the error propagation factor under update gain X."""
-    A = model.A
-    return A - A @ np.asarray(X, dtype=float) @ model.C
-
-
 def one_step_cov(model: SystemModel, X, Y) -> np.ndarray:
     """Next prediction covariance when gain X is applied at covariance Y.
 
@@ -146,9 +140,12 @@ class CovBoundSequence:
 
     Y: np.ndarray  # (steps_completed, n, n)
     traces: np.ndarray  # (steps_completed,)
-    diverged: bool
     diverged_at: Optional[int]
     threshold: float
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
 
     @property
     def steps_completed(self) -> int:
@@ -162,60 +159,10 @@ class CovBoundSequence:
         return abs(b - a) <= rtol * max(1.0, abs(b))
 
 
-class _Orbit:
-    """The iterates of one deterministic matrix sequence, up to its exit.
-
-    The sequence leaves off at the first iterate whose trace exceeds the
-    threshold, or at the first iterate that repeats an earlier one bit
-    for bit.  The map is a pure function of the iterate's bits, so a
-    repeat means the sequence cycles from there on and never crosses
-    the threshold; :meth:`tiled` fills the rest of the horizon with the
-    cycle.  A new iterate is compared bitwise only with the earlier
-    iterates of the same trace.
-    """
-
-    def __init__(self, Y0: np.ndarray, steps: int, threshold: float):
-        self.steps = steps
-        self.threshold = threshold
-        self.length = 0
-        self._ys = np.empty((steps,) + Y0.shape)
-        self._traces = np.empty(steps)
-        self.cycle_start: Optional[int] = None
-        self.diverged_at: Optional[int] = None
-        self.push(Y0)
-
-    @property
-    def running(self) -> bool:
-        return self.cycle_start is None and self.diverged_at is None
-
-    def push(self, Y: np.ndarray) -> None:
-        """Record the next iterate, or the cycle it closes."""
-        trace = float(np.trace(Y))
-        n = self.length
-        for s in np.flatnonzero(self._traces[:n] == trace):
-            if self._ys[s].tobytes() == Y.tobytes():
-                self.cycle_start = int(s)
-                return
-        self._ys[n] = Y
-        self._traces[n] = trace
-        self.length = n + 1
-        if trace > self.threshold:
-            self.diverged_at = self.length
-
-    def tiled(self):
-        """Iterates and traces up to the horizon, or to the diverging step."""
-        n = self.length
-        idx = np.arange(n if self.cycle_start is None else self.steps)
-        if self.cycle_start is not None:
-            s = self.cycle_start
-            idx = np.where(idx < n, idx, s + (idx - s) % (n - s))
-        return self._ys[idx], self._traces[idx]
-
-
 def _divergence_threshold(model: SystemModel, steps: int, threshold: Optional[float]) -> float:
-    """``threshold`` (finite, > 0), ``1e12 * trace(W)`` if None, for ``steps >= 1`` steps."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    """``threshold`` (finite, > 0), ``1e12 * trace(W)`` if None, for an integer ``steps >= 1``."""
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"steps must be >= 1 and an integer, got {steps!r}")
     if threshold is not None and not (np.isfinite(threshold) and threshold > 0.0):
         raise ValueError(f"divergence_threshold must be finite and > 0, got {threshold}")
     return 1e12 * float(np.trace(model.W)) if threshold is None else threshold
@@ -224,23 +171,33 @@ def _divergence_threshold(model: SystemModel, steps: int, threshold: Optional[fl
 def _iterate(model: SystemModel, step, steps: int, threshold: Optional[float]) -> CovBoundSequence:
     """The sequence ``Y_{k+1} = step(Y_k)`` from the step-1 prediction covariance.
 
-    ``threshold`` as in :func:`_divergence_threshold`; the iteration ends as
-    an :class:`_Orbit` does, and its cycle, if any, fills the horizon.
+    ``threshold`` as in :func:`_divergence_threshold`.  The iteration ends at
+    the horizon, at the first iterate whose trace exceeds the threshold, or
+    at the first iterate that repeats an earlier one bit for bit.  ``step``
+    is a pure function of the iterate's bits, so a repeat means the
+    sequence cycles from there on and never crosses the threshold; the
+    cycle fills the rest of the horizon.
     """
     threshold = _divergence_threshold(model, steps, threshold)
     Y = first_prediction_cov(model)
-    orbit = _Orbit(Y, steps, threshold)
-    while orbit.running and orbit.length < steps:
+    ys, traces, seen = [], [], {}
+    while True:
+        # A NaN trace equals no other, so an iterate with one never closes a cycle.
+        key = (float(np.trace(Y)), Y.tobytes())
+        if key in seen:
+            n, start = len(ys), seen[key]
+            idx = np.arange(steps)
+            idx[n:] = start + (idx[n:] - start) % (n - start)
+            break
+        seen[key] = len(ys)
+        ys.append(Y)
+        traces.append(key[0])
+        if key[0] > threshold or len(ys) == steps:
+            idx = np.arange(len(ys))
+            break
         Y = step(Y)
-        orbit.push(Y)
-    Y, traces = orbit.tiled()
-    return CovBoundSequence(
-        Y=Y,
-        traces=traces,
-        diverged=orbit.diverged_at is not None,
-        diverged_at=orbit.diverged_at,
-        threshold=threshold,
-    )
+    diverged_at = len(ys) if traces[-1] > threshold else None
+    return CovBoundSequence(np.array(ys)[idx], np.array(traces)[idx], diverged_at, threshold)
 
 
 def cov_bound_sequence(
@@ -265,22 +222,6 @@ def cov_bound_sequence(
 # Kronecker-form expected update
 
 
-def _certified_factor(model: SystemModel, delays: DelayModel, X) -> np.ndarray:
-    """``F = A - A X C`` for a gain X admissible under every possible outcome."""
-    X = np.asarray(X, dtype=float)
-    if X.shape != (model.n, model.m):
-        raise ValueError(f"gain has shape {X.shape}, expected {(model.n, model.m)}")
-    for outcome in ALL_OUTCOMES:
-        if delays.outcome_probability(outcome) == 0.0:
-            continue
-        mask = mask_for_outcome(outcome)
-        if np.any(X[~mask_pattern(mask, model.dims)] != 0.0):
-            raise ValueError(
-                f"gain violates the {mask.value} zero pattern of outcome {outcome.label}"
-            )
-    return closed_loop_factor(model, X)
-
-
 def kron_update_radius(model: SystemModel, delays: DelayModel, X) -> float:
     """Spectral radius of the Kronecker-form covariance update under one fixed gain.
 
@@ -294,8 +235,18 @@ def kron_update_radius(model: SystemModel, delays: DelayModel, X) -> float:
     pairs of eigenvalues of F, so the radius is ``rho(F)**2``, read off the
     (n, n) factor.
     """
-    F = _certified_factor(model, delays, X)
-    return float(np.abs(np.linalg.eigvals(F)).max() ** 2)
+    X = np.asarray(X, dtype=float)
+    if X.shape != (model.n, model.m):
+        raise ValueError(f"gain has shape {X.shape}, expected {(model.n, model.m)}")
+    for outcome in ALL_OUTCOMES:
+        mask = mask_for_outcome(outcome)
+        if (delays.outcome_probability(outcome) != 0.0
+                and np.any(X[~mask_pattern(mask, model.dims)] != 0.0)):
+            raise ValueError(
+                f"gain violates the {mask.value} zero pattern of outcome {outcome.label}"
+            )
+    A = model.A
+    return float(np.abs(np.linalg.eigvals(A - A @ X @ model.C)).max() ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -423,16 +374,6 @@ class BoundednessReport:
         return header + row + "\n"
 
 
-def weighted_sum_of(minima: NormMinima, delays: DelayModel) -> float:
-    l1, l2 = delays.lambda1, delays.lambda2
-    return (
-        minima.r1 * l1 * l2
-        + minima.r2 * l1 * (1 - l2)
-        + minima.r3 * (1 - l1) * l2
-        + minima.r4 * (1 - l1) * (1 - l2)
-    )
-
-
 # Compatibility with the benchmark in perfbench/, which is versioned apart
 # from the library: it passes ``RunConfig.solver`` (always None) into the
 # ``options`` slot of boundedness_test and critical_bounds, which is
@@ -451,7 +392,13 @@ def boundedness_test(
     """Certify boundedness of the expected covariance at given delays."""
     if minima is None:
         minima = masked_norm_minima(model)
-    ws = weighted_sum_of(minima, delays)
+    l1, l2 = delays.lambda1, delays.lambda2
+    ws = (
+        minima.r1 * l1 * l2
+        + minima.r2 * l1 * (1 - l2)
+        + minima.r3 * (1 - l1) * l2
+        + minima.r4 * (1 - l1) * (1 - l2)
+    )
     verdict = "BoundedCertified" if ws <= 1.0 else "Inconclusive"
     return BoundednessReport(
         lambda1=delays.lambda1,

@@ -56,11 +56,16 @@ class EecEstimate:
     horizon: int
     master_seed: int
 
+    def _index(self, t: int) -> int:
+        if not 1 <= t <= self.horizon:
+            raise ValueError(f"t must lie in 1..{self.horizon}, got {t}")
+        return t - 1
+
     def trace_at(self, t: int) -> float:
-        return float(self.trace_mean[t - 1])
+        return float(self.trace_mean[self._index(t)])
 
     def se_at(self, t: int) -> float:
-        return float(self.trace_se[t - 1])
+        return float(self.trace_se[self._index(t)])
 
 
 def _run_indicators(delays: DelayModel, runs: int, horizon: int, master_seed: int):
@@ -159,9 +164,6 @@ class SweepResult:
     runs: int
     horizon: int
     master_seed: int
-
-    def cell(self, i: int, j: int) -> np.ndarray:
-        return self.trace_mean[i, j]
 
     def to_csv(self) -> str:
         buf = io.StringIO()

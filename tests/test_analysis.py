@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from types import SimpleNamespace
 
@@ -457,20 +458,23 @@ class TestCovBoundSequence:
         assert seq.traces[-1] > seq.threshold
 
     @pytest.mark.parametrize("lams", [(0.0, 0.0), (1.0, 1.0), (0.5, 0.5), (0.25, 0.75),
-                                      (1.0, 0.0)])
+                                      (1.0, 0.0), (0.34777963752430907, 1.0)])
     def test_cycle_exit_equals_plain_iteration(self, case1, case2, lams):
-        # both fixtures fall into an exact cycle well before step 400; the
-        # tiled tail must be the iteration itself, bit for bit
+        # the orbits fall into exact cycles of period 1, 2, 3, 8 and 10 well
+        # before step 400, and at the last lambda pair the witness of
+        # witness_counterexample_model diverges at step 130; the tiled tail
+        # must be the iteration itself, bit for bit
         delays = DelayModel(*lams)
-        for model in (case1, case2):
-            seq = cov_bound_sequence(model, delays, 400)
-            Y, traces, diverged_at = plain_bound_sequence(model, delays, 400)
+        for model, steps in itertools.product(
+                (case1, case2, period_two_model(), witness_counterexample_model()), (1, 7, 400)):
+            seq = cov_bound_sequence(model, delays, steps)
+            Y, traces, diverged_at = plain_bound_sequence(model, delays, steps)
             assert np.array_equal(seq.Y, Y)
             assert np.array_equal(seq.traces, traces)
             assert seq.diverged_at == diverged_at
             assert seq.diverged == (diverged_at is not None)
-            w = divergence_witness(model, delays, 400)
-            assert np.array_equal(w.traces, plain_witness_traces(model, delays, 400))
+            w = divergence_witness(model, delays, steps)
+            assert np.array_equal(w.traces, plain_witness_traces(model, delays, steps))
 
 
 class TestKronUpdate:
@@ -660,7 +664,7 @@ class TestBoundednessTest:
 
 def residual_gram(model, X):
     """``F^T F`` for the propagation factor ``F = A - A X C``."""
-    F = analysis.closed_loop_factor(model, X)
+    F = model.A - model.A @ np.asarray(X, dtype=float) @ model.C
     return F.T @ F
 
 
@@ -807,6 +811,12 @@ class TestDivergenceWitness:
     def test_nonpositive_steps_rejected(self, case1, steps):
         with pytest.raises(ValueError, match="steps must be >= 1"):
             divergence_witness(case1, DelayModel(1.0, 1.0), steps=steps)
+
+    @pytest.mark.parametrize("steps", [2.5, "5"])
+    @pytest.mark.parametrize("sequence", [cov_bound_sequence, divergence_witness])
+    def test_non_integer_steps_rejected(self, case1, sequence, steps):
+        with pytest.raises(ValueError, match="steps must be >= 1 and an integer"):
+            sequence(case1, DelayModel(1.0, 1.0), steps)
 
     def test_small_product_probability_contracts(self):
         model = make_model(np.array([[0.5, 1.0], [0.0, 1.2]]),

@@ -61,6 +61,14 @@ class TestEstimateEec:
         with pytest.raises(ValueError):
             estimate_eec(toy, DelayModel(0.5, 0.5), 0, 5, 0)
 
+    @pytest.mark.parametrize("t", [0, -1, 6])
+    def test_step_outside_horizon_rejected(self, toy, t):
+        est = estimate_eec(toy, DelayModel(0.5, 0.5), runs=4, horizon=5, master_seed=3)
+        assert est.trace_at(1) == est.trace_mean[0] and est.se_at(5) == est.trace_se[4]
+        for read in (est.trace_at, est.se_at):
+            with pytest.raises(ValueError, match=r"t must lie in 1\.\.5"):
+                read(t)
+
     def test_mean_bounded_by_expected_map_sequence(self, toy):
         # Monte-Carlo counterpart of the deterministic upper bound
         delays = DelayModel(0.5, 0.5)

@@ -14,8 +14,11 @@ benchmark's 3x3 grid (lambda in {0, 0.5, 1}, 10 runs x 50 steps a cell),
 ``estimate_eec`` at lambda (0.5, 0.5) over 1000 runs x 50 steps, where
 most delay histories are distinct, and the boundedness minima
 (``masked_norm_minima``, and ``critical_bounds`` at lambda1 = 1), all on
-``case1_stable``; and, on the test suite's ``hidden_mode`` model (an
-unstable mode hidden from sensor 1), ``divergence_witness`` at lambda
+``case1_stable``; ``cov_bound_sequence.fixtures``: the 400-step bound
+sequences of ``case1_stable`` and ``case2_unstable`` at lambda (0.5, 0.5),
+the two ``bound_sequence`` jobs of the benchmark's ``bisect`` workload;
+and, on the test suite's ``hidden_mode`` model (an unstable mode hidden
+from sensor 1), ``divergence_witness`` at lambda
 (1, 0.5) and ``empirical_critical`` with lambda2 fixed at 0.5, both over
 400 steps, the latter also with a read of its ``h_diverged`` (which runs
 the 400-step witness at lambda (1, 0.5) on first read), and
@@ -97,6 +100,9 @@ def _cases():
         model, DelayModel(0.5, 0.5), 1000, 50, 7)
     cases["masked_norm_minima"] = lambda: analysis.masked_norm_minima(model)
     cases["critical_bounds"] = lambda: analysis.critical_bounds(model, 1.0, 1)
+    fixtures = [model, fixture("case2_unstable")[0]]
+    cases["cov_bound_sequence.fixtures"] = lambda: [
+        analysis.cov_bound_sequence(m, DelayModel(0.5, 0.5), 400) for m in fixtures]
     cases["divergence_witness.hidden_mode"] = lambda: analysis.divergence_witness(
         HIDDEN_MODE, DelayModel(1.0, 0.5), 400)
     cases["empirical_critical.hidden_mode"] = lambda: analysis.empirical_critical(
