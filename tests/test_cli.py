@@ -456,3 +456,92 @@ class TestCliCommands:
     def test_critical_bad_fix_argument(self, fixture_cfg, capsys):
         assert main(["critical", fixture_cfg, "--fix", "lambda3=0.5"]) == 2
         assert "lambda" in capsys.readouterr().err
+
+
+# A = diag(2, 0.5) with no sensor on the unstable state: the bound
+# sequence crosses its threshold, 1e12 tr W, at step 21.
+DIVERGING_CFG = """\
+[system]
+n1 = 1
+n2 = 1
+a = 2 0; 0 0.5
+c1 = 0
+c2 = 1
+w = 1 0; 0 1
+v = 1 0; 0 1
+sigma0 = 1 0; 0 1
+
+[delays]
+lambda1 = 1
+lambda2 = 0.5
+"""
+
+INVALID_CFG = """\
+[system]
+n1 = 1
+n2 = 1
+a = 1 0; 0 1
+c1 = 1
+c2 = 1
+w = 0 0; 0 0
+v = 1 0; 0 1
+sigma0 = 1 0; 0 1
+"""
+
+
+class TestCliRouting:
+    """Which stream each subcommand writes to, and when it writes a file."""
+
+    def test_iterate_g_reports_divergence_on_stderr(self, tmp_path, capsys):
+        cfg = tmp_path / "div.cfg"
+        cfg.write_text(DIVERGING_CFG)
+        assert main(["iterate-g", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "diverged at step 21 (threshold 2e+12)\n"
+        lines = captured.out.splitlines()
+        assert lines[0] == "t,trace_Y"
+        assert len(lines) == 22
+
+    def test_bounded_and_critical_csv_on_stdout_text_on_stderr(self, fixture_cfg, capsys):
+        cfg = parse_config(fixture_cfg)
+        report = netkalman.analysis.boundedness_test(cfg.model, cfg.delays)
+        assert main(["bounded", fixture_cfg]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (report.to_csv(), report.to_text() + "\n")
+        bounds = netkalman.analysis.critical_bounds(cfg.model, 0.5, 2)
+        assert main(["critical", fixture_cfg, "--fix", "lambda2=0.5"]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (bounds.to_csv(), bounds.to_text() + "\n")
+
+    def test_out_dash_is_stdout(self, fixture_cfg, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "b.csv"
+        assert main(["bounded", fixture_cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        monkeypatch.chdir(tmp_path)
+        assert main(["bounded", fixture_cfg, "--out", "-"]) == 0
+        assert capsys.readouterr().out == out.read_text()
+        assert not (tmp_path / "-").exists()
+
+    def test_validate_out_without_dump_prints_and_writes_nothing(self, fixture_cfg,
+                                                                 tmp_path, capsys):
+        out = tmp_path / "never.cfg"
+        assert main(["validate", fixture_cfg, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("model valid\n", "")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["validate"], ["gains", "--p", "p.csv"], ["filter"], ["sweep"], ["iterate-g"],
+        ["bounded"], ["critical", "--fix", "lambda1=0.5"],
+    ], ids=lambda extra: extra[0])
+    def test_invalid_model_exits_1_from_every_subcommand(self, tmp_path, capsys,
+                                                         monkeypatch, extra):
+        monkeypatch.chdir(tmp_path)
+        save_matrix_csv(tmp_path / "p.csv", np.eye(2))
+        (tmp_path / "bad.cfg").write_text(INVALID_CFG)
+        out = tmp_path / "out.csv"
+        assert main([extra[0], "bad.cfg", *extra[1:], "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "W not positive definite" in captured.err
+        assert not out.exists()
