@@ -8,6 +8,11 @@ deterministic covariance bound sequence), ``bounded`` (the weighted-sum
 boundedness certificate) and ``critical`` (critical-probability bracket,
 optionally with an empirical bisection estimate).
 
+Each subcommand is one row of ``_COMMANDS``: a handler, a help line and
+the subcommand's own flags.  A handler takes the parsed config and
+arguments and returns its output text and its diagnostics; ``main`` does
+the rest for all of them.
+
 Exit codes: 0 success, 1 model validation failure, 2 I/O, parse or
 usage errors.
 """
@@ -16,10 +21,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import os
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -32,113 +35,62 @@ from .model import ALL_OUTCOMES, SYM_RTOL, load_matrix_csv, save_matrix_csv, val
 __all__ = ["main", "run"]
 
 
-def _write_out(text: str, out: Optional[str]):
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _load_validated(path: str):
-    cfg = parse_config(path)
-    report = validate_model(cfg.model)
-    if not report.ok:
-        print(str(report), file=sys.stderr)
-        raise _ValidationFailure()
-    return cfg
-
-
-class _ValidationFailure(Exception):
-    pass
-
-
-def _cmd_validate(args) -> int:
-    cfg = parse_config(args.config)
-    report = validate_model(cfg.model)
-    if not report.ok:
-        print(str(report), file=sys.stderr)
-        return 1
+def _validate(cfg, args):
     if args.dump_normalized:
-        _write_out(dump_normalized(cfg), args.out)
-    else:
-        print("model valid")
-    return 0
+        return dump_normalized(cfg), ""
+    args.out = None  # "model valid" goes to stdout even with --out
+    return "model valid\n", ""
 
 
-def _cmd_gains(args) -> int:
-    cfg = _load_validated(args.config)
-    P = load_matrix_csv(args.p)
+def _gains(cfg, args):
     n = cfg.model.n
-    if P.shape != (n, n):
-        raise ConfigError(f"--p: prior covariance must be {n}x{n} for this model, "
-                          f"got {P.shape[0]}x{P.shape[1]}")
-    if not np.isfinite(P).all():
-        raise ConfigError("--p: prior covariance has non-finite entries")
-    if np.abs(P - P.T).max() > SYM_RTOL * np.abs(P).max():
-        raise ConfigError("--p: prior covariance is not symmetric")
     try:
+        P = load_matrix_csv(args.p)
+        if P.shape != (n, n):
+            raise ValueError(f"prior covariance must be {n}x{n} for this model, "
+                             f"got {P.shape[0]}x{P.shape[1]}")
+        if not np.isfinite(P).all():
+            raise ValueError("prior covariance has non-finite entries")
+        if np.abs(P - P.T).max() > SYM_RTOL * np.abs(P).max():
+            raise ValueError("prior covariance is not symmetric")
         gs = gain_set(P, cfg.model.C, cfg.model.V, cfg.model.dims)
-    except ValueError as exc:
-        raise ConfigError(f"--p: {exc}") from exc
-    buf = io.StringIO()
-    buf.write("outcome,row,col,value\n")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"--p: {exc}") from None
+    rows = ["outcome,row,col,value\n"]
     for oc in ALL_OUTCOMES:
         D = gs.for_outcome(oc)
-        for i in range(D.shape[0]):
-            for j in range(D.shape[1]):
-                buf.write(f"{oc.label},{i + 1},{j + 1},{D[i, j]:.17g}\n")
-    _write_out(buf.getvalue(), args.out)
-    return 0
+        rows += [f"{oc.label},{i + 1},{j + 1},{D[i, j]:.17g}\n" for i, j in np.ndindex(D.shape)]
+    return "".join(rows), ""
 
 
-def _cmd_filter(args) -> int:
-    cfg = _load_validated(args.config)
-    steps = args.steps if args.steps is not None else cfg.steps
-    seed = args.seed if args.seed is not None else cfg.seed
-    rec = run_filter(cfg.model, cfg.delays, steps, make_rng(seed))
-    _write_out(rec.to_csv(), args.out)
-    return 0
+def _filter(cfg, args):
+    seed = cfg.seed if args.seed is None else args.seed
+    return run_filter(cfg.model, cfg.delays, args.steps or cfg.steps, make_rng(seed)).to_csv(), ""
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_validated(args.config)
-    l1s, l2s = cfg.grid()
+def _sweep(cfg, args):
     result = montecarlo.sweep(
         cfg.model,
-        l1s,
-        l2s,
-        runs=args.runs if args.runs is not None else cfg.runs,
-        horizon=args.horizon if args.horizon is not None else cfg.steps,
-        master_seed=args.seed if args.seed is not None else cfg.seed,
-        workers=args.workers,
+        *cfg.grid(),
+        runs=args.runs or cfg.runs,
+        horizon=args.horizon or cfg.steps,
+        master_seed=cfg.seed if args.seed is None else args.seed,
     )
-    _write_out(result.to_csv(), args.out)
-    return 0
+    return result.to_csv(), ""
 
 
-def _cmd_iterate_g(args) -> int:
-    cfg = _load_validated(args.config)
-    steps = args.steps if args.steps is not None else cfg.horizon
+def _iterate_g(cfg, args):
     seq = analysis.cov_bound_sequence(
-        cfg.model, cfg.delays, steps, cfg.divergence_threshold
+        cfg.model, cfg.delays, args.steps or cfg.horizon, cfg.divergence_threshold
     )
-    buf = io.StringIO()
-    buf.write("t,trace_Y\n")
-    for k, tr in enumerate(seq.traces):
-        buf.write(f"{k + 1},{tr:.17g}\n")
-    _write_out(buf.getvalue(), args.out)
+    text = "t,trace_Y\n" + "".join(f"{k},{tr:.17g}\n" for k, tr in enumerate(seq.traces, 1))
     if seq.diverged:
-        print(f"diverged at step {seq.diverged_at} (threshold {seq.threshold:.3g})",
-              file=sys.stderr)
-    return 0
+        return text, f"diverged at step {seq.diverged_at} (threshold {seq.threshold:.3g})"
+    return text, ""
 
 
-def _cmd_bounded(args) -> int:
-    cfg = _load_validated(args.config)
+def _bounded(cfg, args):
     report = analysis.boundedness_test(cfg.model, cfg.delays)
-    _write_out(report.to_csv(), args.out)
-    print(report.to_text(), file=sys.stderr)
     if args.certificates:
         os.makedirs(args.certificates, exist_ok=True)
         # One gain certifies every mask; the four per-mask files are kept
@@ -146,7 +98,7 @@ def _cmd_bounded(args) -> int:
         X = report.certificates()
         for name in ("X_block_diag", "X_lower_block", "X_upper_block", "X_full"):
             save_matrix_csv(os.path.join(args.certificates, f"{name}.csv"), X)
-    return 0
+    return report.to_csv(), report.to_text()
 
 
 def _parse_fix(text: str):
@@ -163,8 +115,7 @@ def _parse_fix(text: str):
     return (1 if key == "lambda1" else 2), value
 
 
-def _cmd_critical(args) -> int:
-    cfg = _load_validated(args.config)
+def _critical(cfg, args):
     fixed_which, lam = _parse_fix(args.fix)
     bounds = analysis.critical_bounds(cfg.model, lam, fixed_which)
     if args.empirical:
@@ -177,81 +128,76 @@ def _cmd_critical(args) -> int:
             bisect_tol=cfg.bisect_tol,
         )
         bounds = dataclasses.replace(bounds, empirical=est.estimate)
-    _write_out(bounds.to_csv(), args.out)
-    print(bounds.to_text(), file=sys.stderr)
-    return 0
+    return bounds.to_csv(), bounds.to_text()
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _count(text: str) -> int:
+    """Type of the --steps, --runs and --horizon flags: an integer >= 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+
+
+# Every subcommand also takes the config path first and --out last.
+_COMMANDS = {
+    "validate": (_validate, "check a configuration/model",
+                 {"--dump-normalized": dict(action="store_true")}),
+    "gains": (_gains, "four structured gains for a prior covariance",
+              {"--p": dict(required=True, help="CSV file with the prior covariance")}),
+    "filter": (_filter, "simulate one estimator run",
+               {"--steps": dict(type=_count), "--seed": dict(type=int)}),
+    "sweep": (_sweep, "Monte-Carlo sweep over delay probabilities",
+              {"--runs": dict(type=_count), "--horizon": dict(type=_count),
+               "--seed": dict(type=int),
+               "--workers": dict(type=int, help="accepted and ignored")}),
+    "iterate-g": (_iterate_g, "deterministic covariance bound sequence",
+                  {"--steps": dict(type=_count)}),
+    "bounded": (_bounded, "weighted-sum boundedness certificate",
+                {"--certificates": dict(help="directory for certificate CSVs")}),
+    "critical": (_critical, "critical delay probability bracket",
+                 {"--fix": dict(required=True, help="lambda1=<v> or lambda2=<v>"),
+                  "--empirical": dict(action="store_true")}),
+}
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="netkalman",
         description="State estimation for interconnected systems with delayed cross measurements",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a configuration/model")
-    p.add_argument("config")
-    p.add_argument("--dump-normalized", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("gains", help="four structured gains for a prior covariance")
-    p.add_argument("config")
-    p.add_argument("--p", required=True, help="CSV file with the prior covariance")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_gains)
-
-    p = sub.add_parser("filter", help="simulate one estimator run")
-    p.add_argument("config")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_filter)
-
-    p = sub.add_parser("sweep", help="Monte-Carlo sweep over delay probabilities")
-    p.add_argument("config")
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None, help="accepted and ignored")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("iterate-g", help="deterministic covariance bound sequence")
-    p.add_argument("config")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_iterate_g)
-
-    p = sub.add_parser("bounded", help="weighted-sum boundedness certificate")
-    p.add_argument("config")
-    p.add_argument("--certificates", default=None, help="directory for certificate CSVs")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_bounded)
-
-    p = sub.add_parser("critical", help="critical delay probability bracket")
-    p.add_argument("config")
-    p.add_argument("--fix", required=True, help="lambda1=<v> or lambda2=<v>")
-    p.add_argument("--empirical", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_critical)
-
-    return parser
-
-
-def main(argv=None) -> int:
-    parser = _build_parser()
+    for name, (handler, summary, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("config")
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--out")
+        p.set_defaults(func=handler)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
-    except _ValidationFailure:
-        return 1
-    except (ConfigError, OSError, ValueError) as exc:
+        cfg = parse_config(args.config)
+        report = validate_model(cfg.model)
+        if not report.ok:
+            print(report, file=sys.stderr)
+            return 1
+        text, err = args.func(cfg, args)
+        if args.out in (None, "-"):
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        if err:
+            print(err, file=sys.stderr)
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def run():

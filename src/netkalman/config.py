@@ -146,6 +146,10 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
+    # configparser copies [DEFAULT] keys into every section; name the
+    # section they were written in.
+    if cp.defaults():
+        raise ConfigError("[DEFAULT]: unknown section")
     base_dir = os.path.dirname(os.path.abspath(path))
 
     if not cp.has_section("system"):
@@ -164,6 +168,11 @@ def parse_config(path) -> RunConfig:
                 f"[system] fixture: unknown fixture {fixture_name!r}; "
                 f"choose from {FIXTURE_NAMES}"
             )
+        for key in ("n1", "n2"):
+            if key in system:
+                raise ConfigError(
+                    f"[system] {key}: give a fixture or explicit matrices, not both"
+                )
         model, default_delays = fixture(fixture_name)
     else:
         missing = [k for k, M in matrices.items() if M is None]

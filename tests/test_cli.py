@@ -120,6 +120,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="fixture"):
             parse_config(path)
 
+    @pytest.mark.parametrize("key", ["n1", "n2"])
+    def test_dimension_next_to_fixture_named(self, tmp_path, key):
+        # n1 and n2 go only with explicit matrices; a fixture sets its own
+        path = tmp_path / "bad.cfg"
+        path.write_text(FIXTURE_CFG.replace("[delays]", f"{key} = 7\n\n[delays]"))
+        with pytest.raises(ConfigError, match=rf"^\[system\] {key}: give a fixture"):
+            parse_config(path)
+
+    def test_default_section_named(self, tmp_path, capsys):
+        # configparser copies [DEFAULT] keys into every section, so the
+        # error has to name [DEFAULT] itself; an empty one stays harmless
+        path = tmp_path / "bad.cfg"
+        path.write_text("[DEFAULT]\n\n" + FIXTURE_CFG)
+        assert main(["validate", str(path)]) == 0
+        path.write_text("[DEFAULT]\nseed = 3\n\n" + FIXTURE_CFG)
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == "error: [DEFAULT]: unknown section\n"
+
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(FIXTURE_CFG + "\n[analysis]\nbogus = 1\n")
@@ -284,10 +303,18 @@ class TestCliExitCodes:
         np.diag([1.0, float("nan"), 1.0, 1.0]),
         np.diag([1.0, float("inf"), 1.0, 1.0]),
         np.eye(3),
-    ], ids=["nan", "inf", "3x3"])
+        "1 0\n0 1 0\n",
+        "1 x\n0 1\n",
+        "",
+        None,
+    ], ids=["nan", "inf", "3x3", "ragged", "non-numeric", "empty", "missing"])
     def test_bad_prior_names_p(self, fixture_cfg, tmp_path, capsys, P):
+        # P is a matrix to save, the raw text of the file, or None for no file
         p_path = tmp_path / "p.csv"
-        save_matrix_csv(p_path, P)
+        if isinstance(P, str):
+            p_path.write_text(P)
+        elif P is not None:
+            save_matrix_csv(p_path, P)
         assert main(["gains", fixture_cfg, "--p", str(p_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -308,6 +335,18 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: --p:")
         assert what in captured.err
+
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5"])
+    @pytest.mark.parametrize("command, flag", [
+        ("filter", "--steps"), ("iterate-g", "--steps"), ("sweep", "--runs"),
+        ("sweep", "--horizon"),
+    ])
+    def test_count_flag_below_one_names_flag(self, fixture_cfg, capsys, command, flag, value):
+        assert main([command, fixture_cfg, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument {flag}: must be an integer >= 1, got '{value}'\n")
 
     def test_prior_symmetric_up_to_roundoff_passes(self, fixture_cfg, tmp_path):
         P = np.eye(4) + 0.3
