@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 
@@ -62,6 +63,89 @@ seed = 1
 [analysis]
 restarts = 2
 iterations = 100
+horizon = 50
+"""
+
+
+# dump_normalized of FIXTURE_CFG and of EXPLICIT_CFG with a divergence
+# threshold, byte for byte.
+FIXTURE_DUMP = """\
+[system]
+n1 = 2
+n2 = 2
+a =
+    -0.66959999999999997 0.43419999999999997 -0.16800000000000001 0.096000000000000002
+    -0.43419999999999997 -0.66959999999999997 0.080799999999999997 -0.1608
+    0.093600000000000003 -0.18479999999999999 0.78810000000000002 0.27279999999999999
+    0.087999999999999995 -0.16320000000000001 0.16 0.76449999999999996
+c1 =
+    1 0
+    0 1
+c2 =
+    1 1
+w =
+    1 0 0 0
+    0 1 0 0
+    0 0 1 0
+    0 0 0 1
+v =
+    1 0 0
+    0 1 0
+    0 0 1
+sigma0 =
+    1 0 0 0
+    0 1 0 0
+    0 0 1 0
+    0 0 0 1
+
+[delays]
+lambda1 = 0.25
+lambda2 = 0.75
+
+[sim]
+steps = 12
+runs = 4
+seed = 7
+
+[analysis]
+bisect_tol = 0.02
+horizon = 400
+"""
+
+EXPLICIT_DUMP = """\
+[system]
+n1 = 1
+n2 = 1
+a =
+    0.5 0.20000000000000001
+    0.10000000000000001 0.40000000000000002
+c1 =
+    1
+c2 =
+    1
+w =
+    1 0
+    0 1
+v =
+    1 0
+    0 1
+sigma0 =
+    1 0
+    0 1
+
+[delays]
+lambda1 = 0.5
+lambda2 = 0.5
+lambda2_grid = 0 1
+
+[sim]
+steps = 6
+runs = 3
+seed = 1
+
+[analysis]
+divergence_threshold = 2500000000000
+bisect_tol = 0.02
 horizon = 50
 """
 
@@ -180,6 +264,27 @@ class TestParseConfig:
         path.write_text(text)
         again = dump_normalized(parse_config(path))
         assert text == again
+
+    @pytest.mark.parametrize("text, golden", [
+        (FIXTURE_CFG, FIXTURE_DUMP),
+        (EXPLICIT_CFG.replace("horizon = 50\n", "horizon = 50\ndivergence_threshold = 2.5e12\n"),
+         EXPLICIT_DUMP),
+    ], ids=["fixture", "explicit"])
+    def test_dump_normalized_golden(self, tmp_path, text, golden):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert dump_normalized(parse_config(path)) == golden
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("section, key", [
+        ("sim", "steps"), ("sim", "runs"), ("analysis", "horizon"),
+    ])
+    def test_count_key_below_one_named(self, tmp_path, section, key, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[system]\nfixture = case1_stable\n\n[{section}]\n{key} = {value}\n")
+        message = f"[{section}] {key}: must be >= 1, got {value}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(path)
 
 
 # A valid explicit config, one section per key group; matrices are rows
