@@ -38,7 +38,6 @@ __all__ = ["main", "run"]
 def _validate(cfg, args):
     if args.dump_normalized:
         return dump_normalized(cfg), ""
-    args.out = None  # "model valid" goes to stdout even with --out
     return "model valid\n", ""
 
 

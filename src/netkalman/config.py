@@ -1,15 +1,21 @@
 """Run configuration: one INI-style file drives every CLI subcommand.
 
 The file has four sections.  ``[system]`` names a fixture or spells out
-the matrices (inline rows or ``*_file`` references to row-per-line CSV
-files); ``[delays]`` holds the two delay probabilities and optional
-sweep grids; ``[sim]`` the horizon, run count and master seed;
-``[analysis]`` the bound-iteration and bisection settings.  The former
-masked-norm solver keys (``restarts``, ``iterations``, ``step_scale``,
-``tolerance``, ``solver_seed``) are accepted and ignored, since the
-minima have a closed form; older files keep parsing.  ``dump_normalized``
-emits a canonical, self-contained form (fixtures and file references
-resolved to inline full-precision matrices) that re-parses to itself.
+the matrices, inline (one row a line, or rows joined by ``;``) or as
+``*_file`` references to row-per-line CSV files; both forms are read by
+``model.parse_matrix_rows``, and any error names the key.  ``[delays]``
+holds the two delay probabilities and optional sweep grids; ``[sim]``
+the step count, run count and master seed; ``[analysis]`` the
+bound-iteration and bisection settings.  Each scalar key of ``[sim]``
+and ``[analysis]`` is declared once, in ``_SCALARS``, with its section,
+type and range rule; its default is the ``RunConfig`` field's.  Parsing,
+the unknown-key check and ``dump_normalized`` all loop over that
+declaration.  The former masked-norm solver keys (``restarts``,
+``iterations``, ``step_scale``, ``tolerance``, ``solver_seed``) are
+accepted and ignored, since the minima have a closed form; older files
+keep parsing.  ``dump_normalized`` emits a canonical, self-contained form
+(fixtures and file references resolved to inline full-precision
+matrices) that re-parses to itself.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 import numpy as np
@@ -28,13 +34,24 @@ from .model import (
     SystemModel,
     fixture,
     load_matrix_csv,
+    parse_matrix_rows,
     shape_mismatches,
 )
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "dump_normalized"]
 
 _MATRIX_KEYS = ("a", "c1", "c2", "w", "v", "sigma0")
-_IGNORED_ANALYSIS_KEYS = {"restarts", "iterations", "step_scale", "tolerance", "solver_seed"}
+# Scalar keys, in dump order: key -> (section, type, rule).  Each default
+# is the RunConfig field's; a rule is also the text of its error message.
+_SCALARS = {
+    "steps": ("sim", int, ">= 1"),
+    "runs": ("sim", int, ">= 1"),
+    "seed": ("sim", int, None),
+    "divergence_threshold": ("analysis", float, "finite and > 0"),
+    "bisect_tol": ("analysis", float, "finite and > 0"),
+    "horizon": ("analysis", int, ">= 1"),
+}
+_RULES = {">= 1": lambda v: v >= 1, "finite and > 0": lambda v: math.isfinite(v) and v > 0.0}
 
 
 class ConfigError(ValueError):
@@ -68,69 +85,48 @@ class RunConfig:
         return l1, l2
 
 
-def _parse_matrix_text(text: str, where: str) -> np.ndarray:
-    rows = []
-    for chunk in text.replace(";", "\n").splitlines():
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            rows.append([float(tok) for tok in chunk.replace(",", " ").split()])
-        except ValueError as exc:
-            raise ConfigError(f"{where}: bad matrix entry ({exc})") from None
-    if not rows:
-        raise ConfigError(f"{where}: empty matrix")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ConfigError(f"{where}: ragged matrix rows")
-    return np.array(rows, dtype=float)
-
-
-def _get_matrix(section, key: str, base_dir: str, where: str) -> Optional[np.ndarray]:
+def _get_matrix(section, key: str, base_dir: str) -> Optional[np.ndarray]:
     inline = section.get(key)
     path = section.get(f"{key}_file")
     if inline is not None and path is not None:
-        raise ConfigError(f"{where}: give either {key} or {key}_file, not both")
-    if inline is not None:
-        M = _parse_matrix_text(inline, f"{where} {key}")
-    elif path is not None:
-        key = f"{key}_file"
-        full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-        if not os.path.exists(full):
-            raise ConfigError(f"{where} {key}: no such file {full}")
-        try:
-            M = load_matrix_csv(full)
-        except ValueError as exc:
-            raise ConfigError(f"{where} {key}: {exc}") from None
-    else:
+        raise ConfigError(f"[system] {key}: give either {key} or {key}_file, not both")
+    if inline is None and path is None:
         return None
+    try:
+        if inline is not None:
+            M = parse_matrix_rows(inline.replace(";", "\n").splitlines())
+        else:
+            key = f"{key}_file"
+            M = load_matrix_csv(os.path.join(base_dir, path))  # an absolute path stays
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"[system] {key}: {exc}") from None
     if not np.isfinite(M).all():
-        raise ConfigError(f"{where} {key}: matrix has non-finite entries")
+        raise ConfigError(f"[system] {key}: matrix has non-finite entries")
     return M
 
 
-def _get_number(section, key: str, where: str, cast, default=None):
-    raw = section.get(key)
+def _get_number(cp, sec: str, key: str, cast, default=None):
+    raw = cp.get(sec, key, fallback=None)
     if raw is None or raw.strip() == "":
         return default
     try:
         return cast(raw)
     except ValueError:
-        raise ConfigError(f"{where} {key}: cannot parse {raw!r}") from None
+        raise ConfigError(f"[{sec}] {key}: cannot parse {raw!r}") from None
 
 
-def _get_floats(section, key: str, where: str) -> Optional[Tuple[float, ...]]:
-    raw = section.get(key)
+def _get_floats(cp, key: str) -> Optional[Tuple[float, ...]]:
+    raw = cp.get("delays", key, fallback=None)
     if raw is None or raw.strip() == "":
         return None
     try:
         vals = tuple(float(tok) for tok in raw.replace(",", " ").split())
     except ValueError:
-        raise ConfigError(f"{where} {key}: cannot parse {raw!r}") from None
+        raise ConfigError(f"[delays] {key}: cannot parse {raw!r}") from None
     if not vals:
         return None
     if any(not 0.0 <= v <= 1.0 for v in vals):
-        raise ConfigError(f"{where} {key}: probabilities must lie in [0, 1]")
+        raise ConfigError(f"[delays] {key}: probabilities must lie in [0, 1]")
     return vals
 
 
@@ -142,7 +138,7 @@ def parse_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
@@ -156,7 +152,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("[system]: section is required")
     system = cp["system"]
     fixture_name = system.get("fixture")
-    matrices = {k: _get_matrix(system, k, base_dir, "[system]") for k in _MATRIX_KEYS}
+    matrices = {k: _get_matrix(system, k, base_dir) for k in _MATRIX_KEYS}
     has_explicit = any(M is not None for M in matrices.values())
     if fixture_name and has_explicit:
         raise ConfigError("[system] fixture: give a fixture or explicit matrices, not both")
@@ -178,8 +174,8 @@ def parse_config(path) -> RunConfig:
         missing = [k for k, M in matrices.items() if M is None]
         if missing:
             raise ConfigError(f"[system] {missing[0]}: matrix is required (or use a fixture)")
-        n1 = _get_number(system, "n1", "[system]", int)
-        n2 = _get_number(system, "n2", "[system]", int)
+        n1 = _get_number(cp, "system", "n1", int)
+        n2 = _get_number(cp, "system", "n2", int)
         if n1 is None or n2 is None:
             raise ConfigError("[system] n1: n1 and n2 are required with explicit matrices")
         model = SystemModel(
@@ -203,46 +199,30 @@ def parse_config(path) -> RunConfig:
             want = f"{cols} columns" if rows is None else f"{rows}x{cols}"
             raise ConfigError(f"[system] {key}: matrix is {r}x{c}, expected {want}")
 
-    delays_sec = cp["delays"] if cp.has_section("delays") else {}
-    where = "[delays]"
-    lambda1 = _get_number(delays_sec, "lambda1", where, float, default_delays.lambda1)
-    lambda2 = _get_number(delays_sec, "lambda2", where, float, default_delays.lambda2)
+    lambda1 = _get_number(cp, "delays", "lambda1", float, default_delays.lambda1)
+    lambda2 = _get_number(cp, "delays", "lambda2", float, default_delays.lambda2)
     try:
         delays = DelayModel(lambda1, lambda2)
     except ValueError as exc:
-        raise ConfigError(f"{where} {exc}") from None
-    l1_grid = _get_floats(delays_sec, "lambda1_grid", where)
-    l2_grid = _get_floats(delays_sec, "lambda2_grid", where)
-
-    sim = cp["sim"] if cp.has_section("sim") else {}
-    steps = _get_number(sim, "steps", "[sim]", int, 50)
-    runs = _get_number(sim, "runs", "[sim]", int, 1000)
-    seed = _get_number(sim, "seed", "[sim]", int, 0)
-    if steps < 1:
-        raise ConfigError(f"[sim] steps: must be >= 1, got {steps}")
-    if runs < 1:
-        raise ConfigError(f"[sim] runs: must be >= 1, got {runs}")
-
-    an = cp["analysis"] if cp.has_section("analysis") else {}
-    where = "[analysis]"
-    divergence_threshold = _get_number(an, "divergence_threshold", where, float, None)
-    bisect_tol = _get_number(an, "bisect_tol", where, float, 0.02)
-    horizon = _get_number(an, "horizon", where, int, 400)
-    if horizon < 1:
-        raise ConfigError(f"[analysis] horizon: must be >= 1, got {horizon}")
-    for key, value in (("divergence_threshold", divergence_threshold),
-                       ("bisect_tol", bisect_tol)):
-        if value is not None and not (math.isfinite(value) and value > 0.0):
-            raise ConfigError(f"[analysis] {key}: must be finite and > 0, got {value}")
+        raise ConfigError(f"[delays] {exc}") from None
+    l1_grid = _get_floats(cp, "lambda1_grid")
+    l2_grid = _get_floats(cp, "lambda2_grid")
 
     known = {
-        "system": set(_MATRIX_KEYS)
-        | {f"{k}_file" for k in _MATRIX_KEYS}
-        | {"fixture", "n1", "n2"},
+        "system": {*_MATRIX_KEYS, *(f"{k}_file" for k in _MATRIX_KEYS), "fixture", "n1", "n2"},
         "delays": {"lambda1", "lambda2", "lambda1_grid", "lambda2_grid"},
-        "sim": {"steps", "runs", "seed"},
-        "analysis": _IGNORED_ANALYSIS_KEYS | {"divergence_threshold", "bisect_tol", "horizon"},
+        "sim": set(),
+        "analysis": {"restarts", "iterations", "step_scale", "tolerance", "solver_seed"},
     }
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    scalars = {}
+    for key, (sec, cast, rule) in _SCALARS.items():
+        known[sec].add(key)
+        value = _get_number(cp, sec, key, cast, defaults[key])
+        if rule and value is not None and not _RULES[rule](value):
+            raise ConfigError(f"[{sec}] {key}: must be {rule}, got {value}")
+        scalars[key] = value
+
     for sec in cp.sections():
         if sec not in known:
             raise ConfigError(f"[{sec}]: unknown section")
@@ -255,12 +235,7 @@ def parse_config(path) -> RunConfig:
         delays=delays,
         lambda1_grid=l1_grid,
         lambda2_grid=l2_grid,
-        steps=steps,
-        runs=runs,
-        seed=seed,
-        divergence_threshold=divergence_threshold,
-        bisect_tol=bisect_tol,
-        horizon=horizon,
+        **scalars,
     )
 
 
@@ -292,15 +267,11 @@ def dump_normalized(cfg: RunConfig) -> str:
     if cfg.lambda2_grid:
         out.append("lambda2_grid = " + " ".join(f"{v:.17g}" for v in cfg.lambda2_grid))
     out.append("")
-    out.append("[sim]")
-    out.append(f"steps = {cfg.steps}")
-    out.append(f"runs = {cfg.runs}")
-    out.append(f"seed = {cfg.seed}")
-    out.append("")
-    out.append("[analysis]")
-    if cfg.divergence_threshold is not None:
-        out.append(f"divergence_threshold = {cfg.divergence_threshold:.17g}")
-    out.append(f"bisect_tol = {cfg.bisect_tol:.17g}")
-    out.append(f"horizon = {cfg.horizon}")
-    out.append("")
+    for sec in ("sim", "analysis"):
+        out.append(f"[{sec}]")
+        for key, (key_sec, cast, _) in _SCALARS.items():
+            value = getattr(cfg, key)
+            if key_sec == sec and value is not None:
+                out.append(f"{key} = {value:.17g}" if cast is float else f"{key} = {value}")
+        out.append("")
     return "\n".join(out)

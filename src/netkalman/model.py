@@ -29,6 +29,7 @@ __all__ = [
     "close_loop",
     "fixture",
     "FIXTURE_NAMES",
+    "parse_matrix_rows",
     "load_matrix_csv",
     "save_matrix_csv",
     "format_matrix_csv",
@@ -437,21 +438,28 @@ def power_network_continuous():
 # Matrix CSV I/O (row-major, one row per line, plain decimal floats)
 
 
-def load_matrix_csv(path) -> np.ndarray:
-    """Read a matrix from a row-per-line CSV file."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(tok) for tok in line.replace(",", " ").split()])
+def parse_matrix_rows(lines) -> np.ndarray:
+    """Matrix from text lines, one row a line, entries split on commas or spaces.
+
+    Blank lines and lines starting with ``#`` are skipped.  Raises
+    ``ValueError`` on a non-number, on no rows and on rows of unequal length.
+    """
+    rows = [[float(tok) for tok in line.replace(",", " ").split()]
+            for line in map(str.strip, lines) if line and not line.startswith("#")]
     if not rows:
-        raise ValueError(f"no matrix rows found in {path}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"ragged rows in {path}")
+        raise ValueError("no matrix rows found")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged rows")
     return np.array(rows, dtype=float)
+
+
+def load_matrix_csv(path) -> np.ndarray:
+    """Read a matrix from a row-per-line CSV file; a parse error names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse_matrix_rows(fh)
+        except ValueError as exc:  # UnicodeDecodeError is one
+            raise ValueError(f"{exc} in {path}") from None
 
 
 def format_matrix_csv(M: np.ndarray) -> str:

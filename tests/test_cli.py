@@ -240,15 +240,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config(path)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_matrix_entry_named(self, tmp_path, value):
+    @pytest.mark.parametrize("rows, what", [
+        ("nan 0.2; 0.1 0.4", "matrix has non-finite entries"),
+        ("inf 0.2; 0.1 0.4", "matrix has non-finite entries"),
+        ("-inf 0.2; 0.1 0.4", "matrix has non-finite entries"),
+        ("0.5 0.2; 0.1", "ragged rows"),
+        ("", "no matrix rows found"),
+        ("0.5 x; 0.1 0.4", "could not convert string to float: 'x'"),
+    ], ids=["nan", "inf", "-inf", "ragged", "empty", "non-numeric"])
+    def test_non_finite_matrix_entry_named(self, tmp_path, rows, what):
+        # the same rows inline (joined by ";") and in a file fail alike,
+        # each naming its own key; a file error also names the file
         path = tmp_path / "bad.cfg"
-        path.write_text(EXPLICIT_CFG.replace("0.5 0.2", f"{value} 0.2"))
-        with pytest.raises(ConfigError, match=r"\] a: .*non-finite"):
+        path.write_text(EXPLICIT_CFG.replace("a =\n    0.5 0.2\n    0.1 0.4\n", f"a = {rows}\n"))
+        with pytest.raises(ConfigError, match=rf"^\[system\] a: {re.escape(what)}$"):
             parse_config(path)
-        save_matrix_csv(tmp_path / "w.csv", np.array([[1.0, 0.0], [0.0, float(value)]]))
-        path.write_text(EXPLICIT_CFG.replace("w =\n    1 0\n    0 1\n", "w_file = w.csv\n"))
-        with pytest.raises(ConfigError, match="w_file"):
+        (tmp_path / "a.csv").write_text(rows.replace("; ", "\n"))
+        path.write_text(EXPLICIT_CFG.replace("a =\n    0.5 0.2\n    0.1 0.4\n", "a_file = a.csv\n"))
+        with pytest.raises(ConfigError, match=rf"^\[system\] a_file: {re.escape(what)}"):
             parse_config(path)
 
     def test_bad_probability_named(self, tmp_path):
@@ -392,6 +401,14 @@ class TestCliExitCodes:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["validate", str(tmp_path / "missing.cfg")]) == 2
 
+    def test_config_not_utf8_names_file(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"\xff" + FIXTURE_CFG.encode())
+        assert main(["validate", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n")
+
     def test_zero_bisect_tol_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(FIXTURE_CFG + "\n[analysis]\nbisect_tol = 0\n")
@@ -404,17 +421,18 @@ class TestCliExitCodes:
         assert main(["validate", str(cfg)]) == 2
         assert "[system] a:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("P", [
-        np.diag([1.0, float("nan"), 1.0, 1.0]),
-        np.diag([1.0, float("inf"), 1.0, 1.0]),
-        np.eye(3),
-        "1 0\n0 1 0\n",
-        "1 x\n0 1\n",
-        "",
-        None,
+    @pytest.mark.parametrize("P, what", [
+        (np.diag([1.0, float("nan"), 1.0, 1.0]), "prior covariance has non-finite entries"),
+        (np.diag([1.0, float("inf"), 1.0, 1.0]), "prior covariance has non-finite entries"),
+        (np.eye(3), "prior covariance must be 4x4 for this model, got 3x3"),
+        ("1 0\n0 1 0\n", "ragged rows in {}"),
+        ("1 x\n0 1\n", "could not convert string to float: 'x' in {}"),
+        ("", "no matrix rows found in {}"),
+        (None, "[Errno 2] No such file or directory: '{}'"),
     ], ids=["nan", "inf", "3x3", "ragged", "non-numeric", "empty", "missing"])
-    def test_bad_prior_names_p(self, fixture_cfg, tmp_path, capsys, P):
-        # P is a matrix to save, the raw text of the file, or None for no file
+    def test_bad_prior_names_p(self, fixture_cfg, tmp_path, capsys, P, what):
+        # P is a matrix to save, the raw text of the file, or None for no
+        # file; a file error names the file as a config's *_file does
         p_path = tmp_path / "p.csv"
         if isinstance(P, str):
             p_path.write_text(P)
@@ -423,7 +441,7 @@ class TestCliExitCodes:
         assert main(["gains", fixture_cfg, "--p", str(p_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: --p:" in captured.err
+        assert captured.err == f"error: --p: {what.format(p_path)}\n"
 
     @pytest.mark.parametrize("entry, value, what", [
         ((0, 1), 0.9, "not symmetric"),
@@ -666,13 +684,12 @@ class TestCliRouting:
         assert capsys.readouterr().out == out.read_text()
         assert not (tmp_path / "-").exists()
 
-    def test_validate_out_without_dump_prints_and_writes_nothing(self, fixture_cfg,
-                                                                 tmp_path, capsys):
-        out = tmp_path / "never.cfg"
+    def test_validate_out_writes_model_valid(self, fixture_cfg, tmp_path, capsys):
+        out = tmp_path / "valid.txt"
         assert main(["validate", fixture_cfg, "--out", str(out)]) == 0
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("model valid\n", "")
-        assert not out.exists()
+        assert (captured.out, captured.err) == ("", "")
+        assert out.read_text() == "model valid\n"
 
     @pytest.mark.parametrize("extra", [
         ["validate"], ["gains", "--p", "p.csv"], ["filter"], ["sweep"], ["iterate-g"],
