@@ -14,8 +14,6 @@ from .model import (
     DelayOutcome,
     SystemModel,
     ValidationReport,
-    close_loop,
-    discretize,
     fixture,
     validate_model,
 )

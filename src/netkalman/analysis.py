@@ -4,8 +4,8 @@ The prediction covariance is a random matrix driven by the delay
 indicators.  This module implements its one-step conditional expectation
 (the filter's own update averaged over the four delay outcomes, with the
 gains of one ``structured_gain`` call), the deterministic iteration of
-that map (the working upper bound for the expected covariance; see
-README "Known limitations" for the matrix-order caveat), the
+that map (a companion to the expected covariance that need not bound
+it; see README "Known limitations"), the
 Kronecker-form linear update whose spectral radius certifies convergence
 for a fixed gain, the masked spectral-norm minima r1..r4 whose
 probability-weighted sum yields an easily checked boundedness
@@ -35,7 +35,6 @@ from .model import ALL_OUTCOMES, BlockDims, DelayModel, DelayOutcome, SystemMode
 __all__ = [
     "one_step_cov",
     "expected_next_cov",
-    "first_prediction_cov",
     "CovBoundSequence",
     "cov_bound_sequence",
     "kron_update_radius",
@@ -68,11 +67,6 @@ def one_step_cov(model: SystemModel, X, Y) -> np.ndarray:
     return predict_cov(model, posterior_cov(Y, X, model.C, model.V))
 
 
-def first_prediction_cov(model: SystemModel) -> np.ndarray:
-    """Prediction covariance at step 1: ``A Sigma0 A^T + W``."""
-    return predict_cov(model, model.Sigma0)
-
-
 def expected_next_cov(
     model: SystemModel, delays: DelayModel | Sequence[DelayModel], Y
 ) -> np.ndarray:
@@ -82,7 +76,7 @@ def expected_next_cov(
     with the outcome probabilities; this equals the exact conditional
     expectation of the covariance recursion given the current value.
     Iterating it from the step-1 covariance gives the deterministic
-    companion sequence used to bound the expected covariance.
+    companion sequence of the expected covariance.
 
     Y is an (n, n) matrix with one :class:`DelayModel`, or a (K, n, n)
     stack with a sequence of K delay models, one per layer.  Each layer
@@ -127,12 +121,12 @@ def _expected_next(model, p, Y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovBoundSequence:
-    """Deterministic companion sequence bounding the expected covariance.
+    """Deterministic companion sequence of the expected covariance.
 
     ``Y[k]`` is the iterated expected update at step ``t = k+1`` (the
-    sequence starts from the step-1 prediction covariance); it is the
-    working upper bound for the expected prediction covariance at the
-    same step, validated statistically in the test suite.  The iteration
+    sequence starts from the step-1 prediction covariance).  It equals
+    the expected prediction covariance at t = 1, 2 and need not bound it
+    later, even in trace (README "Known limitations").  The iteration
     stops early once the trace exceeds the divergence threshold;
     ``diverged_at`` is then the step index of the first offending
     iterate.
@@ -179,7 +173,7 @@ def _iterate(model: SystemModel, step, steps: int, threshold: Optional[float]) -
     cycle fills the rest of the horizon.
     """
     threshold = _divergence_threshold(model, steps, threshold)
-    Y = first_prediction_cov(model)
+    Y = predict_cov(model, model.Sigma0)
     ys, traces, seen = [], [], {}
     while True:
         # A NaN trace equals no other, so an iterate with one never closes a cycle.

@@ -4,14 +4,14 @@ The plant is a linear system whose state is partitioned between two
 subsystems.  Each subsystem measures its own state block through its own
 sensor suite; the coupling enters through the off-diagonal blocks of the
 transition matrix.  This module holds the immutable data model, the
-validation diagnostics, the Euler discretization / state-feedback closure
-used to build the power-system fixtures, and the fixtures themselves.
+validation diagnostics, the fixtures (the power-system example enters as
+the closed-loop matrices printed in the source material) and the matrix
+CSV reader and writer.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,14 +25,11 @@ __all__ = [
     "ValidationReport",
     "validate_model",
     "shape_mismatches",
-    "discretize",
-    "close_loop",
     "fixture",
     "FIXTURE_NAMES",
     "parse_matrix_rows",
     "load_matrix_csv",
     "save_matrix_csv",
-    "format_matrix_csv",
 ]
 
 # Positive definiteness guard: smallest eigenvalue must exceed this
@@ -272,80 +269,15 @@ def validate_model(model: SystemModel) -> ValidationReport:
     return ValidationReport(tuple(v))
 
 
-def discretize(A_cont, B_cont, Q_cont, Ts: float):
-    """Euler-discretize continuous dynamics with sampling time ``Ts``.
-
-    Returns ``(A_d, B_d, W)`` with ``A_d = Ts*A + I``, ``B_d = Ts*B`` and
-    process noise covariance ``W = Ts**2 * Q``.
-    """
-    if Ts <= 0:
-        raise ValueError(f"sampling time must be positive, got {Ts}")
-    A_cont = np.asarray(A_cont, dtype=float)
-    B_cont = np.asarray(B_cont, dtype=float)
-    Q_cont = np.asarray(Q_cont, dtype=float)
-    A_d = Ts * A_cont + np.eye(A_cont.shape[0])
-    B_d = Ts * B_cont
-    W = Ts**2 * Q_cont
-    return A_d, B_d, W
-
-
-def close_loop(A_d, B_d, L) -> np.ndarray:
-    """Return the closed-loop transition matrix ``A_d + B_d @ L``."""
-    A_d = np.asarray(A_d, dtype=float)
-    B_d = np.asarray(B_d, dtype=float)
-    L = np.asarray(L, dtype=float)
-    if B_d.shape[1] != L.shape[0] or B_d.shape[0] != A_d.shape[0] or L.shape[1] != A_d.shape[1]:
-        raise ValueError(
-            f"incompatible shapes: A_d {A_d.shape}, B_d {B_d.shape}, L {L.shape}"
-        )
-    return A_d + B_d @ L
-
-
 # ---------------------------------------------------------------------------
 # Fixtures: the four-bus power network example (two areas of two buses each)
 # and a minimal scalar-per-subsystem toy model.
 
-_A_CONT = np.array(
-    [
-        [175.9, 176.8, 511.0, 1036.0],
-        [-350.0, 0.0, 0.0, 0.0],
-        [-544.2, -474.8, -408.8, -828.8],
-        [-119.7, -554.6, -968.8, -1077.5],
-    ]
-)
-
-_B_CONT = np.array(
-    [
-        [0.8, 334.2, 525.1, -103.6],
-        [-350.0, 0.0, 0.0, 0.0],
-        [-69.3, -66.1, -420.1, -828.8],
-        [-434.9, -414.2, -108.7, -1077.5],
-    ]
-)
-
-_TS = 0.05
-
-_L_STABLE = np.array(
-    [
-        [-0.9752, 0.0954, -0.0046, 0.0092],
-        [1.2278, -0.2457, -1.4844, -1.4526],
-        [-1.1925, -0.2489, -0.0979, -1.1097],
-        [-0.0708, -0.4306, -0.3197, -0.3290],
-    ]
-)
-
-_L_UNSTABLE = np.array(
-    [
-        [-0.9553, 0.1260, -0.1420, 0.0165],
-        [1.2028, -0.2767, -1.3840, -1.4669],
-        [-1.1969, -0.2184, -0.1625, -1.0997],
-        [-0.0701, -0.4426, -0.2987, -0.3388],
-    ]
-)
-
-# Closed-loop matrices as printed in the source material (the feedback
-# gains above are rounded to 4 decimals, so recomputing A_d + B_d L only
-# reproduces these to ~2e-3; the printed values are authoritative).
+# Closed-loop matrices as printed in the source material; the printed
+# values are authoritative.  The network's continuous-time data, sampled
+# by the Euler method and closed with the printed feedback gains (rounded
+# to 4 decimals), reproduce them only to ~2e-3; tests/test_model.py keeps
+# that derivation.
 _AC_STABLE = np.array(
     [
         [-0.6696, 0.4342, -0.1680, 0.0960],
@@ -418,22 +350,6 @@ def fixture(name: str):
     )
 
 
-def power_network_continuous():
-    """Raw continuous-time matrices and feedback gains of the fixtures.
-
-    Returns a dict with keys ``A``, ``B``, ``Ts``, ``L_stable``,
-    ``L_unstable``; useful for exercising :func:`discretize` and
-    :func:`close_loop` against the published closed-loop matrices.
-    """
-    return {
-        "A": _A_CONT.copy(),
-        "B": _B_CONT.copy(),
-        "Ts": _TS,
-        "L_stable": _L_STABLE.copy(),
-        "L_unstable": _L_UNSTABLE.copy(),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Matrix CSV I/O (row-major, one row per line, plain decimal floats)
 
@@ -462,16 +378,8 @@ def load_matrix_csv(path) -> np.ndarray:
             raise ValueError(f"{exc} in {path}") from None
 
 
-def format_matrix_csv(M: np.ndarray) -> str:
-    """Format a matrix as CSV text with full double precision."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    buf = io.StringIO()
-    for row in M:
-        buf.write(",".join(f"{x:.17g}" for x in row))
-        buf.write("\n")
-    return buf.getvalue()
-
-
 def save_matrix_csv(path, M: np.ndarray):
+    """Write a matrix as row-per-line CSV with full double precision."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_matrix_csv(M))
+        fh.writelines(",".join(f"{x:.17g}" for x in row) + "\n" for row in M)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from netkalman.model import BlockDims, SystemModel, fixture
+from netkalman.filtering import covariance_step
+from netkalman.model import ALL_OUTCOMES, BlockDims, SystemModel, fixture
 
 # No deadline: the machines these tests run on vary in speed from run to
 # run.  Derandomized, so a failure reproduces and the suite is stable.
@@ -120,3 +121,30 @@ def textbook_riccati_priors(model, T):
         S = model.V + C @ P @ C.T
         P = P - P @ C.T @ np.linalg.solve(S, C @ P)
     return priors
+
+
+def exact_prior_means(model, delays, T):
+    """Exact expected prediction covariances ``E[P_prior_t]``, t = 1..T, as (T, n, n).
+
+    Enumerates the delay histories: :func:`covariance_step` advances a
+    stack with one layer per history prefix, branching each layer only
+    into the outcomes of positive probability, and each layer weighs the
+    product of its outcome probabilities.  The stack grows by up to 4x a
+    step, so this is for short horizons (T = 9 takes about 2 s on a
+    4-state model).
+    """
+    live = [(oc.gamma1, oc.gamma2, p) for oc in ALL_OUTCOMES
+            if (p := delays.outcome_probability(oc)) > 0.0]
+    gamma1, gamma2, p = (np.array(v) for v in zip(*live))
+    P_post = np.array(model.Sigma0, dtype=float)[None]
+    weights = np.ones(1)
+    means = []
+    for _ in range(T):
+        # Every branch of a layer shares its prediction, so the layer
+        # weights give the mean before the stack branches.
+        P_prior, P_post, _ = covariance_step(model, np.repeat(P_post, len(p), axis=0),
+                                             np.tile(gamma1, len(weights)),
+                                             np.tile(gamma2, len(weights)))
+        means.append(np.tensordot(weights, P_prior[::len(p)], axes=1))
+        weights = np.outer(weights, p).ravel()
+    return np.array(means)

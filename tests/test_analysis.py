@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import linalg as sla
 
-from conftest import random_model, random_psd
+from conftest import exact_prior_means, random_model, random_psd
 from netkalman.model import (
-    ALL_OUTCOMES, BlockDims, DelayModel, DelayOutcome, SystemModel, validate_model,
+    ALL_OUTCOMES, FIXTURE_NAMES, BlockDims, DelayModel, DelayOutcome, SystemModel, fixture,
+    validate_model,
 )
 from netkalman import analysis
 from netkalman.analysis import (
@@ -26,7 +27,6 @@ from netkalman.analysis import (
     divergence_witness,
     empirical_critical,
     expected_next_cov,
-    first_prediction_cov,
     kron_update_radius,
     masked_norm_minima,
     min_structured_norm,
@@ -265,7 +265,7 @@ class TestExpectedNextCov:
 def plain_bound_sequence(model, delays, steps):
     """Reference bound sequence: every step iterated, no cycle exit."""
     threshold = 1e12 * float(np.trace(model.W))
-    ys = [first_prediction_cov(model)]
+    ys = [predict_cov(model, model.Sigma0)]
     while len(ys) < steps and not np.trace(ys[-1]) > threshold:
         ys.append(expected_next_cov(model, delays, ys[-1]))
     traces = np.array([float(np.trace(Y)) for Y in ys])
@@ -277,7 +277,7 @@ def plain_witness_traces(model, delays, steps):
     """Reference divergence-witness traces: every step iterated, no cycle exit."""
     threshold = 1e12 * float(np.trace(model.W))
     p00 = delays.lambda1 * delays.lambda2
-    Y = first_prediction_cov(model)
+    Y = predict_cov(model, model.Sigma0)
     traces = [float(np.trace(Y))]
     while len(traces) < steps and not traces[-1] > threshold:
         D = optimal_gain(Y, model.C, model.V, model.dims, DelayOutcome(0, 0))
@@ -425,7 +425,32 @@ def hidden_mode_draw(a, poles, coupling, rng):
 class TestCovBoundSequence:
     def test_starts_at_first_prediction_cov(self, case1):
         seq = cov_bound_sequence(case1, DelayModel(0.5, 0.5), 3)
-        assert_allclose(seq.Y[0], first_prediction_cov(case1))
+        assert_allclose(seq.Y[0], predict_cov(case1, case1.Sigma0))
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1),
+           lams=st.tuples(*[st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)] * 2))
+    def test_equals_exact_eec_before_the_first_jensen_step(self, seed, lams):
+        # Y_1 = E[P_1] is deterministic and Y_2 = G(Y_1) = E[P_2]; from
+        # t = 3 on they can differ unless only one outcome is possible.
+        model, delays = random_model(np.random.default_rng(seed)), DelayModel(*lams)
+        one_outcome = set(lams) <= {0.0, 1.0}
+        T = 8 if one_outcome else 2
+        seq = cov_bound_sequence(model, delays, T)
+        exact = exact_prior_means(model, delays, T)[:seq.steps_completed]
+        assert np.abs(seq.Y - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the bound sequence is not an upper bound on the EEC, even in "
+        "trace: on case2_unstable at (0.25, 0.75), tr Y_3 = 20.7846 lies below "
+        "tr E[P_3] = 20.7882, a pure Jensen gap since Y_2 = E[P_2]",
+    )
+    def test_bounds_exact_eec_trace_spec_claim(self, case2):
+        delays = DelayModel(0.25, 0.75)
+        seq = cov_bound_sequence(case2, delays, 3)
+        exact = exact_prior_means(case2, delays, 3)
+        assert seq.traces[2] >= np.trace(exact[2])
 
     def test_stable_always_delayed_plateaus(self, case1):
         seq = cov_bound_sequence(case1, DelayModel(1.0, 1.0), 200)
@@ -475,6 +500,53 @@ class TestCovBoundSequence:
             assert seq.diverged == (diverged_at is not None)
             w = divergence_witness(model, delays, steps)
             assert np.array_equal(w.traces, plain_witness_traces(model, delays, steps))
+
+
+def swap_subsystems(model):
+    """The model with subsystems 1 and 2 exchanged, and its state and sensor permutations."""
+    s = np.r_[model.n1:model.n, :model.n1]
+    y = np.r_[model.m1:model.m, :model.m1]
+    swapped = SystemModel(n1=model.n2, n2=model.n1, A=model.A[np.ix_(s, s)],
+                          C1=model.C2, C2=model.C1, W=model.W[np.ix_(s, s)],
+                          V=model.V[np.ix_(y, y)], Sigma0=model.Sigma0[np.ix_(s, s)])
+    return swapped, s, y
+
+
+SWAP_MODELS = (st.sampled_from(FIXTURE_NAMES).map(lambda name: fixture(name)[0])
+               | st.builds(lambda seed, rho: random_model(np.random.default_rng(seed),
+                                                          spectral_radius=rho),
+                           st.integers(0, 2**32 - 1), st.floats(0.5, 2.0)))
+
+
+class TestSubsystemSwap:
+    """Exchanging the two subsystems, and lambda1 with lambda2, permutes every result."""
+
+    @settings(max_examples=20)
+    @given(model=SWAP_MODELS, lams=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           fixed_which=st.sampled_from([1, 2]))
+    def test_results_map_to_their_swaps(self, model, lams, fixed_which):
+        swapped, s, y = swap_subsystems(model)
+        delays, swapped_delays = DelayModel(*lams), DelayModel(*lams[::-1])
+        seq = cov_bound_sequence(model, delays, 60)
+        swapped_seq = cov_bound_sequence(swapped, swapped_delays, 60)
+        assert_allclose(swapped_seq.traces, seq.traces, rtol=1e-12, atol=0)
+
+        P = seq.Y[min(seq.steps_completed, 5) - 1]
+        gains = gain_set(P, model.C, model.V, model.dims)
+        swapped_gains = gain_set(P[np.ix_(s, s)], swapped.C, swapped.V, swapped.dims)
+        for label, swapped_label in (("11", "11"), ("01", "10"), ("10", "01"), ("00", "00")):
+            K = getattr(gains, f"d{label}")[np.ix_(s, y)]
+            assert_allclose(getattr(swapped_gains, f"d{swapped_label}"), K,
+                            rtol=0, atol=1e-12 * np.abs(K).max())
+
+        assert (boundedness_test(swapped, swapped_delays).verdict
+                == boundedness_test(model, delays).verdict)
+
+        def bracket(est):
+            return est.estimate, est.bracket_low, est.bracket_high, est.probes
+
+        assert (bracket(empirical_critical(swapped, lams[0], 3 - fixed_which, horizon=60))
+                == bracket(empirical_critical(model, lams[0], fixed_which, horizon=60)))
 
 
 class TestKronUpdate:

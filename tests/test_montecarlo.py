@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import exact_prior_means, random_model
 from netkalman import montecarlo
 from netkalman.model import DelayModel, SystemModel, fixture
 from netkalman.filtering import covariance_step, make_rng, run_filter, stream_seed
@@ -10,6 +11,14 @@ from netkalman.analysis import cov_bound_sequence, expected_next_cov
 from netkalman.montecarlo import _run_indicators, _stack_run, estimate_eec, kalman_baseline, sweep
 
 MODELS = {name: fixture(name)[0] for name in ("toy_identity", "case1_stable", "case2_unstable")}
+# (model, delays) pairs checked against the exact EEC: the fixtures, one
+# axis end where only two outcomes are possible, and random draws.
+EXACT_CASES = {
+    **{f"{name}-0.25-0.75": (model, DelayModel(0.25, 0.75)) for name, model in MODELS.items()},
+    "case2_unstable-1-0.3": (MODELS["case2_unstable"], DelayModel(1.0, 0.3)),
+    **{f"random{k}-0.5-0.5": (random_model(np.random.default_rng(k)), DelayModel(0.5, 0.5))
+       for k in range(3)},
+}
 
 
 def plain_stack_run(model, gamma1, gamma2):
@@ -70,12 +79,22 @@ class TestEstimateEec:
                 read(t)
 
     def test_mean_bounded_by_expected_map_sequence(self, toy):
-        # Monte-Carlo counterpart of the deterministic upper bound
+        # the bound sequence need not bound the EEC (README "Known
+        # limitations"), but on toy_identity it does not fall below it
         delays = DelayModel(0.5, 0.5)
         est = estimate_eec(toy, delays, runs=500, horizon=20, master_seed=11)
         seq = cov_bound_sequence(toy, delays, 20)
         for t in (5, 10, 20):
             assert est.trace_at(t) <= seq.traces[t - 1] + 5 * est.se_at(t)
+
+    @pytest.mark.parametrize("case", EXACT_CASES)
+    def test_mean_within_four_standard_errors_of_exact_eec(self, case):
+        model, delays = EXACT_CASES[case]
+        exact = np.trace(exact_prior_means(model, delays, 8), axis1=1, axis2=2)
+        est = estimate_eec(model, delays, runs=2000, horizon=8, master_seed=1)
+        # At t = 1 every run agrees, the standard error is 0 and only the
+        # rounding of the mean is left.
+        assert (np.abs(est.trace_mean - exact) <= 4 * est.trace_se + 1e-12 * exact).all()
 
     def test_one_step_mean_matches_expected_map(self, toy):
         # E(P_{t+1}) == E(g(P_t)): check the sampled means against the
