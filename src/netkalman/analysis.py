@@ -2,16 +2,16 @@
 
 The prediction covariance is a random matrix driven by the delay
 indicators.  This module implements its one-step conditional expectation
-(the filter's own update averaged over the four delay outcomes, with the
-gains of one ``structured_gain`` call), the deterministic iteration of
-that map (a companion to the expected covariance that need not bound
-it; see README "Known limitations"), the
-Kronecker-form linear update whose spectral radius certifies convergence
-for a fixed gain, the masked spectral-norm minima r1..r4 whose
-probability-weighted sum yields an easily checked boundedness
-certificate, the closed-form bracket for the critical delay probability,
-which is [1, 1] or [0, 1], and an empirical estimate of that probability
-that bisects on the growth rate of the homogenized expected map.
+(the filter's own update averaged over the four delay outcomes at
+probabilities that may sum to less than 1), the iteration of that map (a
+companion to the expected covariance that need not bound it; README
+"Known limitations") and of its both-delayed term alone (the divergence
+witness), the Kronecker-form linear update whose spectral radius
+certifies convergence for a fixed gain, the masked spectral-norm minima
+r1..r4 whose probability-weighted sum yields an easily checked
+boundedness certificate, the closed-form bracket for the critical delay
+probability, which is [1, 1] or [0, 1], and an empirical estimate of that
+probability that bisects on the growth rate of the homogenized expected map.
 
 Because the stacked sensing matrix is block diagonal, the pseudo-inverse
 gain ``C^+`` is admissible under every delay mask and minimizes all four
@@ -30,7 +30,7 @@ import numpy as np
 from .filtering import predict_cov
 from .gains import (_sym, gain_set, mask_for_outcome, mask_pattern, optimal_gain,
                     posterior_cov, structured_gain)
-from .model import ALL_OUTCOMES, BlockDims, DelayModel, DelayOutcome, SystemModel
+from .model import ALL_OUTCOMES, BlockDims, DelayModel, SystemModel
 
 __all__ = [
     "one_step_cov",
@@ -103,19 +103,22 @@ _GAMMA1, _GAMMA2 = np.array([(oc.gamma1, oc.gamma2) for oc in ALL_OUTCOMES], dty
 
 
 def _expected_next(model, p, Y) -> np.ndarray:
-    """:func:`expected_next_cov` of a (K, n, n) stack with its (K, 4) outcome probabilities."""
+    """:func:`expected_next_cov` of a (K, n, n) stack with its (K, 4) outcome probabilities.
+
+    Rows may sum to less than 1; a row with no positive entry maps to 0.
+    """
     Y = _sym(Y)
     X = structured_gain(Y[:, None], model.C, model.V, model.dims, _GAMMA1, _GAMMA2)
     live = p > 0.0
     layer = np.nonzero(live)[0]
-    terms = one_step_cov(model, X[live], Y[layer]).reshape(len(layer), -1)
+    terms = one_step_cov(model, X[live], Y[layer]).reshape(len(layer), model.n**2)
     weights, counts = p[live], live.sum(axis=1)
     out = np.empty((len(Y), terms.shape[1]))
     for c in np.unique(counts):
         group = counts == c
         pairs = group[layer]
-        out[group] = np.matmul(weights[pairs].reshape(-1, 1, c),
-                               terms[pairs].reshape(-1, c, out.shape[1]))[:, 0]
+        out[group] = 0.0 if c == 0 else np.matmul(
+            weights[pairs].reshape(-1, 1, c), terms[pairs].reshape(-1, c, out.shape[1]))[:, 0]
     return out.reshape(Y.shape)
 
 
@@ -162,15 +165,15 @@ def _divergence_threshold(model: SystemModel, steps: int, threshold: Optional[fl
     return 1e12 * float(np.trace(model.W)) if threshold is None else threshold
 
 
-def _iterate(model: SystemModel, step, steps: int, threshold: Optional[float]) -> CovBoundSequence:
-    """The sequence ``Y_{k+1} = step(Y_k)`` from the step-1 prediction covariance.
+def _iterate(model: SystemModel, p, steps: int, threshold: Optional[float]) -> CovBoundSequence:
+    """The expected map at a (1, 4) outcome table p, iterated from the step-1 covariance.
 
-    ``threshold`` as in :func:`_divergence_threshold`.  The iteration ends at
-    the horizon, at the first iterate whose trace exceeds the threshold, or
-    at the first iterate that repeats an earlier one bit for bit.  ``step``
-    is a pure function of the iterate's bits, so a repeat means the
-    sequence cycles from there on and never crosses the threshold; the
-    cycle fills the rest of the horizon.
+    p may sum to less than 1.  ``threshold`` as in :func:`_divergence_threshold`.
+    The iteration ends at the horizon, at the first iterate whose trace
+    exceeds the threshold, or at the first iterate that repeats an earlier
+    one bit for bit.  A step is a pure function of the iterate's bits, so a
+    repeat means the sequence cycles from there on and never crosses the
+    threshold; the cycle fills the rest of the horizon.
     """
     threshold = _divergence_threshold(model, steps, threshold)
     Y = predict_cov(model, model.Sigma0)
@@ -189,7 +192,7 @@ def _iterate(model: SystemModel, step, steps: int, threshold: Optional[float]) -
         if key[0] > threshold or len(ys) == steps:
             idx = np.arange(len(ys))
             break
-        Y = step(Y)
+        Y = _expected_next(model, p, Y[None])[0]
     diverged_at = len(ys) if traces[-1] > threshold else None
     return CovBoundSequence(np.array(ys)[idx], np.array(traces)[idx], diverged_at, threshold)
 
@@ -207,9 +210,7 @@ def cov_bound_sequence(
     repeats an earlier one bit for bit, the rest of the horizon is that
     cycle, filled in without further steps.
     """
-    p = _outcome_probabilities([delays])
-    return _iterate(model, lambda Y: _expected_next(model, p, Y[None])[0], steps,
-                    divergence_threshold)
+    return _iterate(model, _outcome_probabilities([delays]), steps, divergence_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +372,10 @@ class BoundednessReport:
 # Compatibility with the benchmark in perfbench/, which is versioned apart
 # from the library: it passes ``RunConfig.solver`` (always None) into the
 # ``options`` slot of boundedness_test and critical_bounds, which is
-# accepted and ignored, and its traced run wraps names of this module by
-# name (gain_set among them, imported only so that it is found there) and
-# reads ``NormMinResult.iterations``.  tests/test_perfbench_names.py
-# installs the benchmark's tracer, so removing a name it wraps fails there.
+# accepted and ignored; its traced run wraps names of this module by name
+# (gain_set and optimal_gain are imported only to be found there) and reads
+# ``NormMinResult.iterations``.  tests/test_perfbench_names.py installs the
+# benchmark's tracer, so removing a name it wraps fails there.
 
 
 def boundedness_test(
@@ -566,21 +567,17 @@ def divergence_witness(
 ) -> CovBoundSequence:
     """Iterate the both-delayed term of the expected update on its own.
 
-    The map ``Y -> p00 * one_step_cov(gain00(Y), Y)`` (p00 the
-    probability that both channels are delayed) lower-bounds the full
-    expected update, so its divergence witnesses an unbounded expected
-    covariance.  As in :func:`cov_bound_sequence`, a bitwise repeat of an
-    earlier iterate ends the iteration and its cycle fills the horizon.
+    The map ``Y -> p00 * one_step_cov(gain00(Y), Y)``, p00 the probability
+    that both channels are delayed, is the expected map at the outcome
+    table with every column but ``00`` set to 0.  It lower-bounds the full
+    expected update (Sinopoli et al., IEEE TAC 2004), so its divergence
+    witnesses an unbounded expected covariance.  As in
+    :func:`cov_bound_sequence`, a bitwise repeat of an earlier iterate
+    ends the iteration and its cycle fills the horizon.
     """
-    p00 = delays.lambda1 * delays.lambda2
-
-    def step(Y):
-        if p00 == 0.0:  # no gain needed; and 0 * Y would give -0.0 where Y < 0
-            return np.zeros_like(Y)
-        D = optimal_gain(Y, model.C, model.V, model.dims, DelayOutcome(0, 0))
-        return p00 * one_step_cov(model, D, Y)
-
-    return _iterate(model, step, steps, divergence_threshold)
+    p = _outcome_probabilities([delays])
+    p[:, _GAMMA1 | _GAMMA2] = 0.0
+    return _iterate(model, p, steps, divergence_threshold)
 
 
 def _growth_verdicts(model, delays, budget) -> np.ndarray:

@@ -91,7 +91,8 @@ def _iterate_g(cfg, args):
 def _bounded(cfg, args):
     report = analysis.boundedness_test(cfg.model, cfg.delays)
     if args.certificates:
-        os.makedirs(args.certificates, exist_ok=True)
+        if not os.path.isdir(args.certificates):
+            os.mkdir(args.certificates)  # a missing parent is an error, as for --out
         # One gain certifies every mask; the four per-mask files are kept
         # so existing consumers find the names they expect.
         X = report.certificates()

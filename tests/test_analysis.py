@@ -261,6 +261,26 @@ class TestExpectedNextCov:
         for Y, d, got in zip(Ys, delays, stacked):
             assert np.array_equal(got, expected_next_cov(model, d, Y))
 
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), lams=LAMBDA_TABLES, data=st.data())
+    def test_zero_table_row_maps_to_zero(self, seed, lams, data):
+        # a table row with no outcome of positive probability (the witness's
+        # table at p00 = 0) maps its layer to +0.0, alone or in a stack, and
+        # the other layers of the stack keep the bits they have alone
+        rng = np.random.default_rng(seed)
+        model = random_model(rng)
+        delays = [DelayModel(*lam) for lam in lams]
+        zero = data.draw(st.integers(0, len(delays)))
+        p = np.insert(analysis._outcome_probabilities(delays), zero, 0.0, axis=0)
+        Ys = np.array([random_psd(rng, model.n) for _ in p])
+        stacked = analysis._expected_next(model, p, Ys)
+        for got in (stacked[zero], analysis._expected_next(model, p[[zero]], Ys[[zero]])[0]):
+            assert np.array_equal(got, np.zeros((model.n, model.n)))
+            assert not np.signbit(got).any()
+        others = np.arange(len(p)) != zero
+        for Y, d, got in zip(Ys[others], delays, stacked[others]):
+            assert np.array_equal(got, expected_next_cov(model, d, Y))
+
 
 def plain_bound_sequence(model, delays, steps):
     """Reference bound sequence: every step iterated, no cycle exit."""
@@ -273,6 +293,12 @@ def plain_bound_sequence(model, delays, steps):
     return np.array(ys), traces, diverged_at
 
 
+def plain_witness_step(model, p00, Y):
+    """Reference divergence-witness step: the both-delayed gain alone, scaled by p00."""
+    D = optimal_gain(Y, model.C, model.V, model.dims, DelayOutcome(0, 0))
+    return p00 * one_step_cov(model, D, Y) if p00 > 0.0 else np.zeros_like(Y)
+
+
 def plain_witness_traces(model, delays, steps):
     """Reference divergence-witness traces: every step iterated, no cycle exit."""
     threshold = 1e12 * float(np.trace(model.W))
@@ -280,8 +306,7 @@ def plain_witness_traces(model, delays, steps):
     Y = predict_cov(model, model.Sigma0)
     traces = [float(np.trace(Y))]
     while len(traces) < steps and not traces[-1] > threshold:
-        D = optimal_gain(Y, model.C, model.V, model.dims, DelayOutcome(0, 0))
-        Y = p00 * one_step_cov(model, D, Y) if p00 > 0.0 else np.zeros_like(Y)
+        Y = plain_witness_step(model, p00, Y)
         traces.append(float(np.trace(Y)))
     return np.array(traces)
 
@@ -500,6 +525,25 @@ class TestCovBoundSequence:
             assert seq.diverged == (diverged_at is not None)
             w = divergence_witness(model, delays, steps)
             assert np.array_equal(w.traces, plain_witness_traces(model, delays, steps))
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1),
+           lams=st.tuples(*[st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)] * 2))
+    def test_witness_on_random_models_equals_plain_iteration(self, seed, lams):
+        # the witness steps the outcome table's 00 column; on random models,
+        # at p00 = 0, p00 = 1 and in between, each iterate is the reference
+        # step of the one before, bit for bit (the cycle-filled tail too),
+        # and the traces and divergence step are the plain iteration's
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, max_m=1, spectral_radius=rng.uniform(0.5, 2.5))
+        delays = DelayModel(*lams)
+        w = divergence_witness(model, delays, 50)
+        traces = plain_witness_traces(model, delays, 50)
+        assert np.array_equal(w.traces, traces)
+        assert w.diverged_at == (len(traces) if traces[-1] > w.threshold else None)
+        assert np.array_equal(w.Y[0], predict_cov(model, model.Sigma0))
+        for Y, Y_next in zip(w.Y, w.Y[1:]):
+            assert np.array_equal(Y_next, plain_witness_step(model, lams[0] * lams[1], Y))
 
 
 def swap_subsystems(model):

@@ -589,6 +589,28 @@ class TestCliCommands:
             assert_allclose(load_matrix_csv(certs / f"{name}.csv"),
                             np.linalg.pinv(model.C), atol=1e-12)
 
+    def test_bounded_certificates_into_existing_dir(self, fixture_cfg, tmp_path):
+        certs = tmp_path / "certs"
+        certs.mkdir()
+        assert main(["bounded", fixture_cfg, "--out", str(tmp_path / "b.csv"),
+                     "--certificates", str(certs)]) == 0
+        assert (certs / "X_full.csv").is_file()
+
+    @pytest.mark.parametrize("bad", ["missing parent", "file"])
+    def test_bounded_certificates_bad_dir_exits_2(self, fixture_cfg, tmp_path, capsys, bad):
+        # a mistyped path used to be created with all its missing parents
+        out = tmp_path / "b.csv"
+        certs = tmp_path / "typo" / "certs"
+        if bad == "file":
+            certs = tmp_path / "certs"
+            certs.write_text("")
+        assert main(["bounded", fixture_cfg, "--out", str(out),
+                     "--certificates", str(certs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(certs) in captured.err
+        assert not out.exists() and not (tmp_path / "typo").exists()
+
     def test_critical_certified_branch(self, tmp_path, capsys):
         # case1's block-diagonal and full minima coincide below one, so
         # the whole axis is certified: bracket [1, 1]

@@ -111,19 +111,25 @@ class TestEstimateEec:
 
     def test_jensen_direction_on_sampled_means(self, toy):
         # trace of the sampled mean of P_{t+1} stays below the expected
-        # map applied to the sampled mean of P_t, within sampling error
+        # map applied to the sampled mean of P_t, within sampling error;
+        # the runs draw the delay streams of make_rng(456, r), as
+        # run_filter(toy, delays, 21, make_rng(456, r)) does
         delays = DelayModel(0.5, 0.5)
-        runs = 2000
-        priors = np.zeros((runs, 21, 2, 2))
-        for r in range(runs):
-            priors[r] = run_filter(toy, delays, 21, make_rng(456, r)).P_prior
-        traces = np.trace(priors, axis1=2, axis2=3)
+        est = estimate_eec(toy, delays, runs=2000, horizon=21, master_seed=456)
         for t in (5, 10, 20):
-            mean_next = priors[:, t].mean(axis=0)  # E(P_{t+1}), index t
-            mean_here = priors[:, t - 1].mean(axis=0)
-            se = traces[:, t].std(ddof=1) / np.sqrt(runs)
-            mapped = expected_next_cov(toy, delays, mean_here)
-            assert np.trace(mean_next) <= np.trace(mapped) + 5 * max(se, 1e-12)
+            mean_next = est.mean_P[t]  # E(P_{t+1}), index t
+            mapped = expected_next_cov(toy, delays, est.mean_P[t - 1])
+            assert np.trace(mean_next) <= np.trace(mapped) + 5 * max(est.trace_se[t], 1e-12)
+
+    @pytest.mark.parametrize("name", ["toy_identity", "case1_stable"])
+    def test_jensen_direction_on_exact_means(self, name):
+        # the same inequality on the exact E(P_t) of every delay history, to
+        # rounding: the relative gaps are 0 at t = 1 and 7e-11 to 2e-8 later
+        model, delays = MODELS[name], DelayModel(0.5, 0.5)
+        means = exact_prior_means(model, delays, 8)
+        for t in range(1, 8):
+            mapped = expected_next_cov(model, delays, means[t - 1])
+            assert np.trace(mapped) >= np.trace(means[t]) * (1 - 1e-12)
 
 
 class TestStackRun:
