@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from conftest import random_instance, random_model, random_psd, textbook_riccati_priors
 from netkalman.model import ALL_OUTCOMES, DelayModel, DelayOutcome, SystemModel, fixture
 from netkalman.filtering import (
+    _chol_psd,
     covariance_step,
     delay_indicators,
     delay_rng,
@@ -96,6 +97,23 @@ class TestSimulatePlant:
     def test_rejects_zero_horizon(self, toy):
         with pytest.raises(ValueError):
             simulate_plant(toy, 0, make_rng(0))
+
+    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 40))
+    def test_equals_per_step_reference(self, seed, T):
+        # the plant's bits are those of one state draw and one measurement
+        # draw per step, interleaved, each a matrix-vector product
+        model = random_model(np.random.default_rng(seed))
+        traj = simulate_plant(model, T, make_rng(seed))
+        Ls, Lw, Lv = (_chol_psd(M) for M in (model.Sigma0, model.W, model.V))
+        rng, C = make_rng(seed), model.C
+        x = Ls @ rng.standard_normal(model.n)
+        for t in range(T + 1):
+            if t:
+                x = model.A @ x + Lw @ rng.standard_normal(model.n)
+            y = C @ x + Lv @ rng.standard_normal(model.m)
+            assert np.array_equal(traj.x[t], x)
+            assert np.array_equal(traj.y1[t], y[:model.m1])
+            assert np.array_equal(traj.y2[t], y[model.m1:])
 
 
 class TestPredictUpdate:
