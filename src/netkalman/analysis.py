@@ -108,8 +108,12 @@ def _expected_next(model, p, Y) -> np.ndarray:
     Rows may sum to less than 1; a row with no positive entry maps to 0.
     """
     Y = _sym(Y)
-    X = structured_gain(Y[:, None], model.C, model.V, model.dims, _GAMMA1, _GAMMA2)
     live = p > 0.0
+    # An outcome no layer can draw is built as 00, whose gain needs no
+    # full-S inverse; no layer reads it.
+    alive = live.any(axis=0)
+    X = structured_gain(Y[:, None], model.C, model.V, model.dims, _GAMMA1 & alive,
+                        _GAMMA2 & alive)
     layer = np.nonzero(live)[0]
     terms = one_step_cov(model, X[live], Y[layer]).reshape(len(layer), model.n**2)
     weights, counts = p[live], live.sum(axis=1)

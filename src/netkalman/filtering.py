@@ -10,7 +10,9 @@ only by the delay indicators, so the recorded covariances are the exact
 conditional error covariances given the delay history.
 :func:`covariance_step` runs it for a stack of runs, with no plant, and
 :func:`run_filter` on a stack of one beside the estimate recursion; each
-run gets the same bits as :func:`predict` and :func:`update`.
+run gets the same bits as :func:`predict` and :func:`update`.  The public
+calls check each call; :func:`run_filter`'s steps do arithmetic only,
+and it makes the same checks once over the whole run.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gains import optimal_gain, posterior_cov, structured_gain
+from .gains import (_check_run, _cholesky_inverse, _on_time_rows, _select_gain, _sym,
+                    optimal_gain, posterior_cov, structured_gain)
 from .model import DelayModel, DelayOutcome, SystemModel
 
 __all__ = [
@@ -98,28 +101,34 @@ class PlantTrajectory:
     y2: np.ndarray  # (T+1, m2)
 
 
+def _check_count(value, name: str) -> None:
+    """Raise unless ``value`` is an integer >= 1 (``np.int64`` included)."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def simulate_plant(model: SystemModel, T: int, rng: np.random.Generator) -> PlantTrajectory:
     """Simulate the plant for T steps.
 
     ``x_0 ~ N(0, Sigma0)``, ``x_{t+1} = A x_t + w_t`` with
     ``w_t ~ N(0, W)``, and both sensors measured at every time with noise
-    covariance V.  Deterministic given the generator state.
+    covariance V.  Deterministic given the generator state: row t of one
+    (T+1, n+m) standard normal draw holds the state noise, then the
+    measurement noise, of time t, the order of one draw per vector.
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    n, m1, m2 = model.n, model.m1, model.m2
-    Ls = _chol_psd(model.Sigma0)
-    Lw = _chol_psd(model.W)
-    Lv = _chol_psd(model.V)
-    C = model.C
-
-    x = np.zeros((T + 1, n))
-    y = np.zeros((T + 1, m1 + m2))
-    x[0] = Ls @ rng.standard_normal(n)
-    y[0] = C @ x[0] + Lv @ rng.standard_normal(m1 + m2)
+    _check_count(T, "T")
+    n, m1 = model.n, model.m1
+    E = rng.standard_normal((T + 1, n + model.m))
+    # Row t holds w_t until the loop replaces it with x_t.
+    x = np.matmul(_chol_psd(model.W), E[:, :n, None])[..., 0]
+    x[0] = _chol_psd(model.Sigma0) @ E[0, :n]
+    A = model.A
     for t in range(1, T + 1):
-        x[t] = model.A @ x[t - 1] + Lw @ rng.standard_normal(n)
-        y[t] = C @ x[t] + Lv @ rng.standard_normal(m1 + m2)
+        x[t] = A @ x[t - 1] + x[t]
+    y = np.matmul(model.C, x[:, :, None])[..., 0] + np.matmul(_chol_psd(model.V),
+                                                             E[:, n:, None])[..., 0]
     return PlantTrajectory(x=x, y1=y[:, :m1], y2=y[:, m1:])
 
 
@@ -323,29 +332,53 @@ def run_filter(
 
     The generator is split into two child streams (plant noise, delay
     indicators) so that the realized delays do not perturb the plant
-    sample path.  Per step: :func:`covariance_step` on a stack of one,
-    then the estimate predicted and corrected with that step's gain.
+    sample path.  Each step is arithmetic only, on a stack of one: the
+    prediction, the gain of :func:`covariance_step` without its checks,
+    the posterior, and the estimate predicted and corrected with that
+    gain; each gets the same bits as :func:`covariance_step`.  The checks
+    run once, over the whole run (``gains._check_run``), also when a step
+    raises, so a run whose covariance turns non-finite fails with the PSD
+    check's named error.
     """
+    _check_count(T, "T")
     plant_rng, delay_rng = rng.spawn(2)
     plant = simulate_plant(model, T, plant_rng)
     gamma1, gamma2 = delay_indicators(delays, T, delay_rng)
 
-    n = model.n
+    n, dims = model.n, model.dims
+    g1, g2 = gamma1.astype(bool), gamma2.astype(bool)
+    on_time = _on_time_rows(dims, g1, g2)
+    late1, late2 = (~g1).tolist(), (~g2).tolist()
+    A, C, V = model.A, model.C, model.V
+    CT = C.T
     xhat = np.zeros((T, n))
     P_prior = np.zeros((T, n, n))
     P_post = np.zeros((T, n, n))
+    S_rec = np.zeros((T, model.m, model.m))
     sq_err = np.zeros(T)
 
     x = np.zeros(n)
     P = np.array(model.Sigma0, dtype=float)[None]
-    for k in range(T):
-        prior, P, D = covariance_step(model, P, gamma1[k:k + 1], gamma2[k:k + 1])
-        x = _correct(model, model.A @ x, D[0], plant.y1[k + 1], plant.y2[k + 1])
-        xhat[k] = x
-        P_prior[k] = prior[0]
-        P_post[k] = P[0]
-        err = plant.x[k + 1] - x
-        sq_err[k] = float(err @ err)
+    try:
+        for k in range(T):
+            prior = predict_cov(model, P)
+            P_prior[k] = prior[0]
+            # The innovation pass of gains._innovation: a predict_cov output
+            # is exactly symmetric, so symmetrizing it again changes no bit.
+            S = _sym(V + C @ prior @ CT)
+            S_rec[k] = S[0]
+            D = _select_gain(S, prior @ CT, dims, on_time[k], late1[k], late2[k],
+                             _cholesky_inverse)
+            P = posterior_cov(prior, D, C, V)
+            x = _correct(model, A @ x, D[0], plant.y1[k + 1], plant.y2[k + 1])
+            xhat[k] = x
+            P_post[k] = P[0]
+            err = plant.x[k + 1] - x
+            sq_err[k] = float(err @ err)
+    except np.linalg.LinAlgError:
+        _check_run(P_prior[:k + 1], S_rec[:k], on_time[:k], g1[:k], g2[:k], model.m1)
+        raise
+    _check_run(P_prior, S_rec, on_time, g1, g2, model.m1)
 
     return TrajectoryRecord(
         t=np.arange(1, T + 1),

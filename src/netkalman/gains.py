@@ -11,8 +11,13 @@ and one whose cross measurement was delayed takes its local Kalman gain
 ``(P C^T)[rows_i, cols_i] S_ii^-1``.  :func:`structured_gain` is the
 one function that makes that row selection: :func:`optimal_gain` is one
 call for one outcome, and :func:`gain_set` one call for all four, which
-lie on a broadcast axis of the prior.  An exact brute-force oracle
-(row-wise normal equations over the free entries) verifies them.
+lie on a broadcast axis of the prior.  Its arithmetic, the row selection
+and the inverses it needs, is a private core that checks nothing;
+:func:`structured_gain` runs the PSD check first and inverts through a
+warning inverse, and a caller that steps the core with the unchecked
+inverse makes the same checks once over its steps (``_check_run``).  An
+exact brute-force oracle (row-wise normal equations over the free
+entries) verifies them.
 """
 
 from __future__ import annotations
@@ -93,20 +98,32 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return (M + _T(M)) / 2.0
 
 
-def _spd_inverse(M: np.ndarray, what: str) -> np.ndarray:
-    """Inverse of each symmetric positive definite matrix, via Cholesky.
+def _cholesky_inverse(M: np.ndarray, what: str = "") -> np.ndarray:
+    """Inverse of each symmetric positive definite matrix, via Cholesky, unchecked.
 
     M must be exactly symmetric, as every block of the innovation pass's
     S is; it is not symmetrized again.  NumPy's linalg gufuncs loop over
     a stack in C, so a matrix gets the same bits whether it is inverted
-    alone or inside a stack.  The warning's ``cond ~`` is the 1-norm
-    condition number ``|M|_1 |M^-1|_1``.
+    alone or inside a stack.  ``what`` is unused; it gives this and
+    :func:`_spd_inverse` one signature.
     """
     L_inv = np.linalg.inv(np.linalg.cholesky(M))
-    M_inv = _T(L_inv) @ L_inv
-    c = (np.abs(M).sum(-2).max(-1) * np.abs(M_inv).sum(-2).max(-1)).max()
-    if c > COND_WARN:
-        warnings.warn(f"{what} is ill conditioned (cond ~ {c:.2e})", RuntimeWarning)
+    return _T(L_inv) @ L_inv
+
+
+def _spd_inverse(M: np.ndarray, what: str) -> np.ndarray:
+    """:func:`_cholesky_inverse`, with one warning if some matrix is ill conditioned.
+
+    A matrix is ill conditioned when its 1-norm condition number
+    ``|M|_1 |M^-1|_1`` exceeds ``COND_WARN``, whatever else is in the
+    stack (a layer whose estimate is NaN hides no other); the warning's
+    ``cond ~`` is the largest such number.
+    """
+    M_inv = _cholesky_inverse(M)
+    c = np.abs(M).sum(-2).max(-1) * np.abs(M_inv).sum(-2).max(-1)
+    ill = c[c > COND_WARN]
+    if ill.size:
+        warnings.warn(f"{what} is ill conditioned (cond ~ {ill.max():.2e})", RuntimeWarning)
     return M_inv
 
 
@@ -148,12 +165,10 @@ def _check_psd(P: np.ndarray) -> None:
         raise ValueError(f"P is not positive semidefinite (min eig {worst:.3e})")
 
 
-def _s11_inverse(S: np.ndarray, m1: int) -> np.ndarray:
-    return _spd_inverse(S[..., :m1, :m1], "sensor-1 innovation covariance")
-
-
-def _s22_inverse(S: np.ndarray, m1: int) -> np.ndarray:
-    return _spd_inverse(S[..., m1:, m1:], "sensor-2 innovation covariance")
+# The labels of the three matrices a gain may invert, named in warnings.
+_S_LABEL = "innovation covariance"
+_S11_LABEL = "sensor-1 innovation covariance"
+_S22_LABEL = "sensor-2 innovation covariance"
 
 
 @dataclass(frozen=True)
@@ -189,9 +204,9 @@ def innovation_blocks(P, C, V, dims: BlockDims) -> InnovationBlocks:
     m1 = dims.m1
     return InnovationBlocks(
         xcov1=xcov[..., :m1].copy(),
-        s11_inv=_s11_inverse(S, m1),
+        s11_inv=_spd_inverse(S[..., :m1, :m1], _S11_LABEL),
         xcov2=xcov[..., m1:].copy(),
-        s22_inv=_s22_inverse(S, m1),
+        s22_inv=_spd_inverse(S[..., m1:, m1:], _S22_LABEL),
     )
 
 
@@ -218,6 +233,29 @@ def _on_time_rows(dims: BlockDims, gamma1, gamma2) -> np.ndarray:
     return np.where(_first_rows(dims), g1, g2)
 
 
+def _select_gain(S, xcov, dims: BlockDims, on_time, late1: bool, late2: bool,
+                 inverse) -> np.ndarray:
+    """The gain rows of each layer, from its innovation pass: the arithmetic alone.
+
+    ``on_time`` is the (..., n, 1) mask of :func:`_on_time_rows`, and
+    ``late1``/``late2`` say whether some layer has ``gamma1``/``gamma2``
+    equal to 0.  Only what some layer reads is inverted, each block
+    through ``inverse(M, what)``: S whole if some row is on time, ``S11``
+    if ``late1`` and ``S22`` if ``late2``.  It checks nothing of the
+    prior; :func:`structured_gain` does that first.
+    """
+    n1, m1 = dims.n1, dims.m1
+    L = 0.0
+    if late1 or late2:
+        L = np.zeros(xcov.shape[:-2] + (dims.n, dims.m))
+        if late1:
+            L[..., :n1, :m1] = xcov[..., :n1, :m1] @ inverse(S[..., :m1, :m1], _S11_LABEL)
+        if late2:
+            L[..., n1:, m1:] = xcov[..., n1:, m1:] @ inverse(S[..., m1:, m1:], _S22_LABEL)
+    K = xcov @ inverse(S, _S_LABEL) if on_time.any() else 0.0
+    return np.where(on_time, K, L)
+
+
 def structured_gain(P, C, V, dims: BlockDims, gamma1, gamma2) -> np.ndarray:
     """Trace-optimal gain for the on-time indicators ``gamma1``, ``gamma2``.
 
@@ -226,23 +264,38 @@ def structured_gain(P, C, V, dims: BlockDims, gamma1, gamma2) -> np.ndarray:
     innovation pass serves the whole stack, and it inverts only what
     some layer reads: S whole if some row is on time, ``S11`` if some
     ``gamma1`` is 0 and ``S22`` if some ``gamma2`` is 0.  The PSD check
-    runs once, whenever some subsystem is late.
+    runs once, whenever some subsystem is late, and each inverse warns
+    if some matrix it inverts is ill conditioned.
     """
     g1, g2 = np.asarray(gamma1, dtype=bool), np.asarray(gamma2, dtype=bool)
     on_time = _on_time_rows(dims, g1, g2)
     late1, late2 = not g1.all(), not g2.all()
     P, S, xcov = _innovation(P, C, V)
-    n1, m1 = dims.n1, dims.m1
-    L = 0.0
     if late1 or late2:
         _check_psd(P)
-        L = np.zeros(xcov.shape[:-2] + (dims.n, dims.m))
-        if late1:
-            L[..., :n1, :m1] = xcov[..., :n1, :m1] @ _s11_inverse(S, m1)
-        if late2:
-            L[..., n1:, m1:] = xcov[..., n1:, m1:] @ _s22_inverse(S, m1)
-    K = xcov @ _spd_inverse(S, "innovation covariance") if on_time.any() else 0.0
-    return np.where(on_time, K, L)
+    return _select_gain(S, xcov, dims, on_time, late1, late2, _spd_inverse)
+
+
+def _check_run(P, S, on_time, gamma1, gamma2, m1: int) -> None:
+    """The checks of :func:`structured_gain`, once over the steps of a run.
+
+    For a run whose steps built their gains with :func:`_select_gain`
+    and the unchecked inverse: ``P[k]`` is step k's prior, ``S[k]`` its
+    innovation covariance, ``on_time[k]`` its row mask and ``gamma1[k]``,
+    ``gamma2[k]`` its indicators (bool), so step k inverted S whole if
+    some row was on time, ``S11`` if ``gamma1[k]`` is 0 and ``S22`` if
+    ``gamma2[k]`` is 0.  Each of the three is inverted again, as one
+    stack, through the checked inverse, so a run gives at most one
+    ill-conditioning warning per label, carrying the run's worst
+    condition number.  Then every prior, late step or not, gets the PSD
+    check.
+    """
+    for used, block, what in ((~gamma1, S[:, :m1, :m1], _S11_LABEL),
+                              (~gamma2, S[:, m1:, m1:], _S22_LABEL),
+                              (on_time.any(axis=(1, 2)), S, _S_LABEL)):
+        if used.any():
+            _spd_inverse(block[used], what)
+    _check_psd(P)
 
 
 def optimal_gain(P, C, V, dims: BlockDims, outcome: DelayOutcome) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .filtering import covariance_step, delay_indicators, delay_rng, stream_seed
+from .filtering import _check_count, covariance_step, delay_indicators, delay_rng, stream_seed
 # Not called here; kept as a module attribute because the benchmark's
 # traced run (perfbench/spans.py) wraps ``montecarlo.run_filter`` by name.
 from .filtering import run_filter  # noqa: F401
@@ -70,10 +70,8 @@ class EecEstimate:
 
 def _run_indicators(delays: DelayModel, runs: int, horizon: int, master_seed: int):
     """(runs, horizon) indicators of runs 0..runs-1, as ``run_filter`` draws them."""
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    _check_count(runs, "runs")
+    _check_count(horizon, "horizon")
     draws = [delay_indicators(delays, horizon, delay_rng(master_seed, r)) for r in range(runs)]
     return np.stack([g1 for g1, _ in draws]), np.stack([g2 for _, g2 in draws])
 
@@ -146,8 +144,7 @@ def kalman_baseline(model: SystemModel, horizon: int) -> np.ndarray:
     A stack of one run with every outcome on time, so it matches
     :func:`estimate_eec` at zero delay probabilities bit for bit.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    _check_count(horizon, "horizon")
     on_time = np.ones((1, horizon), dtype=int)
     return _stack_run(model, on_time, on_time)[0][0]
 

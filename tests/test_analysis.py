@@ -908,6 +908,24 @@ class TestCriticalBounds:
 
 
 class TestDivergenceWitness:
+    def test_no_full_inverse_for_outcomes_it_cannot_draw(self):
+        # the witness reads only the 00 gain, so the full S of a model whose
+        # sensor 2 sees nothing is never inverted; on these draws the full
+        # S is ill conditioned at some iterates, and the 00 gains keep their bits
+        rng = np.random.default_rng(77)
+        for _ in range(100):
+            m = random_model(rng, max_m=1, spectral_radius=rng.uniform(1.05, 2.5))
+            model = SystemModel(n1=m.n1, n2=m.n2, A=m.A, C1=m.C1, C2=np.zeros_like(m.C2),
+                                W=m.W, V=m.V, Sigma0=m.Sigma0)
+            delays = DelayModel(rng.uniform(0, 1), rng.uniform(0, 1))
+            with warnings.catch_warnings():
+                warnings.filterwarnings("error", message=".*ill conditioned")
+                w = divergence_witness(model, delays, 300)
+            # a cycle-filled tail repeats its pairs; each is checked once
+            for Y, Y_next in {Y.tobytes(): (Y, Y_next) for Y, Y_next in zip(w.Y, w.Y[1:])}.values():
+                assert np.array_equal(Y_next, plain_witness_step(
+                    model, delays.lambda1 * delays.lambda2, Y))
+
     def test_stable_fixture_bounded_even_always_delayed(self, case1):
         w = divergence_witness(case1, DelayModel(1.0, 1.0), steps=300)
         assert not w.diverged

@@ -1,3 +1,7 @@
+import re
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -254,6 +258,50 @@ class TestRunFilter:
             assert np.array_equal(rec.P_prior[k], state.P_prior)
             assert np.array_equal(rec.P_post[k], state.P_post)
             assert rec.sq_err[k] == float(err @ err)
+
+    @pytest.mark.parametrize("T", [2.5, "5"])
+    def test_non_integer_steps_rejected_before_any_draw(self, toy, T):
+        # a non-integer step count used to raise numpy's unnamed TypeError
+        for call in (run_filter, lambda model, delays, T, rng: simulate_plant(model, T, rng)):
+            rng = make_rng(3)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"T must be >= 1 and an integer, got {T!r}")):
+                call(toy, DelayModel(0.5, 0.5), T, rng)
+            assert rng.bit_generator.seed_seq.n_children_spawned == 0
+            assert rng.random() == make_rng(3).random()
+
+    def test_numpy_integer_steps_accepted(self, toy):
+        a = run_filter(toy, DelayModel(0.5, 0.5), np.int64(7), make_rng(3))
+        assert a.to_csv() == run_filter(toy, DelayModel(0.5, 0.5), 7, make_rng(3)).to_csv()
+
+    def test_diverging_run_warns_once_per_label_then_raises(self, hidden_mode):
+        # lambda1 = 1 hides the unstable mode from subsystem 1 for good, so
+        # P overflows; the steps are checked once per run, so the run says
+        # at most once per matrix that it is ill conditioned, then names
+        # the non-finite prior
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="P has non-finite entries"):
+                run_filter(hidden_mode, DelayModel(1.0, 0.5), 4000, make_rng(5))
+        ill = Counter(str(w.message).split(" is ill conditioned")[0] for w in caught
+                      if "ill conditioned" in str(w.message))
+        assert ill and max(ill.values()) == 1
+
+    def test_ill_conditioned_run_warns_once_per_label(self):
+        # each sensor reads its state twice with tiny noise, so S, S11 and
+        # S22 are all near singular at every step; one warning per matrix
+        # carries the worst condition number of the run
+        column = np.ones((2, 1))
+        model = SystemModel(n1=1, n2=1, A=np.array([[0.5, 0.2], [0.1, 0.5]]), C1=column,
+                            C2=column, W=10.0 * np.eye(2), V=1e-12 * np.eye(4),
+                            Sigma0=np.eye(2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rec = run_filter(model, DelayModel(0.5, 0.5), 200, make_rng(8))
+        assert np.isfinite(rec.P_prior).all()
+        ill = Counter(str(w.message).split(" is ill conditioned")[0] for w in caught)
+        assert ill == {"innovation covariance": 1, "sensor-1 innovation covariance": 1,
+                       "sensor-2 innovation covariance": 1}
 
     def test_byte_identical_csv_for_same_seed(self, toy):
         a = run_filter(toy, DelayModel(0.5, 0.5), 30, make_rng(77)).to_csv()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -198,6 +200,23 @@ class TestKalmanBaseline:
                      lambda: estimate_eec(toy, DelayModel(0.5, 0.5), 2, horizon, 0)):
             with pytest.raises(ValueError, match=f"horizon must be >= 1, got {horizon}"):
                 call()
+
+    @pytest.mark.parametrize("count", [2.5, "5"])
+    def test_non_integer_counts_rejected(self, toy, count):
+        # a non-integer count used to raise numpy's or Python's unnamed TypeError
+        message = f" must be >= 1 and an integer, got {count!r}"
+        for name, call in (
+                ("horizon", lambda: kalman_baseline(toy, count)),
+                ("horizon", lambda: estimate_eec(toy, DelayModel(0.5, 0.5), 2, count, 0)),
+                ("runs", lambda: estimate_eec(toy, DelayModel(0.5, 0.5), count, 3, 0))):
+            with pytest.raises(ValueError, match=re.escape(name + message)):
+                call()
+
+    def test_numpy_integer_counts_accepted(self, toy):
+        a = estimate_eec(toy, DelayModel(0.5, 0.5), np.int64(3), np.int64(4), 0)
+        b = estimate_eec(toy, DelayModel(0.5, 0.5), 3, 4, 0)
+        assert np.array_equal(a.mean_P, b.mean_P)
+        assert np.array_equal(kalman_baseline(toy, np.int64(4)), kalman_baseline(toy, 4))
 
 
 class TestSweep:

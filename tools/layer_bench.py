@@ -6,7 +6,9 @@ Run from the root of a checkout::
     python3 tools/layer_bench.py --label mychange
 
 It times one structured gain per delay outcome, ``gain_set``, one
-``covariance_step`` on stacks of 1, 16 and 150 runs, and
+``covariance_step`` on stacks of 1, 16 and 150 runs, a 3000-step
+``run_filter`` at lambda (0.25, 0.75) with its ``to_csv`` and the
+3000-step ``simulate_plant`` inside it, and
 ``expected_next_cov`` on one matrix and on a stack of 7 (the shape of one
 bisection stack of ``empirical_critical``: lambda2 fixed at 0.5, lambda1
 at the midpoints of three bisection levels of [0, 1]), ``sweep`` on the
@@ -90,6 +92,10 @@ def _cases():
         g1, g2 = filtering.delay_indicators(delays, runs, filtering.make_rng(runs))
         cases[f"covariance_step.R{runs}"] = (lambda s=stack, a=g1, b=g2:
                                              filtering.covariance_step(model, s, a, b))
+    cases["run_filter.case1_T3000"] = lambda: filtering.run_filter(
+        model, delays, 3000, filtering.make_rng(1)).to_csv()
+    cases["simulate_plant.T3000"] = lambda: filtering.simulate_plant(
+        model, 3000, filtering.make_rng(1))
     cases["expected_next_cov"] = lambda: analysis.expected_next_cov(model, delays, P[0])
     lookahead = [DelayModel(l1, 0.5) for l1 in (0.5, 0.25, 0.125, 0.375, 0.75, 0.625, 0.875)]
     stack7 = np.broadcast_to(P, (len(lookahead),) + P.shape[1:]).copy()
