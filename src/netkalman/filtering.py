@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gains import (_check_run, _cholesky_inverse, _on_time_rows, _select_gain, _sym,
-                    optimal_gain, posterior_cov, structured_gain)
+from .gains import (_innovation, _on_time_rows, _run_checks, _select_gain, optimal_gain,
+                    posterior_cov, structured_gain)
 from .model import DelayModel, DelayOutcome, SystemModel
 
 __all__ = [
@@ -102,8 +102,8 @@ class PlantTrajectory:
 
 
 def _check_count(value, name: str) -> None:
-    """Raise unless ``value`` is an integer >= 1 (``np.int64`` included)."""
-    if not isinstance(value, (int, np.integer)):
+    """Raise unless ``value`` is an integer >= 1 (``np.int64`` included, bools not)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
@@ -333,12 +333,13 @@ def run_filter(
     The generator is split into two child streams (plant noise, delay
     indicators) so that the realized delays do not perturb the plant
     sample path.  Each step is arithmetic only, on a stack of one: the
-    prediction, the gain of :func:`covariance_step` without its checks,
-    the posterior, and the estimate predicted and corrected with that
-    gain; each gets the same bits as :func:`covariance_step`.  The checks
-    run once, over the whole run (``gains._check_run``), also when a step
-    raises, so a run whose covariance turns non-finite fails with the PSD
-    check's named error.
+    prediction, the gain of :func:`covariance_step` through an unchecked
+    inverse that keeps what it inverts, the posterior, and the estimate
+    predicted and corrected with that gain; each gets the same bits as
+    :func:`covariance_step`.  The checks run once, over the whole run
+    (``gains._run_checks``).  A run stops stepping at its first non-finite
+    prior, and runs the checks also when a step raises, so a run whose
+    covariance turns non-finite fails with the PSD check's named error.
     """
     _check_count(T, "T")
     plant_rng, delay_rng = rng.spawn(2)
@@ -346,16 +347,14 @@ def run_filter(
     gamma1, gamma2 = delay_indicators(delays, T, delay_rng)
 
     n, dims = model.n, model.dims
-    g1, g2 = gamma1.astype(bool), gamma2.astype(bool)
-    on_time = _on_time_rows(dims, g1, g2)
-    late1, late2 = (~g1).tolist(), (~g2).tolist()
+    on_time = _on_time_rows(dims, gamma1, gamma2)
+    late1, late2 = (gamma1 == 0).tolist(), (gamma2 == 0).tolist()
     A, C, V = model.A, model.C, model.V
-    CT = C.T
     xhat = np.zeros((T, n))
     P_prior = np.zeros((T, n, n))
     P_post = np.zeros((T, n, n))
-    S_rec = np.zeros((T, model.m, model.m))
     sq_err = np.zeros(T)
+    inverse, check_run = _run_checks(T)
 
     x = np.zeros(n)
     P = np.array(model.Sigma0, dtype=float)[None]
@@ -363,12 +362,10 @@ def run_filter(
         for k in range(T):
             prior = predict_cov(model, P)
             P_prior[k] = prior[0]
-            # The innovation pass of gains._innovation: a predict_cov output
-            # is exactly symmetric, so symmetrizing it again changes no bit.
-            S = _sym(V + C @ prior @ CT)
-            S_rec[k] = S[0]
-            D = _select_gain(S, prior @ CT, dims, on_time[k], late1[k], late2[k],
-                             _cholesky_inverse)
+            if not np.isfinite(prior).all():
+                break  # the PSD check of the recorded priors names it
+            _, S, xcov = _innovation(prior, C, V)
+            D = _select_gain(S, xcov, dims, on_time[k], late1[k], late2[k], inverse)
             P = posterior_cov(prior, D, C, V)
             x = _correct(model, A @ x, D[0], plant.y1[k + 1], plant.y2[k + 1])
             xhat[k] = x
@@ -376,9 +373,9 @@ def run_filter(
             err = plant.x[k + 1] - x
             sq_err[k] = float(err @ err)
     except np.linalg.LinAlgError:
-        _check_run(P_prior[:k + 1], S_rec[:k], on_time[:k], g1[:k], g2[:k], model.m1)
+        check_run(P_prior[:k + 1])
         raise
-    _check_run(P_prior, S_rec, on_time, g1, g2, model.m1)
+    check_run(P_prior[:k + 1])
 
     return TrajectoryRecord(
         t=np.arange(1, T + 1),

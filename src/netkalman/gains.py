@@ -12,16 +12,18 @@ and one whose cross measurement was delayed takes its local Kalman gain
 one function that makes that row selection: :func:`optimal_gain` is one
 call for one outcome, and :func:`gain_set` one call for all four, which
 lie on a broadcast axis of the prior.  Its arithmetic, the row selection
-and the inverses it needs, is a private core that checks nothing;
-:func:`structured_gain` runs the PSD check first and inverts through a
-warning inverse, and a caller that steps the core with the unchecked
-inverse makes the same checks once over its steps (``_check_run``).  An
+and the inverses it needs, is a private core that checks nothing and
+inverts through the inverse it is given; :func:`structured_gain` runs
+the PSD check first and passes a warning inverse.  A caller that steps
+the core with the unchecked inverse of ``_run_checks`` makes the same
+checks once over its steps.  An
 exact brute-force oracle (row-wise normal equations over the free
 entries) verifies them.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import warnings
@@ -98,14 +100,13 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return (M + _T(M)) / 2.0
 
 
-def _cholesky_inverse(M: np.ndarray, what: str = "") -> np.ndarray:
+def _cholesky_inverse(M: np.ndarray) -> np.ndarray:
     """Inverse of each symmetric positive definite matrix, via Cholesky, unchecked.
 
     M must be exactly symmetric, as every block of the innovation pass's
     S is; it is not symmetrized again.  NumPy's linalg gufuncs loop over
     a stack in C, so a matrix gets the same bits whether it is inverted
-    alone or inside a stack.  ``what`` is unused; it gives this and
-    :func:`_spd_inverse` one signature.
+    alone or inside a stack.
     """
     L_inv = np.linalg.inv(np.linalg.cholesky(M))
     return _T(L_inv) @ L_inv
@@ -276,26 +277,35 @@ def structured_gain(P, C, V, dims: BlockDims, gamma1, gamma2) -> np.ndarray:
     return _select_gain(S, xcov, dims, on_time, late1, late2, _spd_inverse)
 
 
-def _check_run(P, S, on_time, gamma1, gamma2, m1: int) -> None:
-    """The checks of :func:`structured_gain`, once over the steps of a run.
+def _run_checks(T: int):
+    """An unchecked inverse for the T steps of a run, and the run's checks.
 
-    For a run whose steps built their gains with :func:`_select_gain`
-    and the unchecked inverse: ``P[k]`` is step k's prior, ``S[k]`` its
-    innovation covariance, ``on_time[k]`` its row mask and ``gamma1[k]``,
-    ``gamma2[k]`` its indicators (bool), so step k inverted S whole if
-    some row was on time, ``S11`` if ``gamma1[k]`` is 0 and ``S22`` if
-    ``gamma2[k]`` is 0.  Each of the three is inverted again, as one
-    stack, through the checked inverse, so a run gives at most one
+    Returns ``(inverse, check)``.  ``inverse`` is :func:`_cholesky_inverse`
+    for the ``inverse`` slot of :func:`_select_gain`, on a stack of one,
+    and keeps each matrix it inverts under its label.  ``check(P)``, given
+    the priors of the steps, makes the checks of :func:`structured_gain`
+    once over them: each label's matrices are inverted again, as one
+    stack, through the warning inverse, so a run gives at most one
     ill-conditioning warning per label, carrying the run's worst
-    condition number.  Then every prior, late step or not, gets the PSD
+    condition number; then every prior, late step or not, gets the PSD
     check.
     """
-    for used, block, what in ((~gamma1, S[:, :m1, :m1], _S11_LABEL),
-                              (~gamma2, S[:, m1:, m1:], _S22_LABEL),
-                              (on_time.any(axis=(1, 2)), S, _S_LABEL)):
-        if used.any():
-            _spd_inverse(block[used], what)
-    _check_psd(P)
+    blocks, used = {}, collections.Counter()
+
+    def inverse(M, what):
+        M_inv = _cholesky_inverse(M)
+        if what not in blocks:
+            blocks[what] = np.empty((T,) + M.shape[1:])
+        blocks[what][used[what]] = M[0]
+        used[what] += 1
+        return M_inv
+
+    def check(P):
+        for what, stack in blocks.items():
+            _spd_inverse(stack[:used[what]], what)
+        _check_psd(P)
+
+    return inverse, check
 
 
 def optimal_gain(P, C, V, dims: BlockDims, outcome: DelayOutcome) -> np.ndarray:

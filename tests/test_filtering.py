@@ -17,13 +17,14 @@ from netkalman.filtering import (
     initial_state,
     make_rng,
     predict,
+    predict_cov,
     run_filter,
     simulate_plant,
     stream_seed,
     subsystem_updates,
     update,
 )
-from netkalman import gains
+from netkalman import filtering, gains
 from netkalman.gains import optimal_gain, posterior_cov
 from netkalman.montecarlo import kalman_baseline
 
@@ -259,9 +260,10 @@ class TestRunFilter:
             assert np.array_equal(rec.P_post[k], state.P_post)
             assert rec.sq_err[k] == float(err @ err)
 
-    @pytest.mark.parametrize("T", [2.5, "5"])
+    @pytest.mark.parametrize("T", [2.5, "5", True, np.True_])
     def test_non_integer_steps_rejected_before_any_draw(self, toy, T):
-        # a non-integer step count used to raise numpy's unnamed TypeError
+        # a non-integer step count used to raise numpy's unnamed TypeError,
+        # and a bool is not taken as one step
         for call in (run_filter, lambda model, delays, T, rng: simulate_plant(model, T, rng)):
             rng = make_rng(3)
             with pytest.raises(ValueError, match=re.escape(
@@ -286,6 +288,24 @@ class TestRunFilter:
         ill = Counter(str(w.message).split(" is ill conditioned")[0] for w in caught
                       if "ill conditioned" in str(w.message))
         assert ill and max(ill.values()) == 1
+
+    def test_diverging_run_stops_at_first_non_finite_prior(self, hidden_mode, monkeypatch):
+        # no step runs on an inf/NaN covariance: the run stops predicting at
+        # its first non-finite prior, long before its 4000 steps
+        priors = []
+
+        def recording_predict_cov(model, P_post):
+            priors.append(predict_cov(model, P_post))
+            return priors[-1]
+
+        monkeypatch.setattr(filtering, "predict_cov", recording_predict_cov)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match="P has non-finite entries"):
+                run_filter(hidden_mode, DelayModel(1.0, 0.5), 4000, make_rng(5))
+        assert len(priors) < 4000
+        assert all(np.isfinite(P).all() for P in priors[:-1])
+        assert not np.isfinite(priors[-1]).all()
 
     def test_ill_conditioned_run_warns_once_per_label(self):
         # each sensor reads its state twice with tiny noise, so S, S11 and

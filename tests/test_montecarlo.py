@@ -201,9 +201,10 @@ class TestKalmanBaseline:
             with pytest.raises(ValueError, match=f"horizon must be >= 1, got {horizon}"):
                 call()
 
-    @pytest.mark.parametrize("count", [2.5, "5"])
+    @pytest.mark.parametrize("count", [2.5, "5", True, np.True_])
     def test_non_integer_counts_rejected(self, toy, count):
-        # a non-integer count used to raise numpy's or Python's unnamed TypeError
+        # a non-integer count used to raise numpy's or Python's unnamed
+        # TypeError, and a bool is not taken as the count 1
         message = f" must be >= 1 and an integer, got {count!r}"
         for name, call in (
                 ("horizon", lambda: kalman_baseline(toy, count)),
