@@ -16,9 +16,8 @@ and the inverses it needs, is a private core that checks nothing and
 inverts through the inverse it is given; :func:`structured_gain` runs
 the PSD check first and passes a warning inverse.  A caller that steps
 the core with the unchecked inverse of ``_run_checks`` makes the same
-checks once over its steps.  An
-exact brute-force oracle (row-wise normal equations over the free
-entries) verifies them.
+checks once over its steps.  An exact brute-force oracle (row-wise
+normal equations over the free entries) verifies them.
 """
 
 from __future__ import annotations
