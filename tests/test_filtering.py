@@ -260,6 +260,22 @@ class TestRunFilter:
             assert np.array_equal(rec.P_post[k], state.P_post)
             assert rec.sq_err[k] == float(err @ err)
 
+    @given(seed=st.integers(0, 2**32 - 1),
+           lambdas=st.tuples(st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 0.5, 1.0])))
+    def test_one_gain_call_over_the_run_keeps_its_bits(self, seed, lambdas):
+        # the covariance recursion depends on the delay indicators alone, so
+        # one structured_gain call over the recorded priors gives the gains
+        # of every step: the posteriors and the estimates keep their bits
+        model = random_model(np.random.default_rng(seed))
+        rec = run_filter(model, DelayModel(*lambdas), 40, make_rng(seed))
+        C, V = model.C, model.V
+        D = gains.structured_gain(rec.P_prior, C, V, model.dims, rec.gamma1, rec.gamma2)
+        assert np.array_equal(posterior_cov(rec.P_prior, D, C, V), rec.P_post)
+        x = np.zeros(model.n)
+        for k in range(rec.horizon):
+            x = filtering._correct(model, model.A @ x, D[k], rec.y1[k], rec.y2[k])
+            assert np.array_equal(x, rec.xhat[k])
+
     @pytest.mark.parametrize("T", [2.5, "5", True, np.True_])
     def test_non_integer_steps_rejected_before_any_draw(self, toy, T):
         # a non-integer step count used to raise numpy's unnamed TypeError,
