@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .filtering import predict_cov
+from .filtering import _check_count, predict_cov
 from .gains import (_sym, gain_set, mask_for_outcome, mask_pattern, optimal_gain,
                     posterior_cov, structured_gain)
 from .model import ALL_OUTCOMES, BlockDims, DelayModel, SystemModel
@@ -162,8 +162,7 @@ class CovBoundSequence:
 
 def _divergence_threshold(model: SystemModel, steps: int, threshold: Optional[float]) -> float:
     """``threshold`` (finite, > 0), ``1e12 * trace(W)`` if None, for an integer ``steps >= 1``."""
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ValueError(f"steps must be >= 1 and an integer, got {steps!r}")
+    _check_count(steps, "steps")
     if threshold is not None and not (np.isfinite(threshold) and threshold > 0.0):
         raise ValueError(f"divergence_threshold must be finite and > 0, got {threshold}")
     return 1e12 * float(np.trace(model.W)) if threshold is None else threshold
@@ -677,7 +676,8 @@ def empirical_critical(
     """
     if fixed_which not in (1, 2):
         raise ValueError(f"fixed_which must be 1 or 2, got {fixed_which}")
-    if not isinstance(horizon, (int, np.integer)) or horizon < 1:
+    if (isinstance(horizon, (bool, np.bool_)) or not isinstance(horizon, (int, np.integer))
+            or horizon < 1):
         raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
     if not 0.0 < bisect_tol < np.inf:
         # With a zero tolerance the bracket stops shrinking at adjacent doubles.

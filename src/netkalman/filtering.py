@@ -9,10 +9,10 @@ coincide; both forms are provided.  The covariance recursion is driven
 only by the delay indicators, so the recorded covariances are the exact
 conditional error covariances given the delay history.
 :func:`covariance_step` runs it for a stack of runs, with no plant, and
-:func:`run_filter` on a stack of one beside the estimate recursion; each
+:func:`run_filter` on a stack of one before the estimate recursion; each
 run gets the same bits as :func:`predict` and :func:`update`.  The public
 calls check each call; :func:`run_filter`'s steps do arithmetic only,
-and it makes the same checks once over the whole run.
+and one checked gain call over the run's priors checks them all.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gains import (_innovation, _on_time_rows, _run_checks, _select_gain, optimal_gain,
-                    posterior_cov, structured_gain)
+from .gains import (_check_psd, _cholesky_inverse, _innovation, _on_time_rows, _select_gain,
+                    optimal_gain, posterior_cov, structured_gain)
 from .model import DelayModel, DelayOutcome, SystemModel
 
 __all__ = [
@@ -332,14 +332,15 @@ def run_filter(
 
     The generator is split into two child streams (plant noise, delay
     indicators) so that the realized delays do not perturb the plant
-    sample path.  Each step is arithmetic only, on a stack of one: the
-    prediction, the gain of :func:`covariance_step` through an unchecked
-    inverse that keeps what it inverts, the posterior, and the estimate
-    predicted and corrected with that gain; each gets the same bits as
-    :func:`covariance_step`.  The checks run once, over the whole run
-    (``gains._run_checks``).  A run stops stepping at its first non-finite
-    prior, and runs the checks also when a step raises, so a run whose
-    covariance turns non-finite fails with the PSD check's named error.
+    sample path.  The covariance recursion depends on the delay
+    indicators alone, so it runs first, on a stack of one, with the bits
+    of :func:`covariance_step`; its steps are arithmetic only, through the
+    unchecked inverse, and stop at the first non-finite prior.  Then, also
+    when a step raised, one :func:`structured_gain` call over the stepped
+    priors makes that call's checks, with at most one ill-conditioning
+    warning per label, and the PSD check of every prior names a
+    non-finite or indefinite one.  The estimate recursion runs on the
+    gains of that call, which have the steps' bits.
     """
     _check_count(T, "T")
     plant_rng, delay_rng = rng.spawn(2)
@@ -350,14 +351,11 @@ def run_filter(
     on_time = _on_time_rows(dims, gamma1, gamma2)
     late1, late2 = (gamma1 == 0).tolist(), (gamma2 == 0).tolist()
     A, C, V = model.A, model.C, model.V
-    xhat = np.zeros((T, n))
     P_prior = np.zeros((T, n, n))
     P_post = np.zeros((T, n, n))
-    sq_err = np.zeros(T)
-    inverse, check_run = _run_checks(T)
 
-    x = np.zeros(n)
     P = np.array(model.Sigma0, dtype=float)[None]
+    stepped = 0
     try:
         for k in range(T):
             prior = predict_cov(model, P)
@@ -365,18 +363,20 @@ def run_filter(
             if not np.isfinite(prior).all():
                 break  # the PSD check of the recorded priors names it
             _, S, xcov = _innovation(prior, C, V)
-            D = _select_gain(S, xcov, dims, on_time[k], late1[k], late2[k], inverse)
+            D = _select_gain(S, xcov, dims, on_time[k], late1[k], late2[k],
+                             lambda M, _: _cholesky_inverse(M))
             P = posterior_cov(prior, D, C, V)
-            x = _correct(model, A @ x, D[0], plant.y1[k + 1], plant.y2[k + 1])
-            xhat[k] = x
             P_post[k] = P[0]
-            err = plant.x[k + 1] - x
-            sq_err[k] = float(err @ err)
-    except np.linalg.LinAlgError:
-        check_run(P_prior[:k + 1])
-        raise
-    check_run(P_prior[:k + 1])
+            stepped = k + 1
+    finally:
+        D = structured_gain(P_prior[:stepped], C, V, dims, gamma1[:stepped], gamma2[:stepped])
+        _check_psd(P_prior[:k + 1])
 
+    xhat = np.zeros((T, n))
+    x = np.zeros(n)
+    for k in range(T):
+        x = xhat[k] = _correct(model, A @ x, D[k], plant.y1[k + 1], plant.y2[k + 1])
+    err = plant.x[1:] - xhat
     return TrajectoryRecord(
         t=np.arange(1, T + 1),
         gamma1=gamma1,
@@ -387,6 +387,6 @@ def run_filter(
         xhat=xhat,
         P_prior=P_prior,
         P_post=P_post,
-        sq_err=sq_err,
+        sq_err=np.matmul(err[:, None], err[..., None])[:, 0, 0],  # bits of each err @ err
         x0=plant.x[0].copy(),
     )

@@ -15,14 +15,14 @@ lie on a broadcast axis of the prior.  Its arithmetic, the row selection
 and the inverses it needs, is a private core that checks nothing and
 inverts through the inverse it is given; :func:`structured_gain` runs
 the PSD check first and passes a warning inverse.  A caller that steps
-the core with the unchecked inverse of ``_run_checks`` makes the same
-checks once over its steps.  An exact brute-force oracle (row-wise
+the core with the unchecked inverse checks its steps afterwards with one
+:func:`structured_gain` call over their priors, which gives every
+layer's gain with the same bits.  An exact brute-force oracle (row-wise
 normal equations over the free entries) verifies them.
 """
 
 from __future__ import annotations
 
-import collections
 import enum
 import functools
 import warnings
@@ -274,37 +274,6 @@ def structured_gain(P, C, V, dims: BlockDims, gamma1, gamma2) -> np.ndarray:
     if late1 or late2:
         _check_psd(P)
     return _select_gain(S, xcov, dims, on_time, late1, late2, _spd_inverse)
-
-
-def _run_checks(T: int):
-    """An unchecked inverse for the T steps of a run, and the run's checks.
-
-    Returns ``(inverse, check)``.  ``inverse`` is :func:`_cholesky_inverse`
-    for the ``inverse`` slot of :func:`_select_gain`, on a stack of one,
-    and keeps each matrix it inverts under its label.  ``check(P)``, given
-    the priors of the steps, makes the checks of :func:`structured_gain`
-    once over them: each label's matrices are inverted again, as one
-    stack, through the warning inverse, so a run gives at most one
-    ill-conditioning warning per label, carrying the run's worst
-    condition number; then every prior, late step or not, gets the PSD
-    check.
-    """
-    blocks, used = {}, collections.Counter()
-
-    def inverse(M, what):
-        M_inv = _cholesky_inverse(M)
-        if what not in blocks:
-            blocks[what] = np.empty((T,) + M.shape[1:])
-        blocks[what][used[what]] = M[0]
-        used[what] += 1
-        return M_inv
-
-    def check(P):
-        for what, stack in blocks.items():
-            _spd_inverse(stack[:used[what]], what)
-        _check_psd(P)
-
-    return inverse, check
 
 
 def optimal_gain(P, C, V, dims: BlockDims, outcome: DelayOutcome) -> np.ndarray:

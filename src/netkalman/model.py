@@ -174,10 +174,10 @@ class DelayOutcome:
 
     def __post_init__(self):
         for name in ("gamma1", "gamma2"):
-            v = int(getattr(self, name))
+            v = getattr(self, name)
             if v not in (0, 1):
                 raise ValueError(f"{name} must be 0 or 1, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, int(v))
 
     @property
     def label(self) -> str:

@@ -30,6 +30,10 @@ def toy():
 
 @pytest.fixture(scope="session")
 def hidden_mode():
+    return hidden_mode_model()
+
+
+def hidden_mode_model():
     """A model whose critical delay probability lies inside (0, 1).
 
     Subsystem 1 (states 0 and 1) has the unstable mode a = 1.25, which

@@ -946,7 +946,7 @@ class TestDivergenceWitness:
         with pytest.raises(ValueError, match="steps must be >= 1"):
             divergence_witness(case1, DelayModel(1.0, 1.0), steps=steps)
 
-    @pytest.mark.parametrize("steps", [2.5, "5"])
+    @pytest.mark.parametrize("steps", [2.5, "5", True, np.True_])
     @pytest.mark.parametrize("sequence", [cov_bound_sequence, divergence_witness])
     def test_non_integer_steps_rejected(self, case1, sequence, steps):
         with pytest.raises(ValueError, match="steps must be >= 1 and an integer"):
@@ -1007,10 +1007,10 @@ class TestEmpiricalCritical:
         assert (default.estimate, default.bracket_low, default.bracket_high, default.probes) \
             == (0.6328125, 0.625, 0.640625, 8)
 
-    @pytest.mark.parametrize("horizon", [0, -3, 2.5, "400"])
+    @pytest.mark.parametrize("horizon", [0, -3, 2.5, "400", True, np.True_])
     def test_bad_horizon_rejected_before_any_step(self, hidden_mode, horizon):
         # 0 used to raise "steps must be >= 1", naming no argument of this
-        # function, and 2.5 a bare TypeError
+        # function, 2.5 a bare TypeError, and True ran one probe step
         def no_step(*args, **kwargs):
             raise AssertionError("a probe ran before the arguments were checked")
 

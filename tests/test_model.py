@@ -97,6 +97,11 @@ class TestDelayTypes:
         assert oc.label == "01"
         with pytest.raises(ValueError):
             DelayOutcome(2, 0)
+        # a fractional indicator used to be truncated to 0 or 1
+        for g1, g2, name in ((0.7, 1, "gamma1"), (0, 1.9, "gamma2"), (0.5, 0.5, "gamma1")):
+            with pytest.raises(ValueError, match=f"{name} must be 0 or 1, got "):
+                DelayOutcome(g1, g2)
+        assert DelayOutcome(np.int64(1), 0.0).label == "10"
 
     def test_outcome_probabilities_sum_to_one(self):
         d = DelayModel(0.3, 0.8)
