@@ -363,9 +363,9 @@ def run_filter(
             if not np.isfinite(prior).all():
                 break  # the PSD check of the recorded priors names it
             _, S, xcov = _innovation(prior, C, V)
-            D = _select_gain(S, xcov, dims, on_time[k], late1[k], late2[k],
-                             lambda M, _: _cholesky_inverse(M))
-            P = posterior_cov(prior, D, C, V)
+            D_k = _select_gain(S, xcov, dims, on_time[k], late1[k], late2[k],
+                               lambda M, _: _cholesky_inverse(M))
+            P = posterior_cov(prior, D_k, C, V)
             P_post[k] = P[0]
             stepped = k + 1
     finally:
