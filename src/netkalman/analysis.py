@@ -323,13 +323,13 @@ class BoundednessReport:
     """Result of the weighted-sum boundedness test.
 
     ``weighted_sum`` is ``r1*p00 + r2*p01 + r3*p10 + r4*p11`` with the
-    outcome probabilities of the delay model.  A weighted sum of at most
-    one makes the fixed-certificate-gain covariance recursion a
-    contraction (its Kronecker update radius is below the weighted sum),
-    which certifies a bounded expected covariance for that gain schedule;
-    the adaptive-gain bound sequence is checked against the certificate
-    in the acceptance suite.  The test is sufficient only, so the
-    negative verdict is ``Inconclusive`` rather than unbounded.
+    outcome probabilities of the delay model, a convex combination of the
+    minima.  Minima all below one put it below one, free of its rounding,
+    and make the fixed-certificate-gain covariance recursion a contraction
+    (its Kronecker update radius is at most the weighted sum), which is the
+    certificate; minima of exactly 1 certify nothing.  The adaptive-gain
+    bound sequence is checked against it in the acceptance suite.  The test
+    is sufficient only, so ``Inconclusive`` does not mean unbounded.
     """
 
     lambda1: float
@@ -397,7 +397,8 @@ def boundedness_test(
         + minima.r3 * (1 - l1) * l2
         + minima.r4 * (1 - l1) * (1 - l2)
     )
-    verdict = "BoundedCertified" if ws <= 1.0 else "Inconclusive"
+    certified = max(minima.r1, minima.r2, minima.r3, minima.r4) < 1.0
+    verdict = "BoundedCertified" if certified else "Inconclusive"
     return BoundednessReport(
         lambda1=delays.lambda1,
         lambda2=delays.lambda2,
@@ -518,10 +519,10 @@ def bounds_from_minima(
 
     The weighted sum is a convex combination of r1..r4, and ordered
     minima (r4 <= r2, r3 <= r1: a larger mask minimizes over more gains)
-    keep it at most r1 everywhere on the axis.  So ``r1 <= 1`` certifies
-    the whole axis (bracket [1, 1]); otherwise nothing is certified
-    (bracket [0, 1]).  The upper bound is 1 because the residual floor is
-    0 (see :class:`GainFloorResult`); ``alpha`` is recorded, not used.
+    keep it at most r1 everywhere on the axis.  So ``r1 < 1`` certifies
+    the whole axis (bracket [1, 1]); any other r1, 1 included, certifies
+    nothing (bracket [0, 1]).  The upper bound is 1 because the residual
+    floor is 0 (:class:`GainFloorResult`); ``alpha`` is recorded, not used.
     """
     if fixed_which not in (1, 2):
         raise ValueError(f"fixed_which must be 1 or 2, got {fixed_which}")
@@ -530,7 +531,7 @@ def bounds_from_minima(
     return CriticalBounds(
         fixed_which=fixed_which,
         lambda_fixed=float(lambda_fixed),
-        lower=1.0 if minima.r1 <= 1.0 else 0.0,
+        lower=1.0 if minima.r1 < 1.0 else 0.0,
         upper=1.0,
         alpha=alpha,
         empirical=empirical,

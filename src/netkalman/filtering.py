@@ -10,9 +10,9 @@ only by the delay indicators, so the recorded covariances are the exact
 conditional error covariances given the delay history.
 :func:`covariance_step` runs it for a stack of runs, with no plant, and
 :func:`run_filter` on a stack of one before the estimate recursion; each
-run gets the same bits as :func:`predict` and :func:`update`.  The public
-calls check each call; :func:`run_filter`'s steps do arithmetic only,
-and one checked gain call over the run's priors checks them all.
+run gets the same bits as :func:`predict` and :func:`update`.  Every
+prior is checked, so a recursion stops at its first non-finite one;
+:func:`run_filter`'s steps do arithmetic only, and one gain call checks them.
 """
 
 from __future__ import annotations
@@ -337,10 +337,10 @@ def run_filter(
     of :func:`covariance_step`; its steps are arithmetic only, through the
     unchecked inverse, and stop at the first non-finite prior.  Then, also
     when a step raised, one :func:`structured_gain` call over the stepped
-    priors makes that call's checks, with at most one ill-conditioning
-    warning per label, and the PSD check of every prior names a
-    non-finite or indefinite one.  The estimate recursion runs on the
-    gains of that call, which have the steps' bits.
+    priors makes that call's checks, the PSD check of each included, with
+    at most one ill-conditioning warning per label, and one more PSD check
+    names a non-finite or indefinite prior that the steps stopped at.  The
+    estimate recursion runs on the gains of that call, with the steps' bits.
     """
     _check_count(T, "T")
     plant_rng, delay_rng = rng.spawn(2)
@@ -361,7 +361,7 @@ def run_filter(
             prior = predict_cov(model, P)
             P_prior[k] = prior[0]
             if not np.isfinite(prior).all():
-                break  # the PSD check of the recorded priors names it
+                break  # the PSD check of this prior names it
             _, S, xcov = _innovation(prior, C, V)
             D_k = _select_gain(S, xcov, dims, on_time[k], late1[k], late2[k],
                                lambda M, _: _cholesky_inverse(M))
@@ -370,7 +370,7 @@ def run_filter(
             stepped = k + 1
     finally:
         D = structured_gain(P_prior[:stepped], C, V, dims, gamma1[:stepped], gamma2[:stepped])
-        _check_psd(P_prior[:k + 1])
+        _check_psd(P_prior[stepped:k + 1])
 
     xhat = np.zeros((T, n))
     x = np.zeros(n)

@@ -264,16 +264,15 @@ def structured_gain(P, C, V, dims: BlockDims, gamma1, gamma2) -> np.ndarray:
     innovation pass serves the whole stack, and it inverts only what
     some layer reads: S whole if some row is on time, ``S11`` if some
     ``gamma1`` is 0 and ``S22`` if some ``gamma2`` is 0.  The PSD check
-    runs once, whenever some subsystem is late, and each inverse warns
-    if some matrix it inverts is ill conditioned.
+    runs once on every call, so a non-finite or indefinite prior raises
+    whatever the outcomes, and each inverse warns if some matrix it
+    inverts is ill conditioned.
     """
     g1, g2 = np.asarray(gamma1, dtype=bool), np.asarray(gamma2, dtype=bool)
-    on_time = _on_time_rows(dims, g1, g2)
-    late1, late2 = not g1.all(), not g2.all()
     P, S, xcov = _innovation(P, C, V)
-    if late1 or late2:
-        _check_psd(P)
-    return _select_gain(S, xcov, dims, on_time, late1, late2, _spd_inverse)
+    _check_psd(P)
+    return _select_gain(S, xcov, dims, _on_time_rows(dims, g1, g2), not g1.all(), not g2.all(),
+                        _spd_inverse)
 
 
 def optimal_gain(P, C, V, dims: BlockDims, outcome: DelayOutcome) -> np.ndarray:

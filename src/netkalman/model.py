@@ -206,9 +206,6 @@ class ValidationReport:
 
 
 def _check_spd(M: np.ndarray, name: str, violations: list):
-    if M.shape[0] != M.shape[1]:
-        violations.append(f"{name} is not square: shape {M.shape}")
-        return
     scale = np.abs(M).max()
     if scale == 0.0:
         violations.append(f"{name} not positive definite")

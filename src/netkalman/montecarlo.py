@@ -14,7 +14,8 @@ covariance per step, compared against the no-delay Kalman recursion,
 which a sweep runs as one all-on-time layer of the same stack.  Run seeds
 derive from the master seed through a fixed mixing function and results
 are reduced over every run in run-index order, so output is
-byte-identical for a given seed.
+byte-identical for a given seed.  A stack stops at its first non-finite
+prior with ``ValueError: P has non-finite entries``, as a filter run does.
 """
 
 from __future__ import annotations

@@ -55,6 +55,19 @@ def hidden_mode_model():
     )
 
 
+def unseen_mode_model(a):
+    """A mode ``a`` that no sensor sees (C1 = 0), beside a measured stable one.
+
+    Its prior variance grows as ``a**2 P + 1`` at every delay probability:
+    linearly for the random walk a = 1, whose masked norm minima are all
+    exactly 1, and geometrically for a = 3, whose covariances overflow
+    after about 320 steps (the hidden-mode setting of Sinopoli et al.,
+    IEEE TAC 2004).
+    """
+    return SystemModel(n1=1, n2=1, A=np.diag([float(a), 0.5]), C1=np.zeros((1, 1)),
+                       C2=np.eye(1), W=np.eye(2), V=np.eye(2), Sigma0=np.eye(2))
+
+
 def random_psd(rng, n, floor=1e-3):
     G = rng.standard_normal((n, n))
     return G @ G.T + floor * np.eye(n)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import linalg as sla
 
-from conftest import exact_prior_means, random_model, random_psd
+from conftest import exact_prior_means, random_model, random_psd, unseen_mode_model
 from netkalman.model import (
     ALL_OUTCOMES, FIXTURE_NAMES, BlockDims, DelayModel, DelayOutcome, SystemModel, fixture,
     validate_model,
@@ -34,6 +34,7 @@ from netkalman.analysis import (
     residual_gram_floor,
 )
 from netkalman.filtering import initial_state, predict, predict_cov, update
+from netkalman.montecarlo import kalman_baseline
 from netkalman.gains import (
     StructuredMask, gain_set, mask_pattern, optimal_gain, posterior_cov, structured_gain,
 )
@@ -477,6 +478,12 @@ class TestCovBoundSequence:
         exact = exact_prior_means(case2, delays, 3)
         assert seq.traces[2] >= np.trace(exact[2])
 
+    def test_one_trace_never_plateaus(self, case1):
+        # a plateau compares the last two traces, so one trace has none
+        seq = cov_bound_sequence(case1, DelayModel(0.5, 0.5), 1)
+        assert len(seq.traces) == 1 and not seq.diverged
+        assert not seq.plateaued(rtol=np.inf)
+
     def test_stable_always_delayed_plateaus(self, case1):
         seq = cov_bound_sequence(case1, DelayModel(1.0, 1.0), 200)
         assert not seq.diverged
@@ -753,6 +760,44 @@ class TestBoundednessTest:
         assert rep.r4 < 1.0
         assert rep.certified
 
+    @pytest.mark.parametrize("lams", [(0.5, 0.5), (0.3, 0.9)])
+    def test_minima_at_one_are_inconclusive(self, lams):
+        # the unseen random walk's minima are exactly 1 and its covariance
+        # grows without bound (kalman_baseline reads 1002 at t = 1000); the
+        # weighted sum rounds to 1.0 and to 0.9999999999999999 here, and
+        # the verdict is taken from the minima, not from that rounding
+        model = unseen_mode_model(1)
+        rep = boundedness_test(model, DelayModel(*lams))
+        assert (rep.r1, rep.r2, rep.r3, rep.r4) == (1.0, 1.0, 1.0, 1.0)
+        assert rep.weighted_sum <= 1.0
+        assert rep.verdict == "Inconclusive"
+        assert kalman_baseline(model, 1000)[-1] > 1000
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lam1=st.floats(0.0, 1.0), lam2=st.floats(0.0, 1.0),
+           unit=st.sampled_from([None, 1.0, -1.0]))
+    def test_certified_models_stay_bounded(self, seed, lam1, lam2, unit):
+        # property: a certified model's certificate gain contracts and its
+        # bound sequence stays below the divergence threshold; a mode of
+        # modulus 1 that no sensor sees puts every minimum at 1 or above,
+        # and is never certified
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, spectral_radius=rng.uniform(0.2, 1.2))
+        if unit is not None:
+            A, C1 = np.array(model.A), np.array(model.C1)
+            A[0, :] = A[:, 0] = 0.0
+            A[0, 0] = unit
+            C1[:, 0] = 0.0
+            model = SystemModel(n1=model.n1, n2=model.n2, A=A, C1=C1, C2=model.C2,
+                                W=model.W, V=model.V, Sigma0=model.Sigma0)
+        delays = DelayModel(lam1, lam2)
+        rep = boundedness_test(model, delays)
+        if unit is not None:
+            assert rep.r1 >= 1.0 and not rep.certified
+        elif rep.certified:
+            assert kron_update_radius(model, delays, rep.certificates()) < 1.0
+            assert not cov_bound_sequence(model, delays, 400).diverged
+
     def test_grid_verdicts_monotone(self, case1):
         minima = masked_norm_minima(case1)
         grid = (0.0, 0.5, 1.0)
@@ -887,12 +932,28 @@ class TestCriticalBounds:
     @given(seed=st.integers(0, 2**32 - 1), lam=st.floats(0.0, 1.0),
            fixed_which=st.sampled_from([1, 2]))
     def test_bracket_is_closed_form(self, seed, lam, fixed_which):
-        # property: alpha is exactly 0 and the bracket is [1, 1] if r1 <= 1,
+        # property: alpha is exactly 0 and the bracket is [1, 1] if r1 < 1,
         # [0, 1] otherwise, with no rounding left in either
         model = random_model(np.random.default_rng(seed), full_row_rank=True)
         b = critical_bounds(model, lam, fixed_which)
         assert b.alpha == 0.0
-        assert (b.lower, b.upper) == ((1.0, 1.0) if b.r1 <= 1.0 else (0.0, 1.0))
+        assert (b.lower, b.upper) == ((1.0, 1.0) if b.r1 < 1.0 else (0.0, 1.0))
+
+    @pytest.mark.parametrize("lams", [(0.5, 0.5), (0.3, 0.9)])
+    def test_minima_at_one_certify_nothing(self, lams):
+        # the unseen random walk's minima are exactly 1 and its covariance
+        # grows without bound, so r1 = 1 certifies no part of either axis
+        model = unseen_mode_model(1)
+        for fixed_which, lam in ((1, lams[0]), (2, lams[1])):
+            b = critical_bounds(model, lam, fixed_which)
+            assert b.r1 == 1.0
+            assert (b.lower, b.upper) == (0.0, 1.0)
+
+    def test_floor_unavailable_when_c1_has_more_rows_than_columns(self):
+        model = make_model(0.5 * np.eye(2), np.array([[1.0], [2.0]]), np.eye(1), 1)
+        b = critical_bounds(model, 0.5, 1)
+        assert b.alpha is None
+        assert "residual floor alpha: unavailable" in b.to_text()
 
     def test_case1_hits_certified_branch(self, case1):
         from netkalman.analysis import critical_bounds

@@ -284,6 +284,25 @@ class TestParseConfig:
         path.write_text(text)
         assert dump_normalized(parse_config(path)) == golden
 
+    @pytest.mark.parametrize("text, message", [
+        (EXPLICIT_CFG.replace("n2 = 1\n", "n2 = 1\na_file = a.csv\n"),
+         "[system] a: give either a or a_file, not both"),
+        ("[system]\nfixture = toy_identity\nfixture = case1_stable\n",
+         "cannot parse config {path}: While reading from"),
+        ("[delays]\nlambda1 = 0.5\n", "[system]: section is required"),
+        (EXPLICIT_CFG.replace("c2 = 1\n", ""),
+         "[system] c2: matrix is required (or use a fixture)"),
+        (EXPLICIT_CFG.replace("n1 = 1\nn2 = 1\n", ""),
+         "[system] n1: n1 and n2 are required with explicit matrices"),
+        (FIXTURE_CFG + "\n[extra]\nkey = 1\n", "[extra]: unknown section"),
+    ], ids=["matrix_and_file", "configparser_error", "no_system", "missing_matrix",
+            "no_dimensions", "unknown_section"])
+    def test_config_error_named(self, tmp_path, text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="^" + re.escape(message.format(path=path))):
+            parse_config(path)
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize("section, key", [
         ("sim", "steps"), ("sim", "runs"), ("analysis", "horizon"),
@@ -640,6 +659,15 @@ class TestCliCommands:
     def test_critical_bad_fix_argument(self, fixture_cfg, capsys):
         assert main(["critical", fixture_cfg, "--fix", "lambda3=0.5"]) == 2
         assert "lambda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fix, message", [
+        ("lambda1", "--fix: expected lambda1=<v> or lambda2=<v>, got 'lambda1'"),
+        ("lambda1=half", "--fix: expected lambda1=<v> or lambda2=<v>, got 'lambda1=half'"),
+        ("lambda2=1.5", "--fix: probability must lie in [0, 1], got 1.5"),
+    ], ids=["no_equals", "not_a_number", "outside_unit_interval"])
+    def test_critical_fix_error_named(self, fixture_cfg, capsys, fix, message):
+        assert main(["critical", fixture_cfg, "--fix", fix]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # A = diag(2, 0.5) with no sensor on the unstable state: the bound

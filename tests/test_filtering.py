@@ -99,6 +99,21 @@ class TestSimulatePlant:
         first = simulate_plant(toy, 1, make_rng(17)).x[0]
         assert_allclose(first, xs[0], atol=1e-12)
 
+    def test_singular_noise_covariance_takes_eigen_factor(self):
+        # W = [[1, 1], [1, 1]] is PSD and singular, so its Cholesky
+        # factorization fails and its factor comes from eigh: the noise
+        # drives both states alike, and with Sigma0 = W they stay equal
+        W = np.ones((2, 2))
+        model = SystemModel(n1=1, n2=1, A=0.5 * np.eye(2), C1=np.eye(1), C2=np.eye(1),
+                            W=W, V=np.eye(2), Sigma0=W)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(W)
+        L = _chol_psd(W)
+        assert_allclose(L @ L.T, W, rtol=0, atol=1e-15)
+        x = simulate_plant(model, 50, make_rng(4)).x
+        assert_allclose(x[:, 0], x[:, 1], rtol=0, atol=1e-12)
+        assert np.abs(x).max() > 0.1
+
     def test_rejects_zero_horizon(self, toy):
         with pytest.raises(ValueError):
             simulate_plant(toy, 0, make_rng(0))

@@ -49,6 +49,18 @@ class TestValidate:
         report = validate_model(bad)
         assert any("A has shape" in v for v in report.violations)
 
+    @pytest.mark.parametrize("change, violation", [
+        (dict(W=np.array([[1.0, 0.5], [0.0, 1.0]])), "W not symmetric"),
+        (dict(W=np.diag([1.0, -1.0])), "W not positive definite"),
+        (dict(C1=np.zeros((0, 1)), V=np.eye(1)),
+         "measurement dimensions must be positive: m1=0, m2=1"),
+    ], ids=["w_not_symmetric", "w_indefinite", "c1_no_rows"])
+    def test_violation_named(self, change, violation):
+        m = identity_model()
+        fields = dict(A=m.A, C1=m.C1, C2=m.C2, W=m.W, V=m.V, Sigma0=m.Sigma0)
+        report = validate_model(SystemModel(n1=1, n2=1, **{**fields, **change}))
+        assert report.violations == (violation,)
+
     def test_non_finite_entries_named(self):
         m = identity_model()
         fields = dict(A=m.A, C1=m.C1, C2=m.C2, W=m.W, V=m.V, Sigma0=m.Sigma0)

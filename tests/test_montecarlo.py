@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import exact_prior_means, random_model
+from conftest import exact_prior_means, random_model, unseen_mode_model
 from netkalman import montecarlo
 from netkalman.model import DelayModel, SystemModel, fixture
 from netkalman.filtering import covariance_step, make_rng, run_filter, stream_seed
@@ -211,6 +211,17 @@ class TestKalmanBaseline:
                 ("horizon", lambda: estimate_eec(toy, DelayModel(0.5, 0.5), 2, count, 0)),
                 ("runs", lambda: estimate_eec(toy, DelayModel(0.5, 0.5), count, 3, 0))):
             with pytest.raises(ValueError, match=re.escape(name + message)):
+                call()
+
+    def test_non_finite_prior_stops_every_stack(self):
+        # the unseen mode a = 3 overflows after about 320 steps; a stack
+        # whose runs are all on time stops at its first non-finite prior
+        # too, as run_filter does, rather than return NaN traces
+        model = unseen_mode_model(3)
+        for call in (lambda: kalman_baseline(model, 1000),
+                     lambda: estimate_eec(model, DelayModel(0, 0), 3, 1000, 1),
+                     lambda: sweep(model, [0.0], [0.0], 2, 1000, 1)):
+            with np.errstate(all="ignore"), pytest.raises(ValueError, match="P has non-finite entries"):
                 call()
 
     def test_numpy_integer_counts_accepted(self, toy):

@@ -13,14 +13,19 @@ defaults to this checkout's.  The cases come from this checkout's
 script see the same cases, and their parity is a ``diff`` of two files.
 
 The models are the three fixtures (``case1_stable``, ``case2_unstable``,
-``toy_identity``), the test suite's hidden-mode model and ``RANDOM``
-draws of its ``random_model`` from ``default_rng(2026)``, each at the
-delay probabilities ``LAMBDAS``.  Per model and lambda pair: ``run_filter``
+``toy_identity``), the test suite's hidden-mode model, ``RANDOM`` draws
+of its ``random_model`` from ``default_rng(2026)`` and, last, two
+boundary cases of its ``unseen_mode_model``: the random walk a = 1,
+whose masked norm minima are exactly 1, and the mode a = 3, whose
+covariances overflow after about 320 steps.  Each runs at the delay
+probabilities ``LAMBDAS``.  Per model and lambda pair: ``run_filter``
 (3000 steps, ``FILTER_STEPS`` on a random draw) with its CSV,
 ``estimate_eec``, ``cov_bound_sequence``, ``divergence_witness`` and
 ``boundedness_test``; per model: ``kalman_baseline``, the ``sweep`` CSV on
 a 3x3 grid, and ``critical_bounds`` and ``empirical_critical`` (with
 ``h_diverged``) on both axes with the other probability fixed at 0.5.
+The Monte-Carlo calls (``estimate_eec``, ``kalman_baseline``, ``sweep``)
+run 30 steps (20 in a sweep), ``BOUNDARY_HORIZON`` on a boundary case.
 Last come the seven CLI subcommands on ``case1_stable``, with their exit
 code, stdout and stderr.
 
@@ -49,6 +54,7 @@ RANDOM = 120
 FILTER_STEPS = 400
 SEQUENCE_STEPS = 150
 LAMBDAS = ((0.0, 0.0), (0.25, 0.75), (0.5, 0.5), (1.0, 0.5), (1.0, 1.0))
+BOUNDARY_HORIZON = 1000  # past the a = 3 mode's overflow
 
 CLI_CONFIG = """\
 [system]
@@ -108,11 +114,13 @@ def _models(conftest, nk):
     models.append(("hidden_mode", conftest.hidden_mode_model()))
     rng = np.random.default_rng(2026)
     models += [(f"random_{i:03d}", conftest.random_model(rng)) for i in range(RANDOM)]
+    models += [(f"unseen_mode_a{a}", conftest.unseen_mode_model(a)) for a in (1, 3)]
     return models
 
 
 def _model_outputs(nk, index, name, model) -> dict:
     out = {}
+    horizon = BOUNDARY_HORIZON if name.startswith("unseen") else 30
     for j, lams in enumerate(LAMBDAS):
         delays = nk.DelayModel(*lams)
         case = f"{name} lambda={lams[0]:g},{lams[1]:g}"
@@ -120,7 +128,7 @@ def _model_outputs(nk, index, name, model) -> dict:
         out[f"run_filter {case}"] = _capture(
             lambda: _fields(nk.run_filter(model, delays, steps, nk.make_rng(index, j))))
         out[f"estimate_eec {case}"] = _capture(
-            lambda: _fields(nk.estimate_eec(model, delays, 20, 30, index)))
+            lambda: _fields(nk.estimate_eec(model, delays, 20, horizon, index)))
         out[f"cov_bound_sequence {case}"] = _capture(
             lambda: _fields(nk.cov_bound_sequence(model, delays, SEQUENCE_STEPS)))
         out[f"divergence_witness {case}"] = _capture(
@@ -128,10 +136,10 @@ def _model_outputs(nk, index, name, model) -> dict:
         out[f"boundedness_test {case}"] = _capture(
             lambda: _fields(nk.boundedness_test(model, delays)))
     out[f"kalman_baseline {name}"] = _capture(
-        lambda: _fields(nk.kalman_baseline(model, 30)))
+        lambda: _fields(nk.kalman_baseline(model, horizon)))
     out[f"sweep {name}"] = _capture(
-        lambda: {"to_csv": _sha(nk.sweep(model, (0.0, 0.5, 1.0), (0.0, 0.5, 1.0), 5, 20,
-                                         index).to_csv())})
+        lambda: {"to_csv": _sha(nk.sweep(model, (0.0, 0.5, 1.0), (0.0, 0.5, 1.0), 5,
+                                         horizon - 10, index).to_csv())})
     for fixed_which in (1, 2):
         axis = f"{name} fixed_which={fixed_which}"
         out[f"critical_bounds {axis}"] = _capture(
