@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gains import (_check_psd, _cholesky_inverse, _innovation, _on_time_rows, _select_gain,
-                    optimal_gain, posterior_cov, structured_gain)
+from .gains import (_check_psd, _gain, _identity, _on_time_rows, _posterior, optimal_gain,
+                    posterior_cov, structured_gain)
 from .model import DelayModel, DelayOutcome, SystemModel
 
 __all__ = [
@@ -185,9 +185,13 @@ def predict(state: EstimatorState, model: SystemModel) -> EstimatorState:
 
 def _correct(model: SystemModel, xhat: np.ndarray, D: np.ndarray, y1, y2) -> np.ndarray:
     """Estimate ``xhat`` corrected by the innovations of both sensors, gain D."""
-    m1, n1 = model.m1, model.n1
-    return (xhat + D[:, :m1] @ (y1 - model.C1 @ xhat[:n1])
-            + D[:, m1:] @ (y2 - model.C2 @ xhat[n1:]))
+    m1 = model.m1
+    return _corrected(xhat, D[:, :m1], D[:, m1:], model.C1, model.C2, model.n1, y1, y2)
+
+
+def _corrected(xhat, D1, D2, C1, C2, n1: int, y1, y2) -> np.ndarray:
+    """:func:`_correct` with the gain's columns ``D1``/``D2`` of sensor 1/2 given."""
+    return xhat + D1 @ (y1 - C1 @ xhat[:n1]) + D2 @ (y2 - C2 @ xhat[n1:])
 
 
 def update(
@@ -315,11 +319,17 @@ def covariance_step(model: SystemModel, P_post: np.ndarray, gamma1, gamma2):
     Run r is predicted, then updated with the optimal gain of outcome
     ``(gamma1[r], gamma2[r])``.  Returns the new ``(P_prior, P_post)``
     stacks and the (R, n, m) stack D of the gains used.  Each run gets
-    the same bits as :func:`predict` followed by :func:`update`.
+    the same bits as :func:`predict` followed by :func:`update`.  The step
+    is :func:`run_filter`'s: the gain kernel takes the prior as
+    :func:`predict_cov` returns it, with the PSD check of
+    :func:`~netkalman.gains.structured_gain` and its warning inverse.
     """
     P_prior = predict_cov(model, P_post)
-    D = structured_gain(P_prior, model.C, model.V, model.dims, gamma1, gamma2)
-    return P_prior, posterior_cov(P_prior, D, model.C, model.V), D
+    g1, g2 = np.asarray(gamma1, dtype=bool), np.asarray(gamma2, dtype=bool)
+    C, V, dims = model.C, model.V, model.dims
+    D = _gain(P_prior, C, C.T, V, dims, _on_time_rows(dims, g1, g2), not g1.all(), not g2.all(),
+              True)
+    return P_prior, _posterior(P_prior, D, C, V, _identity(model.n)), D
 
 
 def run_filter(
@@ -348,9 +358,10 @@ def run_filter(
     gamma1, gamma2 = delay_indicators(delays, T, delay_rng)
 
     n, dims = model.n, model.dims
-    on_time = _on_time_rows(dims, gamma1, gamma2)
+    C, V = model.C, model.V
+    CT, I = C.T, _identity(n)
+    on_time = _on_time_rows(dims, gamma1, gamma2)[:, None]  # a stack of one per step
     late1, late2 = (gamma1 == 0).tolist(), (gamma2 == 0).tolist()
-    A, C, V = model.A, model.C, model.V
     P_prior = np.zeros((T, n, n))
     P_post = np.zeros((T, n, n))
 
@@ -362,20 +373,19 @@ def run_filter(
             P_prior[k] = prior[0]
             if not np.isfinite(prior).all():
                 break  # the PSD check of this prior names it
-            _, S, xcov = _innovation(prior, C, V)
-            D_k = _select_gain(S, xcov, dims, on_time[k], late1[k], late2[k],
-                               lambda M, _: _cholesky_inverse(M))
-            P = posterior_cov(prior, D_k, C, V)
-            P_post[k] = P[0]
+            D_k = _gain(prior, C, CT, V, dims, on_time[k], late1[k], late2[k], False)
+            P = _posterior(prior, D_k, C, V, I, P_post[k:k + 1])
             stepped = k + 1
     finally:
         D = structured_gain(P_prior[:stepped], C, V, dims, gamma1[:stepped], gamma2[:stepped])
         _check_psd(P_prior[stepped:k + 1])
 
+    A, C1, C2, n1, m1 = model.A, model.C1, model.C2, model.n1, model.m1
+    D1, D2, y1, y2 = D[..., :m1], D[..., m1:], plant.y1[1:], plant.y2[1:]
     xhat = np.zeros((T, n))
     x = np.zeros(n)
     for k in range(T):
-        x = xhat[k] = _correct(model, A @ x, D[k], plant.y1[k + 1], plant.y2[k + 1])
+        x = xhat[k] = _corrected(A @ x, D1[k], D2[k], C1, C2, n1, y1[k], y2[k])
     err = plant.x[1:] - xhat
     return TrajectoryRecord(
         t=np.arange(1, T + 1),

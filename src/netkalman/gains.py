@@ -11,14 +11,15 @@ and one whose cross measurement was delayed takes its local Kalman gain
 ``(P C^T)[rows_i, cols_i] S_ii^-1``.  :func:`structured_gain` is the
 one function that makes that row selection: :func:`optimal_gain` is one
 call for one outcome, and :func:`gain_set` one call for all four, which
-lie on a broadcast axis of the prior.  Its arithmetic, the row selection
-and the inverses it needs, is a private core that checks nothing and
-inverts through the inverse it is given; :func:`structured_gain` runs
-the PSD check first and passes a warning inverse.  A caller that steps
-the core with the unchecked inverse checks its steps afterwards with one
-:func:`structured_gain` call over their priors, which gives every
-layer's gain with the same bits.  An exact brute-force oracle (row-wise
-normal equations over the free entries) verifies them.
+lie on a broadcast axis of the prior.  Its arithmetic, the innovation
+pass, the row selection and the inverses it needs, is one private
+kernel for an exactly symmetric prior: a checked call runs the PSD check
+and inverts with a warning, an unchecked one does arithmetic only.
+:func:`structured_gain` symmetrizes its input and makes a checked call.
+A caller that steps the kernel unchecked checks its steps afterwards
+with one :func:`structured_gain` call over their priors, which gives
+every layer's gain with the same bits.  An exact brute-force oracle
+(row-wise normal equations over the free entries) verifies them.
 """
 
 from __future__ import annotations
@@ -99,11 +100,12 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return (M + _T(M)) / 2.0
 
 
-def _cholesky_inverse(M: np.ndarray) -> np.ndarray:
+def _cholesky_inverse(M: np.ndarray, what: str = "") -> np.ndarray:
     """Inverse of each symmetric positive definite matrix, via Cholesky, unchecked.
 
-    M must be exactly symmetric, as every block of the innovation pass's
-    S is; it is not symmetrized again.  NumPy's linalg gufuncs loop over
+    ``what`` names M as in :func:`_spd_inverse` and is not used.  M must
+    be exactly symmetric, as every block of the innovation pass's S is;
+    it is not symmetrized again.  NumPy's linalg gufuncs loop over
     a stack in C, so a matrix gets the same bits whether it is inverted
     alone or inside a stack.
     """
@@ -127,14 +129,19 @@ def _spd_inverse(M: np.ndarray, what: str) -> np.ndarray:
     return M_inv
 
 
-def _innovation(P, C, V):
-    """The innovation pass: the symmetrized P, ``S = V + C P C^T`` and ``P C^T``.
-
-    S is exactly symmetric, and so is each of its diagonal blocks.
-    """
-    P = _sym(np.asarray(P, dtype=float))
+def _inputs(P, C, V):
+    """The public functions' input handling: P symmetrized, and C, ``C^T`` and V, as floats."""
     C = np.asarray(C, dtype=float)
-    return P, _sym(np.asarray(V, dtype=float) + C @ P @ C.T), P @ C.T
+    return _sym(np.asarray(P, dtype=float)), C, C.T, np.asarray(V, dtype=float)
+
+
+def _innovation(P, C, CT, V):
+    """The innovation pass: ``S = V + C P C^T`` and ``P C^T``, for float arrays.
+
+    CT is the transpose of C.  S is exactly symmetric, and so is each of
+    its diagonal blocks.
+    """
+    return _sym(V + C @ P @ CT), P @ CT
 
 
 def _check_psd(P: np.ndarray) -> None:
@@ -199,7 +206,8 @@ def innovation_blocks(P, C, V, dims: BlockDims) -> InnovationBlocks:
     from the same innovation pass, and so have the same bits, as the
     gains of :func:`structured_gain` and :func:`gain_set`.
     """
-    P, S, xcov = _innovation(P, C, V)
+    P, C, CT, V = _inputs(P, C, V)
+    S, xcov = _innovation(P, C, CT, V)
     _check_psd(P)
     m1 = dims.m1
     return InnovationBlocks(
@@ -241,19 +249,48 @@ def _select_gain(S, xcov, dims: BlockDims, on_time, late1: bool, late2: bool,
     ``late1``/``late2`` say whether some layer has ``gamma1``/``gamma2``
     equal to 0.  Only what some layer reads is inverted, each block
     through ``inverse(M, what)``: S whole if some row is on time, ``S11``
-    if ``late1`` and ``S22`` if ``late2``.  It checks nothing of the
-    prior; :func:`structured_gain` does that first.
+    if ``late1`` and ``S22`` if ``late2``.  When no layer is late the
+    gain is K, and when no row is on time it is L, with no selection
+    where the mask has the gain's leading axes.  It checks nothing of the
+    prior; :func:`_gain` does that first when asked to.
     """
+    uniform = on_time.shape[:-2] == xcov.shape[:-2]
+    if not (late1 or late2):
+        K = xcov @ inverse(S, _S_LABEL)
+        return K if uniform else np.where(on_time, K, 0.0)
     n1, m1 = dims.n1, dims.m1
-    L = 0.0
-    if late1 or late2:
-        L = np.zeros(xcov.shape[:-2] + (dims.n, dims.m))
-        if late1:
-            L[..., :n1, :m1] = xcov[..., :n1, :m1] @ inverse(S[..., :m1, :m1], _S11_LABEL)
-        if late2:
-            L[..., n1:, m1:] = xcov[..., n1:, m1:] @ inverse(S[..., m1:, m1:], _S22_LABEL)
-    K = xcov @ inverse(S, _S_LABEL) if on_time.any() else 0.0
-    return np.where(on_time, K, L)
+    L = np.zeros(xcov.shape[:-2] + (dims.n, dims.m))
+    if late1:
+        L[..., :n1, :m1] = xcov[..., :n1, :m1] @ inverse(S[..., :m1, :m1], _S11_LABEL)
+    if late2:
+        L[..., n1:, m1:] = xcov[..., n1:, m1:] @ inverse(S[..., m1:, m1:], _S22_LABEL)
+    if not on_time.any():
+        return L if uniform else np.where(on_time, 0.0, L)
+    return np.where(on_time, xcov @ inverse(S, _S_LABEL), L)
+
+
+def _gain(P, C, CT, V, dims: BlockDims, on_time, late1: bool, late2: bool,
+          checked: bool) -> np.ndarray:
+    """The kernel of every gain: the innovation pass of P, then :func:`_select_gain`.
+
+    P is a float stack, C, its transpose CT and V are float arrays, and
+    ``on_time``, ``late1`` and ``late2`` are as in :func:`_select_gain`.
+    A checked call runs :func:`_check_psd` on P and inverts through
+    :func:`_spd_inverse`; an unchecked one is arithmetic only.
+
+    P must be exactly symmetric; it is not symmetrized again.  The public
+    functions symmetrize their input first.  A prediction covariance
+    ``fl(Q + Q^T) / 2`` needs nothing: it is exactly symmetric, because
+    floating-point addition commutes, and each finite entry is at most
+    ``DBL_MAX / 2``, being half of a finite double.  So ``p + p`` cannot
+    overflow, doubling is exact and halving undoes it, and symmetrizing
+    returns P bit for bit; an infinite or NaN entry stays what it is.
+    """
+    S, xcov = _innovation(P, C, CT, V)
+    if checked:
+        _check_psd(P)
+    return _select_gain(S, xcov, dims, on_time, late1, late2,
+                        _spd_inverse if checked else _cholesky_inverse)
 
 
 def structured_gain(P, C, V, dims: BlockDims, gamma1, gamma2) -> np.ndarray:
@@ -269,10 +306,8 @@ def structured_gain(P, C, V, dims: BlockDims, gamma1, gamma2) -> np.ndarray:
     inverts is ill conditioned.
     """
     g1, g2 = np.asarray(gamma1, dtype=bool), np.asarray(gamma2, dtype=bool)
-    P, S, xcov = _innovation(P, C, V)
-    _check_psd(P)
-    return _select_gain(S, xcov, dims, _on_time_rows(dims, g1, g2), not g1.all(), not g2.all(),
-                        _spd_inverse)
+    return _gain(*_inputs(P, C, V), dims, _on_time_rows(dims, g1, g2), not g1.all(),
+                 not g2.all(), True)
 
 
 def optimal_gain(P, C, V, dims: BlockDims, outcome: DelayOutcome) -> np.ndarray:
@@ -348,6 +383,13 @@ def posterior_cov(P, D, C, V) -> np.ndarray:
     D may be stacks with matching leading axes.
     """
     P = np.asarray(P, dtype=float)
-    D = np.asarray(D, dtype=float)
-    IDC = _identity(P.shape[-1]) - D @ C
-    return _sym(IDC @ P @ _T(IDC) + D @ V @ _T(D))
+    return _posterior(P, np.asarray(D, dtype=float), C, V, _identity(P.shape[-1]))
+
+
+def _posterior(P, D, C, V, I, out=None) -> np.ndarray:
+    """:func:`posterior_cov` with the identity I given, written to ``out`` if given."""
+    IDC = I - D @ C
+    M = IDC @ P @ _T(IDC) + D @ V @ _T(D)
+    out = np.add(M, _T(M), out=out)
+    out /= 2.0
+    return out

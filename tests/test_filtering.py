@@ -455,6 +455,80 @@ class TestCovarianceStep:
             covariance_step(model, P, delayed, on_time)
             assert sorted(inverted) == ["innovation covariance", "sensor-1 innovation covariance"]
 
+    @given(seed=st.integers(0, 2**32 - 1),
+           lambdas=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           T=st.integers(1, 25))
+    def test_run_filter_steps_as_a_stack_of_one(self, seed, lambdas, T):
+        # run_filter and covariance_step share one step: a loop of
+        # covariance_step on a stack of one, driven by the filter's delay
+        # draws, gives its priors and posteriors bit for bit
+        model = random_model(np.random.default_rng(seed))
+        rec = run_filter(model, DelayModel(*lambdas), T, make_rng(seed))
+        P = np.array(model.Sigma0)[None]
+        for k in range(T):
+            prior, P, _ = covariance_step(model, P, rec.gamma1[k:k + 1], rec.gamma2[k:k + 1])
+            assert np.array_equal(prior[0], rec.P_prior[k])
+            assert np.array_equal(P[0], rec.P_post[k])
+
+    @staticmethod
+    def _check_unsymmetrized_step(model, P_post, gamma1, gamma2):
+        """The step on a predict_cov prior equals the public gain path, or stops at it."""
+        C, V, dims = model.C, model.V, model.dims
+
+        def outcome(call):
+            try:
+                return call()
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                return type(exc), str(exc)
+
+        def public(prior):
+            D = gains.structured_gain(prior, C, V, dims, gamma1, gamma2)
+            return posterior_cov(prior, D, C, V), D
+
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            prior = predict_cov(model, P_post)
+            if not np.isfinite(prior).all():
+                with pytest.raises(ValueError, match="P has non-finite entries"):
+                    covariance_step(model, P_post, gamma1, gamma2)
+                return False
+            # symmetrizing the prior again, as the public functions do,
+            # returns its bits, so the step's gain and posterior are theirs
+            # (or its error, where a huge prior makes an S block singular)
+            assert gains._sym(prior).tobytes() == prior.tobytes()
+            step = outcome(lambda: covariance_step(model, P_post, gamma1, gamma2)[1:])
+            ref = outcome(lambda: public(prior))
+        if isinstance(ref[0], type):
+            assert step == ref
+        else:
+            for got, want in zip(step, ref):
+                assert np.array_equal(got, want, equal_nan=True)
+        return True
+
+    @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(300.0, 308.0),
+           outcomes=st.lists(st.sampled_from(ALL_OUTCOMES), min_size=1, max_size=3))
+    def test_huge_priors_need_no_symmetrization(self, seed, log_scale, outcomes):
+        # a finite predict_cov prior is exactly symmetric with entries at
+        # most DBL_MAX / 2, however large; one that overflows stops the step
+        rng = np.random.default_rng(seed)
+        model = random_model(rng)
+        P_post = np.array([random_psd(rng, model.n) for _ in outcomes])
+        P_post *= 10.0 ** log_scale / np.abs(P_post).max()  # largest entry 10**log_scale
+        self._check_unsymmetrized_step(model, P_post, [oc.gamma1 for oc in outcomes],
+                                       [oc.gamma2 for oc in outcomes])
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_prior_entries_end_at_half_dbl_max(self, above):
+        # with A = I an entry of DBL_MAX / 2 survives predict_cov's own
+        # symmetrization, and the next double overflows it: the step stops
+        half = np.finfo(float).max / 2.0
+        entry = np.nextafter(half, np.inf) if above else half
+        model = SystemModel(n1=1, n2=1, A=np.eye(2), C1=np.eye(1), C2=np.eye(1),
+                            W=np.eye(2), V=np.eye(2), Sigma0=np.eye(2))
+        P_post = np.array([np.diag([entry, 1.0])] * 4)
+        g1, g2 = [1, 0, 1, 0], [1, 1, 0, 0]
+        assert self._check_unsymmetrized_step(model, P_post, g1, g2) is not above
+
     @given(seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 6))
     def test_stacked_gain_equals_per_slice_gain(self, seed, runs):
         rng = np.random.default_rng(seed)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_instance, random_psd
-from netkalman.model import ALL_OUTCOMES, BlockDims, DelayOutcome
+from netkalman.model import ALL_OUTCOMES, BlockDims, DelayOutcome, fixture
 from netkalman.gains import (
     PSD_TOL,
     StructuredMask,
@@ -191,6 +191,16 @@ class TestOptimalGain:
         for r, oc in enumerate(outcomes):
             assert np.array_equal(D[r], optimal_gain(stack[r], C, V, dims, oc))
 
+
+    @pytest.mark.parametrize("name", ["toy_identity", "case1_stable"])
+    def test_empty_indicators_give_an_empty_gain_stack(self, name):
+        # no layer, so no outcome: the stack of gains is empty but keeps its
+        # (n, m) matrix axes, whether the priors or the indicators are empty
+        model = fixture(name)[0]
+        none = np.zeros(0, dtype=int)
+        for P in (np.zeros((0, model.n, model.n)), np.eye(model.n)):
+            D = structured_gain(P, model.C, model.V, model.dims, none, none)
+            assert D.shape == (0, model.n, model.m)
 
     @given(seed=st.integers(0, 2**32 - 1),
            outcomes=st.lists(st.sampled_from(ALL_OUTCOMES), min_size=1, max_size=6))
