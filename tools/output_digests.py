@@ -34,6 +34,25 @@ array's dtype and shape included).  An exception's type and message are
 one entry, ``error``, kept as text; the distinct warning texts raised on
 the way are another, ``warnings``, sorted, so a changed figure in a
 warning reads as a changed line of the diff.
+
+Where two packages differ only in rounding, every digest differs, so
+the arrays themselves can be saved and compared::
+
+    python3 tools/output_digests.py --arrays mine.npz > mine.json
+    python3 tools/output_digests.py --src ../other/src --arrays other.npz > other.json
+    python3 tools/output_digests.py --compare other.npz mine.npz
+
+``--arrays`` saves every array and number that is hashed, under
+``<entry>|<field>``, and the first line and line count of every text (a
+CSV, a CLI's stdout).  ``--compare A B`` prints, per field name, the
+largest normwise relative deviation of B from A over all entries and the
+entry it occurs in.  A deviation is taken per matrix of a stack of
+matrices (3-D and up), per row of a 2-D array and per entry of a series
+or number, as ``|b - a| / |a|`` in the Frobenius norm, where entries that
+are equal, or both NaN, count as equal and a non-finite entry that
+differs makes it infinite.  Entries that are not floats, texts included,
+must be equal; those that differ, and names that only one file holds,
+are listed after the table.
 """
 
 import argparse
@@ -45,6 +64,7 @@ import json
 import sys
 import tempfile
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +92,27 @@ seed = 7
 """
 
 
-def _sha(value) -> str:
+class _Saved:
+    """Writes the arrays behind the digests, by ``<entry>|<field>``, to an ``.npz`` as they come."""
+
+    def __init__(self, path):
+        self.zip = zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED)
+        self.entry = ""
+
+    def __setitem__(self, field, value):
+        with self.zip.open(f"{self.entry}|{field}.npy", "w", force_zip64=True) as f:
+            np.lib.format.write_array(f, np.asarray(value), allow_pickle=False)
+
+
+SAVED = None  # a _Saved while --arrays is given
+
+
+def _sha(value, field="value") -> str:
+    if SAVED is not None:
+        if isinstance(value, str):
+            SAVED[field] = np.array([value.split("\n", 1)[0], str(value.count("\n"))])
+        elif isinstance(value, (np.ndarray, int, float, np.number)):
+            SAVED[field] = value
     if isinstance(value, np.ndarray):
         data = f"{value.dtype.str}{value.shape}".encode() + np.ascontiguousarray(value).tobytes()
     elif isinstance(value, str):
@@ -85,18 +125,21 @@ def _sha(value) -> str:
 def _fields(value, prefix="") -> dict:
     """Digest of each field of a dataclass, nested ones by dotted name."""
     if not dataclasses.is_dataclass(value):
-        return {prefix or "value": _sha(value)}
+        field = prefix.rstrip(".") or "value"
+        return {field: _sha(value, field)}
     out = {}
     for f in dataclasses.fields(value):
         if f.compare:
             out.update(_fields(getattr(value, f.name), f"{prefix}{f.name}."))
     if hasattr(value, "to_csv"):
-        out[f"{prefix}to_csv"] = _sha(value.to_csv())
+        out[f"{prefix}to_csv"] = _sha(value.to_csv(), f"{prefix}to_csv")
     return {key.rstrip("."): digest for key, digest in out.items()}
 
 
-def _capture(call) -> dict:
+def _capture(entry, call) -> dict:
     """The digests of ``call()``, its error if it raised, and the warnings it gave."""
+    if SAVED is not None:
+        SAVED.entry = entry
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -120,36 +163,37 @@ def _models(conftest, nk):
 
 def _model_outputs(nk, index, name, model) -> dict:
     out = {}
+
+    def put(entry, call):
+        out[entry] = _capture(entry, call)
+
     horizon = BOUNDARY_HORIZON if name.startswith("unseen") else 30
     for j, lams in enumerate(LAMBDAS):
         delays = nk.DelayModel(*lams)
         case = f"{name} lambda={lams[0]:g},{lams[1]:g}"
         steps = FILTER_STEPS if name.startswith("random") else 3000
-        out[f"run_filter {case}"] = _capture(
+        put(f"run_filter {case}",
             lambda: _fields(nk.run_filter(model, delays, steps, nk.make_rng(index, j))))
-        out[f"estimate_eec {case}"] = _capture(
+        put(f"estimate_eec {case}",
             lambda: _fields(nk.estimate_eec(model, delays, 20, horizon, index)))
-        out[f"cov_bound_sequence {case}"] = _capture(
+        put(f"cov_bound_sequence {case}",
             lambda: _fields(nk.cov_bound_sequence(model, delays, SEQUENCE_STEPS)))
-        out[f"divergence_witness {case}"] = _capture(
+        put(f"divergence_witness {case}",
             lambda: _fields(nk.divergence_witness(model, delays, SEQUENCE_STEPS)))
-        out[f"boundedness_test {case}"] = _capture(
-            lambda: _fields(nk.boundedness_test(model, delays)))
-    out[f"kalman_baseline {name}"] = _capture(
-        lambda: _fields(nk.kalman_baseline(model, horizon)))
-    out[f"sweep {name}"] = _capture(
-        lambda: {"to_csv": _sha(nk.sweep(model, (0.0, 0.5, 1.0), (0.0, 0.5, 1.0), 5,
-                                         horizon - 10, index).to_csv())})
+        put(f"boundedness_test {case}", lambda: _fields(nk.boundedness_test(model, delays)))
+    put(f"kalman_baseline {name}", lambda: _fields(nk.kalman_baseline(model, horizon)))
+    put(f"sweep {name}", lambda: _fields(nk.sweep(model, (0.0, 0.5, 1.0), (0.0, 0.5, 1.0), 5,
+                                                  horizon - 10, index)))
     for fixed_which in (1, 2):
         axis = f"{name} fixed_which={fixed_which}"
-        out[f"critical_bounds {axis}"] = _capture(
+        put(f"critical_bounds {axis}",
             lambda: _fields(nk.critical_bounds(model, 0.5, fixed_which)))
 
         def empirical():
             est = nk.empirical_critical(model, 0.5, fixed_which)
-            return {**_fields(est), "h_diverged": _sha(est.h_diverged)}
+            return {**_fields(est), "h_diverged": _sha(est.h_diverged, "h_diverged")}
 
-        out[f"empirical_critical {axis}"] = _capture(empirical)
+        put(f"empirical_critical {axis}", empirical)
     return out
 
 
@@ -170,30 +214,85 @@ def _cli_outputs(main) -> dict:
                 stdout, stderr = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                     code = main(argv)
-                return {"exit": _sha(code), "stdout": _sha(stdout.getvalue()),
-                        "stderr": _sha(stderr.getvalue().replace(tmp, "TMP"))}
+                return {"exit": _sha(code, "exit"), "stdout": _sha(stdout.getvalue(), "stdout"),
+                        "stderr": _sha(stderr.getvalue().replace(tmp, "TMP"), "stderr")}
 
-            out["cli " + " ".join(argv[:1] + argv[2:3])] = _capture(call)
+            entry = "cli " + " ".join(argv[:1] + argv[2:3])
+            out[entry] = _capture(entry, call)
     return out
 
 
+def _deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest normwise relative deviation of b from a, per matrix, row or entry."""
+    if a.shape != b.shape:
+        return np.inf
+    axes = (-2, -1) if a.ndim >= 3 else (-1,) if a.ndim == 2 else ()
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        diff = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, np.abs(b - a))
+        diff[np.isnan(diff)] = np.inf
+        size = np.where(np.isfinite(a), np.abs(a), 0.0)
+        if axes:  # scaled by the largest entry, so that squares do not overflow
+            scale = size.max(axis=axes, keepdims=True)
+            scale[scale == 0.0] = 1.0
+            diff, size = (np.sqrt(np.sum((v / scale) ** 2, axis=axes)) for v in (diff, size))
+        rel = np.where(diff == 0.0, 0.0, diff / size)
+    return float(rel.max(initial=0.0))
+
+
+def compare(path_a, path_b) -> None:
+    """Print the deviation table of two ``--arrays`` files, then what is not a float and differs."""
+    worst, unequal = {}, []
+    with np.load(path_a) as a, np.load(path_b) as b:
+        only = sorted(set(a.files) ^ set(b.files))
+        for key in sorted(set(a.files) & set(b.files)):
+            entry, field = key.split("|", 1)
+            x, y = a[key], b[key]
+            if x.dtype.kind == "f" and y.dtype.kind == "f":
+                dev = _deviation(x, y)
+                if dev > worst.get(field, (-1.0, ""))[0]:
+                    worst[field] = (dev, entry)
+            elif x.shape != y.shape or (x != y).any():
+                unequal.append((key, x.tolist(), y.tolist()))
+    print(f"{'field':28s} {'largest deviation':>18s}  entry")
+    for field, (dev, entry) in sorted(worst.items()):
+        print(f"{field:28s} {dev:18.3e}  {entry}")
+    print(f"not floats and unequal: {len(unequal)}")
+    for key, x, y in unequal:
+        print(f"  {key}: {x} -> {y}")
+    print(f"in one file only: {len(only)}")
+    for key in only:
+        print(f"  {key}")
+
+
 def main():
+    global SAVED
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory holding the netkalman package to run")
+    parser.add_argument("--arrays", metavar="PATH.npz",
+                        help="also save the arrays behind the digests to this file")
+    parser.add_argument("--compare", nargs=2, metavar=("A.npz", "B.npz"),
+                        help="compare two --arrays files instead of running anything")
     args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+        return
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "tests")]
     import conftest
     import netkalman as nk
     from netkalman.cli import main as cli_main
 
     print(f"digests of {nk.__file__}", file=sys.stderr)
+    if args.arrays:
+        SAVED = _Saved(args.arrays)
     digests = {}
     for index, (name, model) in enumerate(_models(conftest, nk)):
         digests.update(_model_outputs(nk, index, name, model))
     digests.update(_cli_outputs(cli_main))
     json.dump(digests, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
+    if args.arrays:
+        SAVED.zip.close()
 
 
 if __name__ == "__main__":
