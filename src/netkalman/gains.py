@@ -100,28 +100,30 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return (M + _T(M)) / 2.0
 
 
-def _cholesky_inverse(M: np.ndarray, what: str = "") -> np.ndarray:
-    """Inverse of each symmetric positive definite matrix, via Cholesky, unchecked.
+def _lu_inverse(M: np.ndarray, what: str = "") -> np.ndarray:
+    """Inverse of each matrix of a stack, by LU factorization with partial pivoting, unchecked.
 
-    ``what`` names M as in :func:`_spd_inverse` and is not used.  M must
-    be exactly symmetric, as every block of the innovation pass's S is;
-    it is not symmetrized again.  NumPy's linalg gufuncs loop over
-    a stack in C, so a matrix gets the same bits whether it is inverted
-    alone or inside a stack.
+    ``what`` names M as in :func:`_spd_inverse` and is not used.  For the
+    symmetric positive definite blocks of S it is as accurate as an
+    inverse through a Cholesky factor: both leave a residual
+    ``M X - I`` of order ``u cond(M)`` (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, ch. 14), and it takes one linalg call where
+    the Cholesky route takes two.  X is not exactly symmetric.  NumPy's
+    linalg gufuncs loop over a stack in C, so a matrix gets the same bits
+    whether it is inverted alone or inside a stack.
     """
-    L_inv = np.linalg.inv(np.linalg.cholesky(M))
-    return _T(L_inv) @ L_inv
+    return np.linalg.inv(M)
 
 
 def _spd_inverse(M: np.ndarray, what: str) -> np.ndarray:
-    """:func:`_cholesky_inverse`, with one warning if some matrix is ill conditioned.
+    """:func:`_lu_inverse`, with one warning if some matrix is ill conditioned.
 
     A matrix is ill conditioned when its 1-norm condition number
     ``|M|_1 |M^-1|_1`` exceeds ``COND_WARN``, whatever else is in the
     stack (a layer whose estimate is NaN hides no other); the warning's
     ``cond ~`` is the largest such number.
     """
-    M_inv = _cholesky_inverse(M)
+    M_inv = _lu_inverse(M)
     c = np.abs(M).sum(-2).max(-1) * np.abs(M_inv).sum(-2).max(-1)
     ill = c[c > COND_WARN]
     if ill.size:
@@ -202,7 +204,7 @@ def innovation_blocks(P, C, V, dims: BlockDims) -> InnovationBlocks:
     P is an (n, n) matrix or an (..., n, n) stack, and each block then
     carries the same leading axes.  Every P must be symmetric positive
     semidefinite and V positive definite; the diagonal blocks are then
-    positive definite and inverted via Cholesky factors.  The blocks come
+    positive definite and inverted by :func:`_spd_inverse`.  The blocks come
     from the same innovation pass, and so have the same bits, as the
     gains of :func:`structured_gain` and :func:`gain_set`.
     """
@@ -290,7 +292,7 @@ def _gain(P, C, CT, V, dims: BlockDims, on_time, late1: bool, late2: bool,
     if checked:
         _check_psd(P)
     return _select_gain(S, xcov, dims, on_time, late1, late2,
-                        _spd_inverse if checked else _cholesky_inverse)
+                        _spd_inverse if checked else _lu_inverse)
 
 
 def structured_gain(P, C, V, dims: BlockDims, gamma1, gamma2) -> np.ndarray:
