@@ -41,6 +41,22 @@ checkout's ``src``, which comes before site-packages; the report names the
 package file it timed, and the fresh interpreters import the same file.
 Timing two checkouts on one machine makes a change's layer effect a diff
 between two files.
+
+Host speed drifts within seconds on shared machines, faster than a
+reference kernel can follow, so for a layer claim time both packages in
+one process::
+
+    python3 tools/layer_bench.py --label mychange --against ../parent/src
+
+``--against SRC`` imports the ``netkalman`` under SRC beside this one, as
+``netkalman_against``, and times each layer of the two packages in turn,
+``ROUNDS`` rounds that alternate which goes first, with one loop count
+for both.  The report gives the best round of each
+(``layers``, ``against.layers``), and the median over rounds of this
+package's time over the other's, with the number of rounds this package
+was faster (``ratio_to_against``, ``faster_rounds``); ``cold_import``
+alternates the two packages' fresh interpreters.  The reference kernel
+is not timed in this mode.
 """
 
 import os
@@ -49,6 +65,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy is first imported
 
 import argparse  # noqa: E402
+import importlib.util  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import site  # noqa: E402
@@ -60,6 +77,8 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 7
+ROUNDS = 15  # interleaved rounds per layer with --against
+ROUND_S = 0.05  # seconds per timing in a round
 _SITE = set(site.getsitepackages()) | {site.getusersitepackages()}
 sys.path.insert(next((i for i, p in enumerate(sys.path) if p in _SITE), len(sys.path)),
                 str(ROOT / "src"))
@@ -68,17 +87,22 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import netkalman  # noqa: E402
-from netkalman import analysis, filtering, gains, montecarlo  # noqa: E402
-from netkalman.model import ALL_OUTCOMES, DelayModel, SystemModel, fixture  # noqa: E402
-
-# The test suite's hidden_mode model: subsystem 1's mode 1.25 is seen only
-# by sensor 2, so its critical lambda1 lies inside (0, 1).
-HIDDEN_MODE = SystemModel(
-    n1=2, n2=1, A=np.array([[1.25, 0.0, 0.0], [0.0, 0.5, 0.0], [1.0, 0.1, 0.4]]),
-    C1=np.array([[0.0, 1.0]]), C2=np.array([[1.0]]), W=np.eye(3), V=np.eye(2), Sigma0=np.eye(3))
 
 
-def _cases():
+def _hidden_mode(SystemModel):
+    """The test suite's hidden_mode model: subsystem 1's mode 1.25 is seen
+    only by sensor 2, so its critical lambda1 lies inside (0, 1)."""
+    return SystemModel(
+        n1=2, n2=1, A=np.array([[1.25, 0.0, 0.0], [0.0, 0.5, 0.0], [1.0, 0.1, 0.4]]),
+        C1=np.array([[0.0, 1.0]]), C2=np.array([[1.0]]), W=np.eye(3), V=np.eye(2),
+        Sigma0=np.eye(3))
+
+
+def _cases(nk):
+    """The timed calls of the package ``nk``, by layer name."""
+    analysis, filtering, gains, montecarlo = nk.analysis, nk.filtering, nk.gains, nk.montecarlo
+    ALL_OUTCOMES, DelayModel, fixture = nk.model.ALL_OUTCOMES, nk.DelayModel, nk.fixture
+    HIDDEN_MODE = _hidden_mode(nk.SystemModel)
     model, _ = fixture("case1_stable")
     delays = DelayModel(0.25, 0.75)
     C, V, dims = model.C, model.V, model.dims
@@ -137,17 +161,27 @@ _IMPORT = ("import time; t0 = time.perf_counter(); import netkalman; "
            "print(time.perf_counter() - t0, netkalman.__file__)")
 
 
+def _cold_import_times(packages) -> list:
+    """``import netkalman`` times of fresh interpreters, ``REPEATS`` per package, alternating.
+
+    ``packages`` are ``(src, __init__ file)`` pairs; the times are in seconds.
+    """
+    times = [[] for _ in packages]
+    for _ in range(REPEATS):
+        for (src, init), out in zip(packages, times):
+            env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH"), str(ROOT / "src")])))
+            t, file = subprocess.run([sys.executable, "-c", _IMPORT], env=env, check=True,
+                                     capture_output=True, text=True).stdout.split()
+            if file != init:
+                raise RuntimeError(f"fresh interpreter imported {file}, not {init}")
+            out.append(float(t))
+    return times
+
+
 def _cold_import() -> float:
     """Median ``import netkalman`` time of ``REPEATS`` fresh interpreters, in microseconds."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
-        filter(None, [os.environ.get("PYTHONPATH"), str(ROOT / "src")])))
-    times = []
-    for _ in range(REPEATS):
-        out = subprocess.run([sys.executable, "-c", _IMPORT], env=env, check=True,
-                             capture_output=True, text=True).stdout.split()
-        if out[1] != netkalman.__file__:
-            raise RuntimeError(f"fresh interpreter imported {out[1]}, not {netkalman.__file__}")
-        times.append(float(out[0]))
+    [times] = _cold_import_times([(None, netkalman.__file__)])
     return round(statistics.median(times) * 1e6, 2)
 
 
@@ -157,41 +191,105 @@ def _time(call) -> float:
     return round(min(timeit.repeat(call, number=loops, repeat=REPEATS)) / loops * 1e6, 2)
 
 
+def _time_pair(times_a, times_b) -> dict:
+    """Best of each of two interleaved timing lists, the median ratio and a's faster rounds."""
+    ratios = [a / b for a, b in zip(times_a, times_b)]
+    return {"us": round(min(times_a) * 1e6, 2), "against_us": round(min(times_b) * 1e6, 2),
+            "ratio": round(statistics.median(ratios), 3),
+            "faster_rounds": sum(r < 1.0 for r in ratios)}
+
+
+def _interleaved(call, other) -> dict:
+    """:func:`_time_pair` of ``ROUNDS`` rounds of two calls, alternating which goes first.
+
+    Each timing runs one loop count for both, which makes the slower of
+    the two take about ``ROUND_S`` seconds.
+    """
+    loops = min(max(1, round(n * ROUND_S / t)) for n, t in
+                (timeit.Timer(c).autorange() for c in (call, other)))
+    times = ([], [])
+    for r in range(ROUNDS):
+        for i in ((0, 1) if r % 2 == 0 else (1, 0)):
+            times[i].append(timeit.timeit((call, other)[i], number=loops) / loops)
+    return _time_pair(*times)
+
+
+def _load(src):
+    """The ``netkalman`` package under ``src``, imported as ``netkalman_against``."""
+    init = Path(src, "netkalman", "__init__.py").resolve()
+    spec = importlib.util.spec_from_file_location("netkalman_against", init,
+                                                  submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
 def _blas(config) -> dict:
     blas = config["Build Dependencies"]["blas"]
     return {k: blas.get(k) for k in ("name", "version", "openblas configuration")}
 
 
+def _against(src) -> dict:
+    """The layers of this package and of the one under ``src``, timed in turn."""
+    other = _load(src)
+    cases, other_cases = _cases(netkalman), _cases(other)
+    report = {}
+    for name, call in cases.items():
+        if name in other_cases:
+            report[name] = _interleaved(call, other_cases[name])
+            print(f"{name:44s} {report[name]}", file=sys.stderr)
+    src_a, src_b = str(Path(netkalman.__file__).parent.parent), str(Path(src).resolve())
+    report["cold_import"] = _time_pair(*_cold_import_times(
+        [(src_a, netkalman.__file__), (src_b, other.__file__)]))
+    return {
+        "against": os.path.relpath(other.__file__, Path(src).resolve().parent),
+        "unit": f"us per call, best of {ROUNDS} rounds that alternate the two packages; "
+                f"ratio: median over rounds of this package's time over the other's; "
+                f"cold_import: us per process, best of {REPEATS} alternating fresh "
+                f"interpreters of each",
+        "layers": report,
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True)
+    parser.add_argument("--against", metavar="SRC",
+                        help="directory holding another netkalman package to time in turn")
     args = parser.parse_args()
-    reference = _reference()
-    timers = {name: (lambda call=call: _time(call)) for name, call in _cases().items()}
-    timers["cold_import"] = _cold_import
-    layers, refs = {}, {}
-    for name, timer in timers.items():
-        refs[name] = _time(reference)
-        layers[name] = timer()
-        print(f"{name:44s} {layers[name]:12.2f} us  (reference {refs[name]:.2f} us)",
-              file=sys.stderr)
+    if args.against:
+        report = {"label": args.label, "package": os.path.relpath(netkalman.__file__, ROOT),
+                  **_against(args.against)}
+    else:
+        reference = _reference()
+        timers = {name: (lambda call=call: _time(call)) for name, call in _cases(netkalman).items()}
+        timers["cold_import"] = _cold_import
+        layers, refs = {}, {}
+        for name, timer in timers.items():
+            refs[name] = _time(reference)
+            layers[name] = timer()
+            print(f"{name:44s} {layers[name]:12.2f} us  (reference {refs[name]:.2f} us)",
+                  file=sys.stderr)
+        report = {
+            "label": args.label,
+            "unit": f"us per call, best of {REPEATS}; cold_import: us per process, "
+                    f"median of {REPEATS} fresh interpreters",
+            "package": os.path.relpath(netkalman.__file__, ROOT),
+            "layers": layers,
+            "reference": {"kernel": _reference.__doc__, "timed": "right before each layer",
+                          "us": refs},
+            "layers_per_reference": {k: round(v / refs[k], 3) for k, v in layers.items()},
+        }
     cpu = [ln.split(":", 1)[1].strip() for ln in open("/proc/cpuinfo")
            if ln.startswith("model name")] if os.path.exists("/proc/cpuinfo") else []
-    report = {
-        "label": args.label,
-        "unit": f"us per call, best of {REPEATS}; cold_import: us per process, "
-                f"median of {REPEATS} fresh interpreters",
-        "package": os.path.relpath(netkalman.__file__, ROOT),
-        "layers": layers,
-        "reference": {"kernel": _reference.__doc__, "timed": "right before each layer",
-                      "us": refs},
-        "layers_per_reference": {k: round(v / refs[k], 3) for k, v in layers.items()},
+    report.update({
         "machine": {"cpu": cpu[0] if cpu else platform.processor(), "cpus": os.cpu_count(),
                     "arch": platform.machine(), "blas_threads": 1},
         "python": platform.python_version(),
         "numpy": {"version": np.__version__, "blas": _blas(np.show_config(mode="dicts"))},
         "scipy": {"version": scipy.__version__, "blas": _blas(scipy.show_config(mode="dicts"))},
-    }
+    })
     out = ROOT / "bench" / f"BENCH_layers_{args.label}.json"
     out.parent.mkdir(exist_ok=True)
     out.write_text(json.dumps(report, indent=2) + "\n")
