@@ -10,9 +10,12 @@ only by the delay indicators, so the recorded covariances are the exact
 conditional error covariances given the delay history.
 :func:`covariance_step` runs it for a stack of runs, with no plant, and
 :func:`run_filter` on a stack of one before the estimate recursion; each
-run gets the same bits as :func:`predict` and :func:`update`.  Every
-prior is checked, so a recursion stops at its first non-finite one;
-:func:`run_filter`'s steps do arithmetic only, and one gain call checks them.
+run gets the same bits as :func:`predict` and :func:`update`.  Both step
+with one kernel, :func:`predict_cov` followed by the private gain kernel
+of :mod:`~netkalman.gains` and the posterior, with the model's matrices
+taken once per call.  Every prior is checked, so a recursion stops at
+its first non-finite one; :func:`run_filter`'s steps do arithmetic only,
+and one gain call checks them.
 """
 
 from __future__ import annotations
@@ -321,8 +324,9 @@ def covariance_step(model: SystemModel, P_post: np.ndarray, gamma1, gamma2):
     stacks and the (R, n, m) stack D of the gains used.  Each run gets
     the same bits as :func:`predict` followed by :func:`update`.  The step
     is :func:`run_filter`'s: the gain kernel takes the prior as
-    :func:`predict_cov` returns it, with the PSD check of
-    :func:`~netkalman.gains.structured_gain` and its warning inverse.
+    :func:`predict_cov` returns it, exactly symmetric and so not
+    symmetrized again, and makes a checked call, with the PSD check and
+    the warning inverse of :func:`~netkalman.gains.structured_gain`.
     """
     P_prior = predict_cov(model, P_post)
     g1, g2 = np.asarray(gamma1, dtype=bool), np.asarray(gamma2, dtype=bool)
@@ -344,12 +348,15 @@ def run_filter(
     indicators) so that the realized delays do not perturb the plant
     sample path.  The covariance recursion depends on the delay
     indicators alone, so it runs first, on a stack of one, with the bits
-    of :func:`covariance_step`; its steps are arithmetic only, through the
-    unchecked inverse, and stop at the first non-finite prior.  Then, also
-    when a step raised, one :func:`structured_gain` call over the stepped
-    priors makes that call's checks, the PSD check of each included, with
-    at most one ill-conditioning warning per label, and one more PSD check
-    names a non-finite or indefinite prior that the steps stopped at.  The
+    of :func:`covariance_step`: the model's matrices are taken once per
+    run, and each posterior is written into the record in place.  Its
+    steps are the gain kernel unchecked, arithmetic only, with one LU
+    inverse per block read; they stop at the first non-finite prior, but
+    not at an indefinite one.  Then, also when a step raised, one
+    :func:`structured_gain` call over the stepped priors makes that call's
+    checks, the PSD check of each included, with at most one
+    ill-conditioning warning per label, and one more PSD check names a
+    non-finite or indefinite prior that the steps stopped at.  The
     estimate recursion runs on the gains of that call, with the steps' bits.
     """
     _check_count(T, "T")
