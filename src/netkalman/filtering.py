@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gains import (_check_psd, _gain, _identity, _on_time_rows, _posterior, optimal_gain,
-                    posterior_cov, structured_gain)
+from .gains import (_check_psd, _gain, _identity, _on_time_rows, _outcomes, _posterior,
+                    optimal_gain, posterior_cov, structured_gain)
 from .model import DelayModel, DelayOutcome, SystemModel
 
 __all__ = [
@@ -329,10 +329,8 @@ def covariance_step(model: SystemModel, P_post: np.ndarray, gamma1, gamma2):
     the warning inverse of :func:`~netkalman.gains.structured_gain`.
     """
     P_prior = predict_cov(model, P_post)
-    g1, g2 = np.asarray(gamma1, dtype=bool), np.asarray(gamma2, dtype=bool)
     C, V, dims = model.C, model.V, model.dims
-    D = _gain(P_prior, C, C.T, V, dims, _on_time_rows(dims, g1, g2), not g1.all(), not g2.all(),
-              True)
+    D = _gain(P_prior, C, C.T, V, dims, *_outcomes(dims, gamma1, gamma2), True)
     return P_prior, _posterior(P_prior, D, C, V, _identity(model.n)), D
 
 

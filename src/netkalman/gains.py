@@ -243,6 +243,12 @@ def _on_time_rows(dims: BlockDims, gamma1, gamma2) -> np.ndarray:
     return np.where(_first_rows(dims), g1, g2)
 
 
+def _outcomes(dims: BlockDims, gamma1, gamma2):
+    """:func:`_on_time_rows`, and whether some ``gamma1``/``gamma2`` is 0."""
+    g1, g2 = np.asarray(gamma1, dtype=bool), np.asarray(gamma2, dtype=bool)
+    return _on_time_rows(dims, g1, g2), not g1.all(), not g2.all()
+
+
 def _select_gain(S, xcov, dims: BlockDims, on_time, late1: bool, late2: bool,
                  inverse) -> np.ndarray:
     """The gain rows of each layer, from its innovation pass: the arithmetic alone.
@@ -307,9 +313,7 @@ def structured_gain(P, C, V, dims: BlockDims, gamma1, gamma2) -> np.ndarray:
     whatever the outcomes, and each inverse warns if some matrix it
     inverts is ill conditioned.
     """
-    g1, g2 = np.asarray(gamma1, dtype=bool), np.asarray(gamma2, dtype=bool)
-    return _gain(*_inputs(P, C, V), dims, _on_time_rows(dims, g1, g2), not g1.all(),
-                 not g2.all(), True)
+    return _gain(*_inputs(P, C, V), dims, *_outcomes(dims, gamma1, gamma2), True)
 
 
 def optimal_gain(P, C, V, dims: BlockDims, outcome: DelayOutcome) -> np.ndarray:
