@@ -263,7 +263,8 @@ def main() -> None:
                   **_against(args.against)}
     else:
         reference = _reference()
-        timers = {name: (lambda call=call: _time(call)) for name, call in _cases(netkalman).items()}
+        timers = {name: (lambda call=call: _time(call))
+                  for name, call in _cases(netkalman).items()}
         timers["cold_import"] = _cold_import
         layers, refs = {}, {}
         for name, timer in timers.items():

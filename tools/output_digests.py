@@ -93,7 +93,7 @@ seed = 7
 
 
 class _Saved:
-    """Writes the arrays behind the digests, by ``<entry>|<field>``, to an ``.npz`` as they come."""
+    """Writes the arrays behind the digests, by ``<entry>|<field>``, to an ``.npz``."""
 
     def __init__(self, path):
         self.zip = zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED)
@@ -240,7 +240,7 @@ def _deviation(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def compare(path_a, path_b) -> None:
-    """Print the deviation table of two ``--arrays`` files, then what is not a float and differs."""
+    """Print the deviation table of two ``--arrays`` files, then the other differences."""
     worst, unequal = {}, []
     with np.load(path_a) as a, np.load(path_b) as b:
         only = sorted(set(a.files) ^ set(b.files))
