@@ -104,10 +104,15 @@ class PlantTrajectory:
     y2: np.ndarray  # (T+1, m2)
 
 
-def _check_count(value, name: str) -> None:
-    """Raise unless ``value`` is an integer >= 1 (``np.int64`` included, bools not)."""
+def _check_count(value, name: str, top=None) -> None:
+    """Raise unless ``value`` is an integer >= 1 (``np.int64`` included, bools not).
+
+    With ``top`` given, it must also be at most ``top``.
+    """
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
+    if top is not None and not 1 <= value <= top:
+        raise ValueError(f"{name} must lie in 1..{top}, got {value}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
 

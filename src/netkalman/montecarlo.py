@@ -58,8 +58,7 @@ class EecEstimate:
     master_seed: int
 
     def _index(self, t: int) -> int:
-        if not 1 <= t <= self.horizon:
-            raise ValueError(f"t must lie in 1..{self.horizon}, got {t}")
+        _check_count(t, "t", self.horizon)
         return t - 1
 
     def trace_at(self, t: int) -> float:

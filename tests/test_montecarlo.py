@@ -80,6 +80,14 @@ class TestEstimateEec:
             with pytest.raises(ValueError, match=r"t must lie in 1\.\.5"):
                 read(t)
 
+    @pytest.mark.parametrize("t", [True, 2.0, 2.5])
+    def test_step_not_an_integer_rejected(self, toy, t):
+        # True used to read step 1, and a float raised numpy's IndexError
+        est = estimate_eec(toy, DelayModel(0.5, 0.5), runs=4, horizon=5, master_seed=3)
+        for read in (est.trace_at, est.se_at):
+            with pytest.raises(ValueError, match=r"t must be >= 1 and an integer"):
+                read(t)
+
     def test_mean_bounded_by_expected_map_sequence(self, toy):
         # the bound sequence need not bound the EEC (README "Known
         # limitations"), but on toy_identity it does not fall below it
