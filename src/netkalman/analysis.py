@@ -30,7 +30,7 @@ import numpy as np
 from .filtering import _check_count, predict_cov
 from .gains import (_sym, gain_set, mask_for_outcome, mask_pattern, optimal_gain,
                     posterior_cov, structured_gain)
-from .model import ALL_OUTCOMES, BlockDims, DelayModel, SystemModel
+from .model import ALL_OUTCOMES, BlockDims, DelayModel, SystemModel, _csv_text
 
 __all__ = [
     "one_step_cov",
@@ -363,13 +363,9 @@ class BoundednessReport:
         return "\n".join(lines)
 
     def to_csv(self) -> str:
-        header = "lambda1,lambda2,r1,r2,r3,r4,weighted_sum,verdict\n"
-        row = ",".join(
-            [f"{self.lambda1:.17g}", f"{self.lambda2:.17g}"]
-            + [f"{v:.17g}" for v in (self.r1, self.r2, self.r3, self.r4, self.weighted_sum)]
-            + [self.verdict]
-        )
-        return header + row + "\n"
+        return _csv_text("lambda1,lambda2,r1,r2,r3,r4,weighted_sum,verdict", [(
+            self.lambda1, self.lambda2, self.r1, self.r2, self.r3, self.r4, self.weighted_sum,
+            self.verdict)])
 
 
 # Compatibility with the benchmark in perfbench/, which is versioned apart
@@ -497,15 +493,10 @@ class CriticalBounds:
         return "\n".join(lines)
 
     def to_csv(self) -> str:
-        header = "fixed_which,lambda_fixed,lower,upper,alpha,empirical,r1,r2,r3,r4\n"
-        alpha = "" if self.alpha is None else f"{self.alpha:.17g}"
-        emp = "" if self.empirical is None else f"{self.empirical:.17g}"
-        row = ",".join(
-            [str(self.fixed_which), f"{self.lambda_fixed:.17g}", f"{self.lower:.17g}",
-             f"{self.upper:.17g}", alpha, emp]
-            + [f"{v:.17g}" for v in (self.r1, self.r2, self.r3, self.r4)]
-        )
-        return header + row + "\n"
+        return _csv_text("fixed_which,lambda_fixed,lower,upper,alpha,empirical,r1,r2,r3,r4", [(
+            self.fixed_which, self.lambda_fixed, self.lower, self.upper,
+            "" if self.alpha is None else self.alpha,
+            "" if self.empirical is None else self.empirical, self.r1, self.r2, self.r3, self.r4)])
 
 
 def bounds_from_minima(

@@ -30,7 +30,8 @@ from . import analysis, montecarlo
 from .config import ConfigError, dump_normalized, parse_config
 from .filtering import make_rng, run_filter
 from .gains import gain_set
-from .model import ALL_OUTCOMES, SYM_RTOL, load_matrix_csv, save_matrix_csv, validate_model
+from .model import (ALL_OUTCOMES, SYM_RTOL, _csv_text, load_matrix_csv, save_matrix_csv,
+                    validate_model)
 
 __all__ = ["main", "run"]
 
@@ -55,11 +56,9 @@ def _gains(cfg, args):
         gs = gain_set(P, cfg.model.C, cfg.model.V, cfg.model.dims)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"--p: {exc}") from None
-    rows = ["outcome,row,col,value\n"]
-    for oc in ALL_OUTCOMES:
-        D = gs.for_outcome(oc)
-        rows += [f"{oc.label},{i + 1},{j + 1},{D[i, j]:.17g}\n" for i, j in np.ndindex(D.shape)]
-    return "".join(rows), ""
+    rows = [(oc.label, i, j, v) for oc in ALL_OUTCOMES
+            for i, row in enumerate(gs.for_outcome(oc).tolist(), 1) for j, v in enumerate(row, 1)]
+    return _csv_text("outcome,row,col,value", rows), ""
 
 
 def _filter(cfg, args):
@@ -82,7 +81,7 @@ def _iterate_g(cfg, args):
     seq = analysis.cov_bound_sequence(
         cfg.model, cfg.delays, args.steps or cfg.horizon, cfg.divergence_threshold
     )
-    text = "t,trace_Y\n" + "".join(f"{k},{tr:.17g}\n" for k, tr in enumerate(seq.traces, 1))
+    text = _csv_text("t,trace_Y", enumerate(seq.traces.tolist(), 1))
     if seq.diverged:
         return text, f"diverged at step {seq.diverged_at} (threshold {seq.threshold:.3g})"
     return text, ""

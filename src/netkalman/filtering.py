@@ -20,14 +20,13 @@ and one gain call checks them.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gains import (_check_psd, _gain, _identity, _on_time_rows, _outcomes, _posterior,
                     optimal_gain, posterior_cov, structured_gain)
-from .model import DelayModel, DelayOutcome, SystemModel
+from .model import DelayModel, DelayOutcome, SystemModel, _csv_text, _table_rows
 
 __all__ = [
     "stream_seed",
@@ -48,7 +47,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_CSV_CHUNK = 256  # rows converted to Python floats at a time by to_csv
 
 
 def stream_seed(master_seed: int, stream_id: int) -> int:
@@ -105,10 +103,7 @@ class PlantTrajectory:
 
 
 def _check_count(value, name: str, top=None) -> None:
-    """Raise unless ``value`` is an integer >= 1 (``np.int64`` included, bools not).
-
-    With ``top`` given, it must also be at most ``top``.
-    """
+    """Raise unless ``value`` is an integer >= 1, and <= ``top`` if given (not a bool)."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
     if top is not None and not 1 <= value <= top:
@@ -291,22 +286,12 @@ class TrajectoryRecord:
 
     def to_csv(self) -> str:
         """Canonical CSV serialization (header + one row per step)."""
-        n = self.x.shape[1]
-        cols = (
-            ["t", "gamma1", "gamma2"]
-            + [f"x_{i + 1}" for i in range(n)]
-            + [f"xhat_{i + 1}" for i in range(n)]
-            + ["trace_P_prior", "trace_P_post", "sq_err"]
-        )
-        row = ",".join(["%d"] * 3 + ["%.17g"] * (2 * n + 3)) + "\n"
-        columns = [self.t, self.gamma1, self.gamma2, self.x, self.xhat,
-                   self.trace_prior(), self.trace_post(), self.sq_err]
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        for start in range(0, self.horizon, _CSV_CHUNK):
-            chunk = np.column_stack([c[start:start + _CSV_CHUNK] for c in columns])
-            buf.writelines(row % tuple(v) for v in chunk.tolist())
-        return buf.getvalue()
+        states = range(1, self.x.shape[1] + 1)
+        header = ",".join(["t", "gamma1", "gamma2"] + [f"x_{i}" for i in states]
+                          + [f"xhat_{i}" for i in states]
+                          + ["trace_P_prior", "trace_P_post", "sq_err"])
+        return _csv_text(header, _table_rows(self.t, self.gamma1, self.gamma2, self.x, self.xhat,
+                                             self.trace_prior(), self.trace_post(), self.sq_err))
 
 
 def delay_indicators(delays: DelayModel, T: int, rng: np.random.Generator):

@@ -5,8 +5,8 @@ subsystems.  Each subsystem measures its own state block through its own
 sensor suite; the coupling enters through the off-diagonal blocks of the
 transition matrix.  This module holds the immutable data model, the
 validation diagnostics, the fixtures (the power-system example enters as
-the closed-loop matrices printed in the source material) and the matrix
-CSV reader and writer.
+the closed-loop matrices printed in the source material), the matrix CSV
+reader and the CSV writer behind every table and matrix the package prints.
 """
 
 from __future__ import annotations
@@ -348,7 +348,33 @@ def fixture(name: str):
 
 
 # ---------------------------------------------------------------------------
-# Matrix CSV I/O (row-major, one row per line, plain decimal floats)
+# CSV I/O.  A table has a header row; a matrix has none, one row a line.
+
+_CSV_CHUNK = 256  # rows of an array held as Python objects at a time
+
+
+def _csv_text(header, rows) -> str:
+    """The line ``header`` (none when it is None), then one line per row of Python values.
+
+    Every row takes the format of the first: a field that is a string
+    there is written as it is, any other with ``%.17g``, which every double
+    survives and which writes an integer below 2**53 as ``%d`` does.
+    """
+    lines, fmt = [] if header is None else [header + "\n"], None
+    for row in rows:
+        fmt = fmt or ",".join(["%s" if isinstance(v, str) else "%.17g" for v in row]) + "\n"
+        lines.append(fmt % tuple(row))
+    return "".join(lines)
+
+
+def _table_rows(*columns):
+    """The rows of (T,) and (T, k) arrays side by side, as lists of Python floats.
+
+    Converted ``_CSV_CHUNK`` rows at a time, so a long table never exists
+    whole as Python objects.
+    """
+    for start in range(0, len(columns[0]), _CSV_CHUNK):
+        yield from np.column_stack([c[start:start + _CSV_CHUNK] for c in columns]).tolist()
 
 
 def parse_matrix_rows(lines) -> np.ndarray:
@@ -377,6 +403,6 @@ def load_matrix_csv(path) -> np.ndarray:
 
 def save_matrix_csv(path, M: np.ndarray):
     """Write a matrix as row-per-line CSV with full double precision."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    text = _csv_text(None, _table_rows(np.atleast_2d(np.asarray(M, dtype=float))))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(",".join(f"{x:.17g}" for x in row) + "\n" for row in M)
+        fh.write(text)

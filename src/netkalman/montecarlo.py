@@ -20,7 +20,6 @@ prior with ``ValueError: P has non-finite entries``, as a filter run does.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,7 +29,7 @@ from .filtering import _check_count, covariance_step, delay_indicators, delay_rn
 # Not called here; kept as a module attribute because the benchmark's
 # traced run (perfbench/spans.py) wraps ``montecarlo.run_filter`` by name.
 from .filtering import run_filter  # noqa: F401
-from .model import DelayModel, SystemModel
+from .model import DelayModel, SystemModel, _csv_text, _table_rows
 
 __all__ = [
     "EecEstimate",
@@ -163,18 +162,11 @@ class SweepResult:
     master_seed: int
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("lambda1,lambda2,t,trace_mean,stderr,trace_kalman\n")
-        for i, l1 in enumerate(self.lambda1_values):
-            for j, l2 in enumerate(self.lambda2_values):
-                for k in range(self.horizon):
-                    buf.write(
-                        f"{l1:.17g},{l2:.17g},{k + 1},"
-                        f"{self.trace_mean[i, j, k]:.17g},"
-                        f"{self.trace_se[i, j, k]:.17g},"
-                        f"{self.kalman_trace[k]:.17g}\n"
-                    )
-        return buf.getvalue()
+        l1, l2, t = np.meshgrid(self.lambda1_values, self.lambda2_values,
+                                np.arange(1, self.horizon + 1), indexing="ij")
+        return _csv_text("lambda1,lambda2,t,trace_mean,stderr,trace_kalman", _table_rows(
+            l1.ravel(), l2.ravel(), t.ravel(), self.trace_mean.ravel(), self.trace_se.ravel(),
+            np.tile(self.kalman_trace, l1.size // self.horizon)))
 
 
 def sweep(

@@ -9,12 +9,16 @@ equality do not.
 
 import dataclasses
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import unseen_mode_model
 from netkalman import (DelayModel, boundedness_test, critical_bounds, fixture, make_rng,
                        run_filter, sweep)
 from netkalman.cli import main
+from netkalman.model import _csv_text, _table_rows
 from test_cli import EXPLICIT_CFG, FIXTURE_CFG
 
 FILTER_CSV = """\
@@ -119,3 +123,53 @@ class TestGoldenText:
         cfg.write_text(FIXTURE_CFG)
         assert main(["bounded", str(cfg), "--certificates", str(certs)]) == 0
         assert (certs / "X_full.csv").read_text() == CERTIFICATE_CSV
+
+
+def _fields(text):
+    return [line.split(",") for line in text.splitlines()]
+
+
+class TestWriter:
+    @given(st.floats(width=64))
+    @example(-0.0)
+    @example(5e-324)
+    @example(2.2250738585072009e-308)
+    @example(2.225073858507201e-309)
+    @example(1.7976931348623157e308)
+    @example(-np.inf)
+    @example(np.inf)
+    @example(np.nan)
+    def test_every_double_parses_back(self, x):
+        back = float(_csv_text(None, [(x,)]))
+        if np.isnan(x):
+            assert np.isnan(back)
+        else:
+            assert np.float64(back).tobytes() == np.float64(x).tobytes()
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 3))))
+    def test_array_rows_parse_back(self, M):
+        text = _csv_text(None, _table_rows(M))
+        back = np.array([[float(v) for v in row] for row in _fields(text)])
+        assert back.shape == M.shape
+        assert np.array_equal(back, M, equal_nan=True)
+        assert (np.signbit(back) == np.signbit(M))[~np.isnan(M)].all()
+
+    @given(st.integers(-(2**53 - 1), 2**53 - 1))
+    def test_integer_written_as_an_integer(self, n):
+        for value in (n, float(n)):
+            text = _csv_text(None, [(value,)]).rstrip("\n")
+            assert "." not in text and "e" not in text and int(text) == n
+
+    def test_strings_written_as_they_are(self):
+        text = _csv_text("outcome,row,alpha,value", [("01", 2, "", 0.1), ("10", 3, "", 2.0)])
+        assert text == "outcome,row,alpha,value\n01,2,,0.10000000000000001\n10,3,,2\n"
+        assert _csv_text(None, []) == ""
+
+    @pytest.mark.parametrize("rows", [255, 256, 257])
+    def test_row_and_field_counts_across_chunks(self, rows):
+        t = np.arange(1, rows + 1)
+        X = np.random.default_rng(rows).standard_normal((rows, 3))
+        fields = _fields(_csv_text("t,a,b,c,d", _table_rows(t, X, X[:, 0])))
+        assert len(fields) == rows + 1 and {len(f) for f in fields} == {5}
+        assert [int(f[0]) for f in fields[1:]] == t.tolist()
+        assert np.array_equal(np.array(fields[1:], dtype=float)[:, 1:4], X)
