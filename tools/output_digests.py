@@ -27,7 +27,8 @@ a 3x3 grid, and ``critical_bounds`` and ``empirical_critical`` (with
 The Monte-Carlo calls (``estimate_eec``, ``kalman_baseline``, ``sweep``)
 run 30 steps (20 in a sweep), ``BOUNDARY_HORIZON`` on a boundary case.
 Last come the seven CLI subcommands on ``case1_stable``, with their exit
-code, stdout and stderr.
+code, stdout and stderr, and ``bounded --certificates DIR``, which also
+digests the four certificate files it writes.
 
 Each entry maps an output's fields to the SHA-256 of their bytes (an
 array's dtype and shape included).  An exception's type and message are
@@ -205,17 +206,21 @@ def _cli_outputs(main) -> dict:
         prior = Path(tmp, "p.csv")
         prior.write_text("\n".join(",".join(["0"] * i + ["1"] + ["0"] * (3 - i))
                                    for i in range(4)) + "\n", encoding="utf-8")
+        certs = Path(tmp, "certs")
         argvs = [["validate", str(cfg)], ["validate", str(cfg), "--dump-normalized"],
                  ["gains", str(cfg), "--p", str(prior)], ["filter", str(cfg)],
                  ["sweep", str(cfg)], ["iterate-g", str(cfg)], ["bounded", str(cfg)],
+                 ["bounded", str(cfg), "--certificates", str(certs)],
                  ["critical", str(cfg), "--fix", "lambda2=0.5", "--empirical"]]
         for argv in argvs:
             def call():
                 stdout, stderr = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                     code = main(argv)
+                files = sorted(certs.glob("*.csv")) if "--certificates" in argv else []
                 return {"exit": _sha(code, "exit"), "stdout": _sha(stdout.getvalue(), "stdout"),
-                        "stderr": _sha(stderr.getvalue().replace(tmp, "TMP"), "stderr")}
+                        "stderr": _sha(stderr.getvalue().replace(tmp, "TMP"), "stderr"),
+                        **{f.name: _sha(f.read_text(encoding="utf-8"), f.name) for f in files}}
 
             entry = "cli " + " ".join(argv[:1] + argv[2:3])
             out[entry] = _capture(entry, call)
