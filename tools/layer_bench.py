@@ -26,7 +26,14 @@ from sensor 1), ``divergence_witness`` at lambda
 the 400-step witness at lambda (1, 0.5) on first read), and
 ``growth_rate``: the growth-rate verdicts of one stack of the 7
 bisection points above (a budget of 400 steps; left out for a
-package that has no growth-rate bisection).  ``cold_import`` is the
+package that has no growth-rate bisection).  The ``csv`` layers time the
+CSV writers alone, on results made beforehand: ``csv.sweep_3grids`` the
+``to_csv`` of the benchmark's three ``mc_sweep`` sweeps (the ``case1_stable``
+3x3 grid and the two ``case2_unstable`` axis sweeps, 10 runs x 50 steps a
+cell), ``csv.filter_T3000`` that of the 3000-step ``run_filter`` record
+above, and ``csv.reports`` the 27 report ``to_csv`` calls of one
+``certify`` job on ``case1_stable`` (25 boundedness reports on a 5x5
+lambda grid and two critical brackets).  ``cold_import`` is the
 median time of ``import netkalman`` in ``REPEATS`` fresh interpreters
 run with ``PYTHONDONTWRITEBYTECODE=1``, as
 the benchmark's set-up probes take it, so it is per process, not per call.
@@ -84,7 +91,6 @@ sys.path.insert(next((i for i, p in enumerate(sys.path) if p in _SITE), len(sys.
                 str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
-import scipy  # noqa: E402
 
 import netkalman  # noqa: E402
 
@@ -139,6 +145,18 @@ def _cases(nk):
         HIDDEN_MODE, 0.5, 2, 400)
     cases["empirical_critical.hidden_mode.h_diverged"] = lambda: analysis.empirical_critical(
         HIDDEN_MODE, 0.5, 2, 400).h_diverged
+    case2, axis = fixture("case2_unstable")[0], (1.0,)
+    sweeps = [montecarlo.sweep(m, a, b, 10, 50, 7)
+              for m, a, b in ((model, grid, grid), (case2, axis, grid), (case2, grid, axis))]
+    cases["csv.sweep_3grids"] = lambda: [s.to_csv() for s in sweeps]
+    cases["csv.filter_T3000"] = filtering.run_filter(model, delays, 3000,
+                                                     filtering.make_rng(1)).to_csv
+    certify = (0.0, 0.25, 0.5, 0.75, 1.0)
+    reports = [analysis.boundedness_test(model, DelayModel(l1, l2))
+               for l1 in certify for l2 in certify]
+    reports += [analysis.critical_bounds(model, lam, which)
+                for which, lam in ((1, 0.25), (2, 0.75))]
+    cases["csv.reports"] = lambda: [r.to_csv() for r in reports]
     if hasattr(analysis, "_growth_verdicts"):
         cases["growth_rate.hidden_mode"] = lambda: analysis._growth_verdicts(
             HIDDEN_MODE, lookahead, 400)
@@ -289,7 +307,6 @@ def main() -> None:
                     "arch": platform.machine(), "blas_threads": 1},
         "python": platform.python_version(),
         "numpy": {"version": np.__version__, "blas": _blas(np.show_config(mode="dicts"))},
-        "scipy": {"version": scipy.__version__, "blas": _blas(scipy.show_config(mode="dicts"))},
     })
     out = ROOT / "bench" / f"BENCH_layers_{args.label}.json"
     out.parent.mkdir(exist_ok=True)
