@@ -368,11 +368,7 @@ def _csv_text(header, rows) -> str:
 
 
 def _table_rows(*columns):
-    """The rows of (T,) and (T, k) arrays side by side, as lists of Python floats.
-
-    Converted ``_CSV_CHUNK`` rows at a time, so a long table never exists
-    whole as Python objects.
-    """
+    """Rows of (T,) and (T, k) arrays side by side, as float lists, ``_CSV_CHUNK`` at a time."""
     for start in range(0, len(columns[0]), _CSV_CHUNK):
         yield from np.column_stack([c[start:start + _CSV_CHUNK] for c in columns]).tolist()
 
