@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gains import (_check_psd, _gain, _identity, _on_time_rows, _outcomes, _posterior,
+from .gains import (_check_psd, _gain, _identity, _on_time_rows, _outcomes, _posterior, _sym,
                     optimal_gain, posterior_cov, structured_gain)
 from .model import DelayModel, DelayOutcome, SystemModel, _csv_text, _table_rows
 
@@ -170,8 +170,9 @@ def initial_state(model: SystemModel) -> EstimatorState:
 
 def predict_cov(model: SystemModel, P_post: np.ndarray) -> np.ndarray:
     """Prediction covariance ``A P A^T + W`` of an (..., n, n) stack."""
-    P_prior = model.A @ P_post @ model.A.T + model.W
-    return (P_prior + np.swapaxes(P_prior, -1, -2)) / 2.0
+    P_prior = model.A @ P_post @ model.A.T
+    P_prior += model.W
+    return _sym(P_prior)
 
 
 def predict(state: EstimatorState, model: SystemModel) -> EstimatorState:

@@ -91,13 +91,11 @@ def mask_pattern(mask: StructuredMask, dims: BlockDims) -> np.ndarray:
     return free
 
 
-def _T(M: np.ndarray) -> np.ndarray:
-    """Transpose of each matrix in a stack (plain transpose in 2-D)."""
-    return M.swapaxes(-1, -2)
-
-
 def _sym(M: np.ndarray) -> np.ndarray:
-    return (M + _T(M)) / 2.0
+    """``(M + M^T) / 2`` of each matrix of a float stack, in a new array."""
+    out = M + M.swapaxes(-1, -2)
+    out /= 2.0
+    return out
 
 
 def _lu_inverse(M: np.ndarray, what: str = "") -> np.ndarray:
@@ -111,7 +109,20 @@ def _lu_inverse(M: np.ndarray, what: str = "") -> np.ndarray:
     the Cholesky route takes two.  X is not exactly symmetric.  NumPy's
     linalg gufuncs loop over a stack in C, so a matrix gets the same bits
     whether it is inverted alone or inside a stack.
+
+    A stack of 1x1 matrices with no zero entry is inverted as ``1.0 / M``,
+    with the bits of ``np.linalg.inv``: LAPACK's ``dgesv`` on ``[a]``
+    factors it as ``L = 1``, ``U = a`` with no row to eliminate, and its
+    triangular solve of ``a x = 1`` returns the one rounding of ``1/a``,
+    for every nonzero double a: subnormals, whose reciprocal may overflow
+    to inf, ±inf, whose reciprocal is ±0, and NaN, which stays NaN.
+    ``np.linalg.inv`` signals no floating-point error on these, so neither
+    does the reciprocal.  A zero entry goes to ``np.linalg.inv``, which
+    raises ``LinAlgError``.
     """
+    if M.shape[-1] == 1 and M.all():
+        with np.errstate(all="ignore"):
+            return 1.0 / M
     return np.linalg.inv(M)
 
 
@@ -122,8 +133,38 @@ def _spd_inverse(M: np.ndarray, what: str) -> np.ndarray:
     ``|M|_1 |M^-1|_1`` exceeds ``COND_WARN``, whatever else is in the
     stack (a layer whose estimate is NaN hides no other); the warning's
     ``cond ~`` is the largest such number.
+
+    A screen over the whole stack skips the per-layer estimate when no
+    layer can warn.  With a = max |M| and b = max |M^-1| over the stack,
+    a column of a layer sums to at most n a, and one of its inverse to at
+    most n b, so every layer has ``|M|_1 |M^-1|_1 <= B = n^2 a b``.  The
+    screen passes when ``x y <= 2 COND_WARN``, with ``x = 2 n a`` and
+    ``y = 2 n b``, that is when B is at most ``COND_WARN / 2``; it is
+    formed in Python floats, which signal nothing.  The margin covers
+    rounding, so that a layer's computed estimate c never exceeds
+    ``COND_WARN`` when the screen passes.  Let u be the unit roundoff and
+    eta = 2^-1075, the largest absolute error of a product that
+    underflows:
+
+    - a finite x and y put n a and n b below DBL_MAX / 2, so the screen's
+      own roundings give ``B <= (COND_WARN / 2 + 1/4) / (1 - u)^3``;
+    - a computed sum of n nonnegative terms is at most
+      ``(1 + u)^(n-1) < 2`` times the exact sum, in any order (a sum that
+      underflows is exact), so no column sum overflows and
+      ``c <= B (1 + u)^(2n-1) + eta``.
+
+    Together ``c <= (COND_WARN / 2 + 1/4) (1 + u)^(2n-1) / (1 - u)^3 + eta``,
+    which is below ``COND_WARN`` for every n under 10^15.  A NaN or
+    infinite entry, or an x or y that overflows, makes ``x y`` NaN or inf,
+    and an empty stack has no maximum; these, like every stack that fails
+    the screen, take the per-layer estimate.
     """
     M_inv = _lu_inverse(M)
+    if M.size:
+        n = M.shape[-1]
+        x, y = 2 * n * float(np.abs(M).max()), 2 * n * float(np.abs(M_inv).max())
+        if x * y <= 2 * COND_WARN:
+            return M_inv
     c = np.abs(M).sum(-2).max(-1) * np.abs(M_inv).sum(-2).max(-1)
     ill = c[c > COND_WARN]
     if ill.size:
@@ -143,7 +184,9 @@ def _innovation(P, C, CT, V):
     CT is the transpose of C.  S is exactly symmetric, and so is each of
     its diagonal blocks.
     """
-    return _sym(V + C @ P @ CT), P @ CT
+    S = C @ P @ CT
+    S += V
+    return _sym(S), P @ CT
 
 
 def _check_psd(P: np.ndarray) -> None:
@@ -395,7 +438,8 @@ def posterior_cov(P, D, C, V) -> np.ndarray:
 def _posterior(P, D, C, V, I, out=None) -> np.ndarray:
     """:func:`posterior_cov` with the identity I given, written to ``out`` if given."""
     IDC = I - D @ C
-    M = IDC @ P @ _T(IDC) + D @ V @ _T(D)
-    out = np.add(M, _T(M), out=out)
+    M = IDC @ P @ IDC.swapaxes(-1, -2)
+    M += D @ V @ D.swapaxes(-1, -2)
+    out = np.add(M, M.swapaxes(-1, -2), out=out)
     out /= 2.0
     return out

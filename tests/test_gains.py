@@ -8,9 +8,12 @@ from numpy.testing import assert_allclose
 from conftest import random_instance, random_psd
 from netkalman.model import ALL_OUTCOMES, BlockDims, DelayOutcome, fixture
 from netkalman.gains import (
+    COND_WARN,
     PSD_TOL,
     StructuredMask,
     _check_psd,
+    _lu_inverse,
+    _spd_inverse,
     gain_set,
     innovation_blocks,
     mask_for_outcome,
@@ -368,3 +371,102 @@ class TestConditioning:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             optimal_gain(P, np.eye(2), np.eye(2), DIMS_2X2, DelayOutcome(0, 0))
+
+
+# Every double: a uniform 64-bit pattern reaches NaN payloads, subnormals and
+# both infinities, which hypothesis' float strategy draws only at its edges.
+_DOUBLES = st.one_of(st.floats(), st.integers(0, 2**64 - 1).map(
+    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))))
+
+
+def _outcome(call):
+    """The bits of ``call()``, or its error, and the warnings it gave, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+            result = (result.shape, result.tobytes())
+        except Exception as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _unscreened_spd_inverse(M, what):
+    """``_spd_inverse`` as it was before its screen: the estimate on every layer."""
+    M_inv = np.linalg.inv(M)
+    c = np.abs(M).sum(-2).max(-1) * np.abs(M_inv).sum(-2).max(-1)
+    ill = c[c > COND_WARN]
+    if ill.size:
+        warnings.warn(f"{what} is ill conditioned (cond ~ {ill.max():.2e})", RuntimeWarning)
+    return M_inv
+
+
+class TestOneByOneInverse:
+    @given(entries=st.lists(_DOUBLES.filter(lambda x: x != 0.0), min_size=1, max_size=6))
+    def test_reciprocal_has_the_bits_of_lapack(self, entries):
+        # a 1x1 stack with no zero entry is inverted as 1.0 / M: the same
+        # bits as np.linalg.inv, NaN payloads included, and no warning
+        M = np.array(entries).reshape(-1, 1, 1)
+        assert _outcome(lambda: _lu_inverse(M)) == _outcome(lambda: np.linalg.inv(M))
+        assert _outcome(lambda: _lu_inverse(M[0])) == _outcome(lambda: np.linalg.inv(M[0]))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_entry_raises(self, zero):
+        with pytest.raises(np.linalg.LinAlgError):
+            _lu_inverse(np.array([2.0, zero, np.nan]).reshape(3, 1, 1))
+
+
+@st.composite
+def _conditioning_stacks(draw):
+    """Stacks of n x n layers: well conditioned, condition 1e11 to 1e17, NaN or inf.
+
+    All layers share one scale, from near underflow to near overflow, and
+    many are well conditioned, so that many stacks pass the screen.  An
+    ``edge`` layer has a condition number near ``COND_WARN``, and at n = 2
+    an estimate close to the screen's bound.
+    """
+    n = draw(st.integers(1, 4))
+    scale = 10.0 ** draw(st.sampled_from([-308, -300, -20, 0, 20, 300, 307]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layers = []
+    kinds = st.sampled_from(["good"] * 4 + ["ill"] * 2 + ["edge"] * 2 + ["nan", "inf"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=6)):
+        if kind == "edge" and n > 1:
+            M = np.eye(n)
+            M[:2, :2] = [[1.0, 1.0], [1.0, 1.0 + 4.0 * 10.0 ** -rng.uniform(11.5, 12.5)]]
+        else:
+            Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            log_cond = rng.uniform(11.0, 17.0) if kind == "ill" else rng.uniform(0.0, 3.0)
+            M = (Q * np.logspace(0.0, -log_cond, n)) @ Q.T
+            M = (M + M.T) / 2.0
+        M *= scale
+        if kind in ("nan", "inf"):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            M[i, j] = M[j, i] = draw(st.sampled_from([np.nan] if kind == "nan"
+                                                     else [np.inf, -np.inf]))
+        layers.append(M)
+    return np.array(layers)
+
+
+class TestConditionScreen:
+    @given(M=_conditioning_stacks())
+    def test_warns_exactly_when_the_estimate_does(self, M):
+        # the screen changes neither the inverse nor any warning, the
+        # ill-conditioning text and its cond ~ figure included
+        assert (_outcome(lambda: _spd_inverse(M, "S"))
+                == _outcome(lambda: _unscreened_spd_inverse(M, "S")))
+
+    @pytest.mark.parametrize("cond", [0.99e12, 1.05e12, 1.9e12])
+    def test_estimate_near_the_screens_bound(self, cond):
+        # at n = 2 with entries of one magnitude the estimate is within
+        # rounding of the bound n^2 a b, so a looser screen would hide a warning
+        M = np.array([[[1.0, 1.0], [1.0, 1.0 + 4.0 / cond]], np.eye(2)])
+        result, caught = _outcome(lambda: _spd_inverse(M, "S"))
+        assert (result, caught) == _outcome(lambda: _unscreened_spd_inverse(M, "S"))
+        assert [m for _, m in caught] == ([] if cond < COND_WARN else
+                                          [f"S is ill conditioned (cond ~ {cond:.2e})"])
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_empty_stack(self, n):
+        M = np.zeros((0, n, n))
+        assert _outcome(lambda: _spd_inverse(M, "S")) == (((0, n, n), b""), [])
