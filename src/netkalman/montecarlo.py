@@ -75,7 +75,8 @@ def _run_indicators(delays: DelayModel, runs: int, horizon: int, master_seed: in
     return np.stack([g1 for g1, _ in draws]), np.stack([g2 for _, g2 in draws])
 
 
-def _stack_run(model: SystemModel, gamma1: np.ndarray, gamma2: np.ndarray):
+def _stack_run(model: SystemModel, gamma1: np.ndarray, gamma2: np.ndarray,
+               with_sum: bool = True):
     """Run the covariance recursion of R runs over T steps as one stack.
 
     Runs that share a delay history prefix share its covariances, so each
@@ -83,11 +84,12 @@ def _stack_run(model: SystemModel, gamma1: np.ndarray, gamma2: np.ndarray):
     ``4 * parent layer + 2 * gamma1 + gamma2``.  Returns the (R, T) traces
     of the prediction covariances and their (T, n, n) sums over the runs,
     accumulated in run order over every run's gathered covariance, so
-    both have the bits of a stack with one layer per run.
+    both have the bits of a stack with one layer per run.  Without
+    ``with_sum`` the sums are not formed and None stands in their place.
     """
     R, T = gamma1.shape
     traces = np.zeros((R, T))
-    sum_P = np.zeros((T, model.n, model.n))
+    sum_P = np.zeros((T, model.n, model.n)) if with_sum else None
     layer = np.zeros(R, dtype=np.intp)  # the layer of P_post holding each run
     P_post = np.array(model.Sigma0, dtype=float)[None]
     for k in range(T):
@@ -100,7 +102,8 @@ def _stack_run(model: SystemModel, gamma1: np.ndarray, gamma2: np.ndarray):
         layer = np.cumsum(seen)[key] - 1
         P_prior, P_post, _ = covariance_step(model, P_post[keys >> 2], (keys >> 1) & 1, keys & 1)
         traces[:, k] = np.trace(P_prior, axis1=1, axis2=2)[layer]
-        sum_P[k] = P_prior[layer].sum(axis=0)
+        if with_sum:
+            sum_P[k] = P_prior[layer].sum(axis=0)
     return traces, sum_P
 
 
@@ -145,7 +148,7 @@ def kalman_baseline(model: SystemModel, horizon: int) -> np.ndarray:
     """
     _check_count(horizon, "horizon")
     on_time = np.ones((1, horizon), dtype=int)
-    return _stack_run(model, on_time, on_time)[0][0]
+    return _stack_run(model, on_time, on_time, with_sum=False)[0][0]
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,7 @@ def sweep(
     on_time = np.ones((1, horizon), dtype=int)
     gamma1 = np.concatenate([g1 for g1, _ in cells] + [on_time])
     gamma2 = np.concatenate([g2 for _, g2 in cells] + [on_time])
-    traces = _stack_run(model, gamma1, gamma2)[0]
+    traces = _stack_run(model, gamma1, gamma2, with_sum=False)[0]
 
     trace_mean = np.zeros((len(l1s), len(l2s), horizon))
     trace_se = np.zeros_like(trace_mean)
