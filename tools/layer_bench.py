@@ -6,7 +6,10 @@ Run from the root of a checkout::
     python3 tools/layer_bench.py --label mychange
 
 It times one structured gain per delay outcome, ``gain_set``, one
-``covariance_step`` on stacks of 1, 16 and 150 runs, a 3000-step
+``covariance_step`` on stacks of 1, 16, 150 and 1000 runs, the checked
+inverse of the innovation covariance S of the 150-run stack alone
+(``spd_inverse.S.R150``; left out for a package without the private
+``gains._innovation``), a 3000-step
 ``run_filter`` at lambda (0.25, 0.75) with its ``to_csv`` and the
 3000-step ``simulate_plant`` inside it, and
 ``expected_next_cov`` on one matrix and on a stack of 7 (the shape of one
@@ -117,11 +120,14 @@ def _cases(nk):
         lambda g1=np.array([oc.gamma1]), g2=np.array([oc.gamma2]):
         gains.structured_gain(P, C, V, dims, g1, g2)) for oc in ALL_OUTCOMES}
     cases["gain_set"] = lambda: gains.gain_set(P, C, V, dims)
-    for runs in (1, 16, 150):
+    for runs in (1, 16, 150, 1000):
         stack = np.broadcast_to(P, (runs,) + P.shape[1:]).copy()
         g1, g2 = filtering.delay_indicators(delays, runs, filtering.make_rng(runs))
         cases[f"covariance_step.R{runs}"] = (lambda s=stack, a=g1, b=g2:
                                              filtering.covariance_step(model, s, a, b))
+    if hasattr(gains, "_innovation"):
+        S = gains._innovation(np.broadcast_to(P, (150,) + P.shape[1:]), C, C.T, V)[0]
+        cases["spd_inverse.S.R150"] = lambda: gains._spd_inverse(S, "S")
     cases["run_filter.case1_T3000"] = lambda: filtering.run_filter(
         model, delays, 3000, filtering.make_rng(1)).to_csv()
     cases["simulate_plant.T3000"] = lambda: filtering.simulate_plant(
