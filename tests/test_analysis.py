@@ -1269,3 +1269,107 @@ class TestEmpiricalCritical:
                     est = empirical_critical(model, lam, fixed_which, horizon=300)
                 assert est.estimate == 1.0
                 assert calls[0] <= 6
+
+
+# Outcome-table rows of each kind the expected map handles: no positive
+# entry, entries summing to less than 1 (some of them 0), one positive
+# entry, and four positive entries of a delay model, summing to 1.
+TABLE_ROWS = st.one_of(
+    st.just([0.0] * 4),
+    st.lists(st.just(0.0) | st.floats(0.01, 0.24), min_size=4, max_size=4),
+    st.builds(lambda i, q: [q if j == i else 0.0 for j in range(4)],
+              st.integers(0, 3), st.floats(0.05, 1.0)),
+    st.builds(lambda l1, l2: [DelayModel(l1, l2).outcome_probability(oc) for oc in ALL_OUTCOMES],
+              st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+)
+PLAN_MODELS = (st.sampled_from(FIXTURE_NAMES).map(lambda name: fixture(name)[0])
+               | st.integers(0, 2**32 - 1).map(lambda seed: random_model(
+                   np.random.default_rng(seed))))
+
+
+def count_calls(monkeypatch, name):
+    """Replace ``analysis.<name>`` by a wrapper that records each call; return the record."""
+    calls, wrapped = [], getattr(analysis, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, name, counted)
+    return calls
+
+
+class TestExpectedMap:
+    """The expected map planned once per outcome table and stepped many times."""
+
+    @settings(max_examples=40)
+    @given(model=PLAN_MODELS, rows=st.lists(TABLE_ROWS, min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    @example(model=fixture("case2_unstable")[0],
+             rows=[[0.0] * 4, [0.1, 0.0, 0.2, 0.3], [0.0, 0.0, 0.7, 0.0],
+                   [0.09, 0.21, 0.21, 0.49]], seed=3)
+    def test_reused_plan_equals_fresh_map_bit_for_bit(self, model, rows, seed):
+        # property: a plan stepped 12 times gives at each step the bits of
+        # a fresh _expected_next call, on tables with zero rows, rows
+        # summing to less than 1, single-outcome rows and all-live rows
+        rng = np.random.default_rng(seed)
+        p = np.array(rows)
+        step = analysis._expected_map(model, p)
+        Y = np.array([random_psd(rng, model.n) for _ in rows])
+        for _ in range(12):
+            got = step(Y)
+            assert got.tobytes() == analysis._expected_next(model, p, Y).tobytes()
+            Y = got
+
+    def test_growth_verdicts_replan_as_layers_leave(self, hidden_mode, monkeypatch):
+        # the 7 bisection points of [0, 1] leave the stack at different
+        # steps, so the plan is rebuilt for the layers left; each layer
+        # keeps the verdict it has alone
+        delays = [DelayModel(lam, 0.5) for lam in np.linspace(0.0, 1.0, 9)[1:-1]]
+        plans = count_calls(monkeypatch, "_expected_map")
+        stacked = analysis._growth_verdicts(hidden_mode, delays, 400)
+        sizes = [len(p) for _, p in plans]
+        monkeypatch.undo()
+        assert sizes[0] == 7 and len(sizes) >= 3 and sizes == sorted(set(sizes), reverse=True)
+        assert set(stacked) == {False, True}
+        alone = [analysis._growth_verdicts(hidden_mode, [d], 400)[0] for d in delays]
+        assert list(stacked) == alone
+
+    @pytest.mark.parametrize("run", [cov_bound_sequence, divergence_witness])
+    def test_bound_sequence_works_out_its_outcome_masks_once(self, case2, monkeypatch, run):
+        # work-count guard: the masks depend on the outcome table alone
+        masks = count_calls(monkeypatch, "_outcomes")
+        gains = count_calls(monkeypatch, "_gain")
+        run(case2, DelayModel(0.5, 0.5), 400)
+        assert len(masks) == 1 < len(gains)
+
+    @pytest.mark.parametrize("horizon", [0, True])
+    def test_bad_horizon_rejected_before_any_gain_call(self, hidden_mode, monkeypatch, horizon):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a probe ran before the arguments were checked")
+
+        monkeypatch.setattr(analysis, "_gain", no_step)
+        with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
+            empirical_critical(hidden_mode, 0.5, 2, horizon=horizon)
+
+    def test_hidden_mode_halves_gain_calls(self, hidden_mode, monkeypatch):
+        # work-count guard: the stacked probes make at most half the
+        # expected-map gain calls (one a step) of probe-by-probe verdicts
+        counts = []
+        for bisect in (empirical_critical, sequential_critical):
+            with pytest.MonkeyPatch.context() as mp:
+                gains = count_calls(mp, "_gain")
+                bisect(hidden_mode, 0.5, 2, 400, bisect_tol=0.02)
+            counts.append(len(gains))
+        assert 0 < counts[0] <= counts[1] / 2
+
+    def test_fixture_ends_take_few_gain_calls(self, case1, case2, toy):
+        # work-count guard: the growth rate decides both ends of every
+        # fixture axis within a few steps
+        for model in (case1, case2, toy):
+            for fixed_which, lam in ((1, 1.0), (2, 0.5)):
+                with pytest.MonkeyPatch.context() as mp:
+                    gains = count_calls(mp, "_gain")
+                    est = empirical_critical(model, lam, fixed_which, horizon=300)
+                assert est.estimate == 1.0
+                assert 0 < len(gains) <= 6
