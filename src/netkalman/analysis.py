@@ -29,7 +29,7 @@ import numpy as np
 
 from .filtering import _check_count, predict_cov
 from .gains import (_gain, _identity, _outcomes, _posterior, _sym, gain_set, mask_for_outcome,
-                    mask_pattern, optimal_gain, posterior_cov, structured_gain)
+                    mask_pattern, optimal_gain, posterior_cov)
 from .model import ALL_OUTCOMES, BlockDims, DelayModel, SystemModel, _csv_text
 
 __all__ = [
@@ -399,9 +399,7 @@ class BoundednessReport:
 # accepted and ignored; its traced run wraps names of this module by name
 # (gain_set and optimal_gain are imported only to be found there) and reads
 # ``NormMinResult.iterations``.  tests/test_perfbench_names.py installs the
-# benchmark's tracer, so removing a name it wraps fails there.  No code here
-# calls structured_gain either: the expected map calls the gain kernel, and
-# the name stays for the older tests that patch it.
+# benchmark's tracer, so removing a name it wraps fails there.
 
 
 def boundedness_test(

@@ -9,13 +9,15 @@ coincide; both forms are provided.  The covariance recursion is driven
 only by the delay indicators, so the recorded covariances are the exact
 conditional error covariances given the delay history.
 :func:`covariance_step` runs it for a stack of runs, with no plant, and
-:func:`run_filter` on a stack of one before the estimate recursion; each
+:func:`run_filter` on 2-D matrices before the estimate recursion; each
 run gets the same bits as :func:`predict` and :func:`update`.  Both step
 with one kernel, :func:`predict_cov` followed by the private gain kernel
 of :mod:`~netkalman.gains` and the posterior, with the model's matrices
-taken once per call.  Every prior is checked, so a recursion stops at
-its first non-finite one; :func:`run_filter`'s steps do arithmetic only,
-and one gain call checks them.
+taken once per call; :func:`run_filter`'s products go through
+``ndarray.dot`` and the stack's through ``np.matmul``, with the same
+bits.  Every prior is checked, so a recursion stops at its first
+non-finite one; :func:`run_filter`'s steps do arithmetic only, and one
+gain call checks them.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gains import (_check_psd, _gain, _identity, _on_time_rows, _outcomes, _posterior, _sym,
-                    optimal_gain, posterior_cov, structured_gain)
+from .gains import (_check_psd, _dot, _gain, _identity, _on_time_rows, _outcomes, _posterior,
+                    _sym, optimal_gain, posterior_cov, structured_gain)
 from .model import DelayModel, DelayOutcome, SystemModel, _csv_text, _table_rows
 
 __all__ = [
@@ -129,7 +131,7 @@ def simulate_plant(model: SystemModel, T: int, rng: np.random.Generator) -> Plan
     x[0] = _chol_psd(model.Sigma0) @ E[0, :n]
     A = model.A
     for t in range(1, T + 1):
-        x[t] = A @ x[t - 1] + x[t]
+        x[t] = _dot(A, x[t - 1]) + x[t]
     y = np.matmul(model.C, x[:, :, None])[..., 0] + np.matmul(_chol_psd(model.V),
                                                              E[:, n:, None])[..., 0]
     return PlantTrajectory(x=x, y1=y[:, :m1], y2=y[:, m1:])
@@ -169,8 +171,17 @@ def initial_state(model: SystemModel) -> EstimatorState:
 
 
 def predict_cov(model: SystemModel, P_post: np.ndarray) -> np.ndarray:
-    """Prediction covariance ``A P A^T + W`` of an (..., n, n) stack."""
-    P_prior = model.A @ P_post @ model.A.T
+    """Prediction covariance ``A P A^T + W`` of an (n, n) matrix or an (..., n, n) stack.
+
+    A C- or F-contiguous (n, n) array takes the products of
+    :func:`~netkalman.gains._dot`, and any other P the same bits through
+    ``np.matmul``.
+    """
+    mul = np.matmul
+    if getattr(P_post, "ndim", 0) == 2 and (P_post.flags.c_contiguous
+                                             or P_post.flags.f_contiguous):
+        mul = _dot
+    P_prior = mul(mul(model.A, P_post), model.A.T)
     P_prior += model.W
     return _sym(P_prior)
 
@@ -195,7 +206,7 @@ def _correct(model: SystemModel, xhat: np.ndarray, D: np.ndarray, y1, y2) -> np.
 
 def _corrected(xhat, D1, D2, C1, C2, n1: int, y1, y2) -> np.ndarray:
     """:func:`_correct` with the gain's columns ``D1``/``D2`` of sensor 1/2 given."""
-    return xhat + D1 @ (y1 - C1 @ xhat[:n1]) + D2 @ (y2 - C2 @ xhat[n1:])
+    return xhat + _dot(D1, y1 - _dot(C1, xhat[:n1])) + _dot(D2, y2 - _dot(C2, xhat[n1:]))
 
 
 def update(
@@ -336,17 +347,20 @@ def run_filter(
     The generator is split into two child streams (plant noise, delay
     indicators) so that the realized delays do not perturb the plant
     sample path.  The covariance recursion depends on the delay
-    indicators alone, so it runs first, on a stack of one, with the bits
-    of :func:`covariance_step`: the model's matrices are taken once per
-    run, and each posterior is written into the record in place.  Its
-    steps are the gain kernel unchecked, arithmetic only, with one LU
-    inverse per block read; they stop at the first non-finite prior, but
-    not at an indefinite one.  Then, also when a step raised, one
+    indicators alone, so it runs first, on (n, n) matrices, with the bits
+    of :func:`covariance_step` on a stack of one: the kernel's products go
+    through ``ndarray.dot``, which has matmul's bits on these operands,
+    the model's matrices are taken once per run, and each posterior is
+    written into the record in place.  Its steps are the gain kernel
+    unchecked, arithmetic only, with one LU inverse per block read; they
+    stop at the first non-finite prior, but not at an indefinite one.
+    Then, also when a step raised, one
     :func:`structured_gain` call over the stepped priors makes that call's
     checks, the PSD check of each included, with at most one
     ill-conditioning warning per label, and one more PSD check names a
     non-finite or indefinite prior that the steps stopped at.  The
-    estimate recursion runs on the gains of that call, with the steps' bits.
+    estimate recursion runs on the gains of that call, with the steps' bits,
+    and its products, like the plant's, go through ``ndarray.dot`` too.
     """
     _check_count(T, "T")
     plant_rng, delay_rng = rng.spawn(2)
@@ -356,21 +370,20 @@ def run_filter(
     n, dims = model.n, model.dims
     C, V = model.C, model.V
     CT, I = C.T, _identity(n)
-    on_time = _on_time_rows(dims, gamma1, gamma2)[:, None]  # a stack of one per step
+    on_time = _on_time_rows(dims, gamma1, gamma2)
     late1, late2 = (gamma1 == 0).tolist(), (gamma2 == 0).tolist()
     P_prior = np.zeros((T, n, n))
     P_post = np.zeros((T, n, n))
 
-    P = np.array(model.Sigma0, dtype=float)[None]
+    P = np.array(model.Sigma0, dtype=float)
     stepped = 0
     try:
         for k in range(T):
-            prior = predict_cov(model, P)
-            P_prior[k] = prior[0]
+            prior = P_prior[k] = predict_cov(model, P)
             if not np.isfinite(prior).all():
                 break  # the PSD check of this prior names it
-            D_k = _gain(prior, C, CT, V, dims, on_time[k], late1[k], late2[k], False)
-            P = _posterior(prior, D_k, C, V, I, P_post[k:k + 1])
+            D_k = _gain(prior, C, CT, V, dims, on_time[k], late1[k], late2[k], False, _dot)
+            P = _posterior(prior, D_k, C, V, I, P_post[k], _dot)
             stepped = k + 1
     finally:
         D = structured_gain(P_prior[:stepped], C, V, dims, gamma1[:stepped], gamma2[:stepped])
@@ -381,7 +394,7 @@ def run_filter(
     xhat = np.zeros((T, n))
     x = np.zeros(n)
     for k in range(T):
-        x = xhat[k] = _corrected(A @ x, D1[k], D2[k], C1, C2, n1, y1[k], y2[k])
+        x = xhat[k] = _corrected(_dot(A, x), D1[k], D2[k], C1, C2, n1, y1[k], y2[k])
     err = plant.x[1:] - xhat
     return TrajectoryRecord(
         t=np.arange(1, T + 1),

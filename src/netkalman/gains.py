@@ -14,7 +14,9 @@ call for one outcome, and :func:`gain_set` one call for all four, which
 lie on a broadcast axis of the prior.  Its arithmetic, the innovation
 pass, the row selection and the inverses it needs, is one private
 kernel for an exactly symmetric prior: a checked call runs the PSD check
-and inverts with a warning, an unchecked one does arithmetic only.
+and inverts with a warning, an unchecked one does arithmetic only.  Its
+products go through ``np.matmul``, or through ``ndarray.dot`` with the
+same bits for a caller that steps one 2-D matrix at a time.
 :func:`structured_gain` symmetrizes its input and makes a checked call.
 A caller that steps the kernel unchecked checks its steps afterwards
 with one :func:`structured_gain` call over their priors, which gives
@@ -98,6 +100,27 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a 2-D float a and a 1-D or 2-D float b, with its bits.
+
+    It goes through ``ndarray.dot``, which costs about half of ``@`` per
+    call on small matrices.  Both routes hand 2-D operands to the same
+    BLAS routine (``dgemm``, ``dgemv`` or ``ddot``) with the same shapes
+    and transposition flags, so a kernel that might block by shape (Goto
+    & van de Geijn, ACM TOMS 2008) cannot tell them apart.  That holds
+    for the operands it is given: a is C- or F-contiguous or a block of
+    rows and columns of a C-contiguous matrix, and b is C- or
+    F-contiguous.  Outside that, with a step other than 1 along a row, a
+    negative stride or a one-row a times a block, the routes may sum in
+    different orders.  An inner dimension of 1 goes to ``@``: there
+    ``ndarray.dot`` takes a 1x1 operand for a scalar and scales the other
+    one, which gives 0 for ``0 * inf`` where ``@`` gives NaN, and may
+    change the sign of a zero.  A 3-D operand must not come here; for it
+    ``ndarray.dot`` is a tensor product, not a stack of products.
+    """
+    return a.dot(b) if a.shape[-1] > 1 else a @ b
+
+
 def _lu_inverse(M: np.ndarray, what: str = "") -> np.ndarray:
     """Inverse of each matrix of a stack, by LU factorization with partial pivoting, unchecked.
 
@@ -178,15 +201,16 @@ def _inputs(P, C, V):
     return _sym(np.asarray(P, dtype=float)), C, C.T, np.asarray(V, dtype=float)
 
 
-def _innovation(P, C, CT, V):
+def _innovation(P, C, CT, V, mul=np.matmul):
     """The innovation pass: ``S = V + C P C^T`` and ``P C^T``, for float arrays.
 
-    CT is the transpose of C.  S is exactly symmetric, and so is each of
-    its diagonal blocks.
+    CT is the transpose of C, and ``mul`` the matrix product, as in
+    :func:`_gain`.  S is exactly symmetric, and so is each of its
+    diagonal blocks.
     """
-    S = C @ P @ CT
+    S = mul(mul(C, P), CT)
     S += V
-    return _sym(S), P @ CT
+    return _sym(S), mul(P, CT)
 
 
 def _check_psd(P: np.ndarray) -> None:
@@ -293,7 +317,7 @@ def _outcomes(dims: BlockDims, gamma1, gamma2):
 
 
 def _select_gain(S, xcov, dims: BlockDims, on_time, late1: bool, late2: bool,
-                 inverse) -> np.ndarray:
+                 inverse, mul) -> np.ndarray:
     """The gain rows of each layer, from its innovation pass: the arithmetic alone.
 
     ``on_time`` is the (..., n, 1) mask of :func:`_on_time_rows`, and
@@ -302,31 +326,32 @@ def _select_gain(S, xcov, dims: BlockDims, on_time, late1: bool, late2: bool,
     through ``inverse(M, what)``: S whole if some row is on time, ``S11``
     if ``late1`` and ``S22`` if ``late2``.  When no layer is late the
     gain is K, and when no row is on time it is L, with no selection
-    where the mask has the gain's leading axes.  It checks nothing of the
-    prior; :func:`_gain` does that first when asked to.
+    where the mask has the gain's leading axes.  Its products are ``mul``,
+    as in :func:`_gain`.  It checks nothing of the prior; :func:`_gain`
+    does that first when asked to.
     """
     uniform = on_time.shape[:-2] == xcov.shape[:-2]
     if not (late1 or late2):
-        K = xcov @ inverse(S, _S_LABEL)
+        K = mul(xcov, inverse(S, _S_LABEL))
         return K if uniform else np.where(on_time, K, 0.0)
     n1, m1 = dims.n1, dims.m1
     L = np.zeros(xcov.shape[:-2] + (dims.n, dims.m))
     if late1:
-        L[..., :n1, :m1] = xcov[..., :n1, :m1] @ inverse(S[..., :m1, :m1], _S11_LABEL)
+        L[..., :n1, :m1] = mul(xcov[..., :n1, :m1], inverse(S[..., :m1, :m1], _S11_LABEL))
     if late2:
-        L[..., n1:, m1:] = xcov[..., n1:, m1:] @ inverse(S[..., m1:, m1:], _S22_LABEL)
+        L[..., n1:, m1:] = mul(xcov[..., n1:, m1:], inverse(S[..., m1:, m1:], _S22_LABEL))
     if not on_time.any():
         return L if uniform else np.where(on_time, 0.0, L)
-    return np.where(on_time, xcov @ inverse(S, _S_LABEL), L)
+    return np.where(on_time, mul(xcov, inverse(S, _S_LABEL)), L)
 
 
 def _gain(P, C, CT, V, dims: BlockDims, on_time, late1: bool, late2: bool,
-          checked: bool) -> np.ndarray:
+          checked: bool, mul=np.matmul) -> np.ndarray:
     """The kernel of every gain: the innovation pass of P, then :func:`_select_gain`.
 
-    P is a float stack, C, its transpose CT and V are float arrays, and
-    ``on_time``, ``late1`` and ``late2`` are as in :func:`_select_gain`.
-    A checked call runs :func:`_check_psd` on P and inverts through
+    P is a float stack or matrix, C, its transpose CT and V are float
+    arrays, and ``on_time``, ``late1`` and ``late2`` are as in
+    :func:`_select_gain`.  A checked call runs :func:`_check_psd` on P and inverts through
     :func:`_spd_inverse`; an unchecked one is arithmetic only.
 
     P must be exactly symmetric; it is not symmetrized again.  The public
@@ -336,12 +361,19 @@ def _gain(P, C, CT, V, dims: BlockDims, on_time, late1: bool, late2: bool,
     ``DBL_MAX / 2``, being half of a finite double.  So ``p + p`` cannot
     overflow, doubling is exact and halving undoes it, and symmetrizing
     returns P bit for bit; an infinite or NaN entry stays what it is.
+
+    ``mul`` makes every matrix product: ``np.matmul``, or :func:`_dot`
+    from a caller that steps one (n, n) matrix made by the package with a
+    model's C, CT and V, operands on which it has matmul's bits.  The
+    kernel does not choose by rank, so that a stack pays nothing for the
+    choice and the public functions, which may be handed views of any
+    strides, keep matmul.
     """
-    S, xcov = _innovation(P, C, CT, V)
+    S, xcov = _innovation(P, C, CT, V, mul)
     if checked:
         _check_psd(P)
     return _select_gain(S, xcov, dims, on_time, late1, late2,
-                        _spd_inverse if checked else _lu_inverse)
+                        _spd_inverse if checked else _lu_inverse, mul)
 
 
 def structured_gain(P, C, V, dims: BlockDims, gamma1, gamma2) -> np.ndarray:
@@ -435,11 +467,14 @@ def posterior_cov(P, D, C, V) -> np.ndarray:
     return _posterior(P, np.asarray(D, dtype=float), C, V, _identity(P.shape[-1]))
 
 
-def _posterior(P, D, C, V, I, out=None) -> np.ndarray:
-    """:func:`posterior_cov` with the identity I given, written to ``out`` if given."""
-    IDC = I - D @ C
-    M = IDC @ P @ IDC.swapaxes(-1, -2)
-    M += D @ V @ D.swapaxes(-1, -2)
+def _posterior(P, D, C, V, I, out=None, mul=np.matmul) -> np.ndarray:
+    """:func:`posterior_cov` with the identity I given, written to ``out`` if given.
+
+    ``mul`` makes every matrix product, as in :func:`_gain`.
+    """
+    IDC = I - mul(D, C)
+    M = mul(mul(IDC, P), IDC.swapaxes(-1, -2))
+    M += mul(mul(D, V), D.swapaxes(-1, -2))
     out = np.add(M, M.swapaxes(-1, -2), out=out)
     out /= 2.0
     return out

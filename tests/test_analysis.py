@@ -36,7 +36,7 @@ from netkalman.analysis import (
 from netkalman.filtering import initial_state, predict, predict_cov, update
 from netkalman.montecarlo import kalman_baseline
 from netkalman.gains import (
-    StructuredMask, gain_set, mask_pattern, optimal_gain, posterior_cov, structured_gain,
+    StructuredMask, gain_set, mask_pattern, optimal_gain, posterior_cov,
 )
 
 
@@ -1076,7 +1076,7 @@ class TestEmpiricalCritical:
             raise AssertionError("a probe ran before the arguments were checked")
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analysis, "structured_gain", no_step)
+            mp.setattr(analysis, "_gain", no_step)
             mp.setattr(analysis, "optimal_gain", no_step)
             with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
                 empirical_critical(hidden_mode, 0.5, 2, horizon=horizon)
@@ -1198,15 +1198,9 @@ class TestEmpiricalCritical:
         """(result, expected-map gain calls) of empirical_critical and of the reference."""
         runs = {}
         for name, bisect in (("stacked", empirical_critical), ("sequential", sequential_critical)):
-            calls = [0]
-
-            def counting_structured_gain(*args, **kwargs):
-                calls[0] += 1
-                return structured_gain(*args, **kwargs)
-
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(analysis, "structured_gain", counting_structured_gain)
-                runs[name] = bisect(hidden_mode, 0.5, 2, 400, bisect_tol=0.02), calls[0]
+                calls = count_calls(mp, "_gain")
+                runs[name] = bisect(hidden_mode, 0.5, 2, 400, bisect_tol=0.02), len(calls)
         return runs
 
     def test_hidden_mode_equals_sequential_bisection(self, hidden_mode_runs):
@@ -1225,9 +1219,9 @@ class TestEmpiricalCritical:
 
     def test_hidden_mode_halves_gain_set_calls(self, hidden_mode_runs):
         # work-count guard: the stacked probes make at most half the
-        # expected-map gain calls (one structured_gain call a step) of
+        # expected-map gain calls (one gain-kernel call a step) of
         # probe-by-probe rate verdicts
-        assert hidden_mode_runs["stacked"][1] <= hidden_mode_runs["sequential"][1] / 2
+        assert 0 < hidden_mode_runs["stacked"][1] <= hidden_mode_runs["sequential"][1] / 2
 
     @pytest.mark.parametrize("lambda2", [0.0, 0.25, 0.5, 1.0])
     def test_hidden_mode_estimate_is_one_over_a_squared(self, hidden_mode, lambda2):
@@ -1258,17 +1252,11 @@ class TestEmpiricalCritical:
         # to run all 300 on a bounded end)
         for model in (case1, case2, toy):
             for fixed_which, lam in ((1, 1.0), (2, 0.5)):
-                calls = [0]
-
-                def counting_structured_gain(*args, **kwargs):
-                    calls[0] += 1
-                    return structured_gain(*args, **kwargs)
-
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(analysis, "structured_gain", counting_structured_gain)
+                    calls = count_calls(mp, "_gain")
                     est = empirical_critical(model, lam, fixed_which, horizon=300)
                 assert est.estimate == 1.0
-                assert calls[0] <= 6
+                assert 0 < len(calls) <= 6
 
 
 # Outcome-table rows of each kind the expected map handles: no positive

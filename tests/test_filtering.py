@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_instance, random_model, random_psd, textbook_riccati_priors
+from conftest import (random_instance, random_model, random_psd, textbook_riccati_priors,
+                      unseen_mode_model)
 from netkalman.model import ALL_OUTCOMES, DelayModel, DelayOutcome, SystemModel, fixture
 from netkalman.filtering import (
     _chol_psd,
@@ -469,6 +470,39 @@ class TestCovarianceStep:
             prior, P, _ = covariance_step(model, P, rec.gamma1[k:k + 1], rec.gamma2[k:k + 1])
             assert np.array_equal(prior[0], rec.P_prior[k])
             assert np.array_equal(P[0], rec.P_post[k])
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           lambdas=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           T=st.integers(1, 25), unseen_steps=st.none() | st.integers(1, 300))
+    def test_two_d_steps_have_the_stack_bytes(self, seed, lambdas, T, unseen_steps):
+        # run_filter steps (n, n) matrices through ndarray.dot, the stack
+        # through matmul: a loop of covariance_step on a stack of one gives
+        # the bytes of every prior and posterior (which np.array_equal would
+        # not tell for signed zeros and NaN), on random models with blocks
+        # of size 1 and on the unseen mode a = 3 up to priors near 1e286
+        if unseen_steps is None:
+            model = random_model(np.random.default_rng(seed))
+        else:
+            model, T = unseen_mode_model(3), unseen_steps
+        rec = run_filter(model, DelayModel(*lambdas), T, make_rng(seed))
+        priors, posts, P = [], [], np.array(model.Sigma0)[None]
+        for k in range(T):
+            prior, P, _ = covariance_step(model, P, rec.gamma1[k:k + 1], rec.gamma2[k:k + 1])
+            priors.append(prior[0])
+            posts.append(P[0])
+        assert np.array(priors).tobytes() == rec.P_prior.tobytes()
+        assert np.array(posts).tobytes() == rec.P_post.tobytes()
+
+    def test_predict_cov_of_a_view_keeps_matmul_bytes(self, case1):
+        # a 2-D prior that is a view with other strides (every second
+        # entry, reversed, a block) is predicted through matmul, with the
+        # bytes of the same view as a stack of one
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            whole = random_psd(rng, 8) * 10.0 ** rng.integers(-3, 4)
+            for P in (whole[::2, ::2], whole[::-1, ::-1][:4, 1:5], whole[1:5, 2:6]):
+                want = predict_cov(case1, P[None])[0]
+                assert predict_cov(case1, P).tobytes() == want.tobytes()
 
     @staticmethod
     def _check_unsymmetrized_step(model, P_post, gamma1, gamma2):

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from conftest import random_instance, random_psd
@@ -12,6 +13,7 @@ from netkalman.gains import (
     PSD_TOL,
     StructuredMask,
     _check_psd,
+    _dot,
     _lu_inverse,
     _spd_inverse,
     gain_set,
@@ -470,3 +472,62 @@ class TestConditionScreen:
     def test_empty_stack(self, n):
         M = np.zeros((0, n, n))
         assert _outcome(lambda: _spd_inverse(M, "S")) == (((0, n, n), b""), [])
+
+
+# Entries that reach a product's special cases: both zeros, both
+# infinities, NaN, subnormals and the largest doubles, among any others.
+_PRODUCT_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.0 ** -1040,
+                     1e308, -1e308]),
+    st.floats(-4.0, 4.0),
+    _DOUBLES,
+)
+
+
+@st.composite
+def _dot_operand(draw, shape, block=False):
+    """A float array of ``shape``: C-contiguous, F-contiguous or, if ``block``, a block of one."""
+    values = draw(hnp.arrays(np.float64, shape, elements=_PRODUCT_ENTRIES))
+    layout = draw(st.sampled_from(["C", "F", "block"] if block else ["C", "F"]))
+    if layout == "F":
+        return np.asfortranarray(values)
+    if layout == "block":
+        (rows, cols), (top, left) = shape, draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+        whole = np.zeros((top + rows + draw(st.integers(0, 2)), left + cols + 2))
+        whole[top:top + rows, left:left + cols] = values
+        return whole[top:top + rows, left:left + cols]
+    return np.ascontiguousarray(values)
+
+
+class TestDotRoute:
+    """``gains._dot``, the product of the single filter run, against ``@``."""
+
+    @given(m=st.integers(1, 5), k=st.integers(1, 5), p=st.integers(0, 5), data=st.data())
+    def test_has_the_bytes_of_matmul(self, m, k, p, data):
+        # property: on the operands the filter gives it (a contiguous
+        # matrix or a block of one, times a contiguous matrix, its own
+        # transpose or a vector; p = 0 draws a vector) _dot returns the
+        # shape and bytes of a @ b, whatever the zeros, infinities, NaN
+        # and subnormals among the entries
+        a = data.draw(_dot_operand((m, k), block=True))
+        if p == m and (a.flags.c_contiguous or a.flags.f_contiguous) and data.draw(st.booleans()):
+            b = a.T  # one buffer, the symmetric rank-k case of both routes
+        else:
+            b = data.draw(_dot_operand((k,) if p == 0 else (k, p)))
+        with np.errstate(all="ignore"):
+            got, want = _dot(a, b), a @ b
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("a, b", [
+        ([[0.0]], [[np.inf, 1.0]]),
+        ([[np.inf], [-0.0]], [[0.0]]),
+        ([[-0.0]], [0.0]),
+        ([[1.0], [np.nan]], [[-0.0, np.inf]]),
+    ])
+    def test_inner_dimension_one_goes_to_matmul(self, a, b):
+        # ndarray.dot takes a 1x1 operand for a scalar, and 0 * inf is NaN
+        # only through matmul; _dot keeps matmul's bytes
+        a, b = np.array(a), np.array(b)
+        with np.errstate(all="ignore"):
+            assert _dot(a, b).tobytes() == (a @ b).tobytes()
