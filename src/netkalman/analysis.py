@@ -93,7 +93,7 @@ def expected_next_cov(
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 2:
         return expected_next_cov(model, [delays], Y[None])[0]
-    return _expected_next(model, _outcome_probabilities(delays), Y)
+    return _expected_map(model, _outcome_probabilities(delays))(Y)
 
 
 def _outcome_probabilities(delays) -> np.ndarray:
@@ -104,24 +104,18 @@ def _outcome_probabilities(delays) -> np.ndarray:
 _GAMMA1, _GAMMA2 = np.array([(oc.gamma1, oc.gamma2) for oc in ALL_OUTCOMES], dtype=bool).T
 
 
-def _expected_next(model, p, Y) -> np.ndarray:
-    """:func:`expected_next_cov` of a (K, n, n) stack with its (K, 4) outcome probabilities.
-
-    Rows may sum to less than 1; a row with no positive entry maps to 0.
-    One step of :func:`_expected_map`, planned for this call alone.
-    """
-    return _expected_map(model, p)(Y)
-
-
 def _expected_map(model, p) -> Callable[[np.ndarray], np.ndarray]:
     """The expected map at a fixed (K, 4) outcome table p, as a step ``Y -> G(Y)``.
 
-    What depends on p alone is worked out here, once, for every step: the
-    live (layer, outcome) pairs, the outcome masks of the gain kernel, the
-    model's matrices and the weights grouped by live-outcome count.  A
-    step symmetrizes the (K, n, n) stack Y, makes one checked gain call,
-    and sums each group as :func:`expected_next_cov` describes; a step's
-    bits depend on Y and p alone, not on how often the plan ran before.
+    Rows of p may sum to less than 1; a row with no positive entry maps
+    its layer to 0.  What depends on p alone is worked out here, once, for
+    every step: the live (layer, outcome) pairs, the outcome masks of the
+    gain kernel, the model's matrices and the weights grouped by
+    live-outcome count.  A step symmetrizes the (K, n, n) stack Y, makes
+    one checked gain call, and sums each group as
+    :func:`expected_next_cov` describes; a step's bits depend on Y and p
+    alone, not on how often the plan ran before.  Every caller steps a
+    plan: :func:`expected_next_cov` one freshly made for its call.
     """
     live = p > 0.0
     # An outcome no layer can draw is built as 00, whose gain needs no

@@ -8,19 +8,19 @@ sum of one quadratic per row of the gain, and all rows of a subsystem
 share one zero pattern, so each subsystem's rows are optimized on their
 own: a subsystem whose cross measurement arrived takes its rows of K,
 and one whose cross measurement was delayed takes its local Kalman gain
-``(P C^T)[rows_i, cols_i] S_ii^-1``.  :func:`structured_gain` is the
-one function that makes that row selection: :func:`optimal_gain` is one
-call for one outcome, and :func:`gain_set` one call for all four, which
-lie on a broadcast axis of the prior.  Its arithmetic, the innovation
-pass, the row selection and the inverses it needs, is one private
-kernel for an exactly symmetric prior: a checked call runs the PSD check
-and inverts with a warning, an unchecked one does arithmetic only.  Its
-products go through ``np.matmul``, or through ``ndarray.dot`` with the
-same bits for a caller that steps one 2-D matrix at a time.
-:func:`structured_gain` symmetrizes its input and makes a checked call.
-A caller that steps the kernel unchecked checks its steps afterwards
-with one :func:`structured_gain` call over their priors, which gives
-every layer's gain with the same bits.  An exact brute-force oracle
+``(P C^T)[rows_i, cols_i] S_ii^-1``.  One private kernel, ``_gain``,
+makes that row selection for an exactly symmetric prior, with the
+innovation pass and the inverses it needs: a checked call runs the PSD
+check and inverts with a warning, an unchecked one does arithmetic only.
+Its products go through ``np.matmul``, or through ``ndarray.dot`` with
+the same bits for a caller that steps one 2-D matrix at a time.  The
+covariance step, the filter's loop and the expected map call the kernel
+directly.  :func:`structured_gain` symmetrizes its input and makes a
+checked call: :func:`optimal_gain` is one call for one outcome, and
+:func:`gain_set` one call for all four, which lie on a broadcast axis of
+the prior.  A caller that steps the kernel unchecked checks its steps
+afterwards with one :func:`structured_gain` call over their priors, which
+gives every layer's gain with the same bits.  An exact brute-force oracle
 (row-wise normal equations over the free entries) verifies them.
 """
 
@@ -316,43 +316,20 @@ def _outcomes(dims: BlockDims, gamma1, gamma2):
     return _on_time_rows(dims, g1, g2), not g1.all(), not g2.all()
 
 
-def _select_gain(S, xcov, dims: BlockDims, on_time, late1: bool, late2: bool,
-                 inverse, mul) -> np.ndarray:
-    """The gain rows of each layer, from its innovation pass: the arithmetic alone.
-
-    ``on_time`` is the (..., n, 1) mask of :func:`_on_time_rows`, and
-    ``late1``/``late2`` say whether some layer has ``gamma1``/``gamma2``
-    equal to 0.  Only what some layer reads is inverted, each block
-    through ``inverse(M, what)``: S whole if some row is on time, ``S11``
-    if ``late1`` and ``S22`` if ``late2``.  When no layer is late the
-    gain is K, and when no row is on time it is L, with no selection
-    where the mask has the gain's leading axes.  Its products are ``mul``,
-    as in :func:`_gain`.  It checks nothing of the prior; :func:`_gain`
-    does that first when asked to.
-    """
-    uniform = on_time.shape[:-2] == xcov.shape[:-2]
-    if not (late1 or late2):
-        K = mul(xcov, inverse(S, _S_LABEL))
-        return K if uniform else np.where(on_time, K, 0.0)
-    n1, m1 = dims.n1, dims.m1
-    L = np.zeros(xcov.shape[:-2] + (dims.n, dims.m))
-    if late1:
-        L[..., :n1, :m1] = mul(xcov[..., :n1, :m1], inverse(S[..., :m1, :m1], _S11_LABEL))
-    if late2:
-        L[..., n1:, m1:] = mul(xcov[..., n1:, m1:], inverse(S[..., m1:, m1:], _S22_LABEL))
-    if not on_time.any():
-        return L if uniform else np.where(on_time, 0.0, L)
-    return np.where(on_time, mul(xcov, inverse(S, _S_LABEL)), L)
-
-
 def _gain(P, C, CT, V, dims: BlockDims, on_time, late1: bool, late2: bool,
           checked: bool, mul=np.matmul) -> np.ndarray:
-    """The kernel of every gain: the innovation pass of P, then :func:`_select_gain`.
+    """The kernel of every gain: the innovation pass of P, then each layer's gain rows.
 
-    P is a float stack or matrix, C, its transpose CT and V are float
-    arrays, and ``on_time``, ``late1`` and ``late2`` are as in
-    :func:`_select_gain`.  A checked call runs :func:`_check_psd` on P and inverts through
-    :func:`_spd_inverse`; an unchecked one is arithmetic only.
+    P is a float stack or matrix, and C, its transpose CT and V are float
+    arrays.  ``on_time`` is the (..., n, 1) mask of :func:`_on_time_rows`,
+    and ``late1``/``late2`` say whether some layer has ``gamma1``/``gamma2``
+    equal to 0.  Only what some layer reads is inverted: S whole if some
+    row is on time, ``S11`` if ``late1`` and ``S22`` if ``late2``.  When no
+    layer is late the gain is K, and when no row is on time it is L, with
+    no selection where the mask has the gain's leading axes.  A checked
+    call runs :func:`_check_psd` on P and inverts through
+    :func:`_spd_inverse`; an unchecked one is arithmetic only, through
+    :func:`_lu_inverse`.
 
     P must be exactly symmetric; it is not symmetrized again.  The public
     functions symmetrize their input first.  A prediction covariance
@@ -372,8 +349,20 @@ def _gain(P, C, CT, V, dims: BlockDims, on_time, late1: bool, late2: bool,
     S, xcov = _innovation(P, C, CT, V, mul)
     if checked:
         _check_psd(P)
-    return _select_gain(S, xcov, dims, on_time, late1, late2,
-                        _spd_inverse if checked else _lu_inverse, mul)
+    inverse = _spd_inverse if checked else _lu_inverse
+    uniform = on_time.shape[:-2] == xcov.shape[:-2]
+    if not (late1 or late2):
+        K = mul(xcov, inverse(S, _S_LABEL))
+        return K if uniform else np.where(on_time, K, 0.0)
+    n1, m1 = dims.n1, dims.m1
+    L = np.zeros(xcov.shape[:-2] + (dims.n, dims.m))
+    if late1:
+        L[..., :n1, :m1] = mul(xcov[..., :n1, :m1], inverse(S[..., :m1, :m1], _S11_LABEL))
+    if late2:
+        L[..., n1:, m1:] = mul(xcov[..., n1:, m1:], inverse(S[..., m1:, m1:], _S22_LABEL))
+    if not on_time.any():
+        return L if uniform else np.where(on_time, 0.0, L)
+    return np.where(on_time, mul(xcov, inverse(S, _S_LABEL)), L)
 
 
 def structured_gain(P, C, V, dims: BlockDims, gamma1, gamma2) -> np.ndarray:

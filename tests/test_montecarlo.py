@@ -241,16 +241,20 @@ class TestKalmanBaseline:
 
 class TestSweep:
     def test_single_cell_reduces_to_estimate(self, toy):
-        # Every cell equals its own estimate_eec, also when the runs of
-        # several cells share one stack.
-        for l1s, l2s in (([0.3], [0.6]), ([0.0, 0.3, 1.0], [0.6, 0.1])):
-            res = sweep(toy, l1s, l2s, runs=5, horizon=10, master_seed=9)
+        # Every cell has the bytes of its own estimate_eec, also when the
+        # runs of several cells share one stack and one reduction, with
+        # one run a cell, with 9 (past numpy's 8-way pairwise block), and
+        # on constant cells (lambda in {0, 1}), whose standard error is 0
+        # (bytes, as array_equal misses signed zeros).
+        for l1s, l2s, runs in (([0.3], [0.6], 5), ([0.0, 0.3, 1.0], [0.6, 0.1], 5),
+                               ([0.3, 0.7], [0.0, 0.6], 1), ([0.0, 1.0], [0.0, 0.5, 1.0], 9)):
+            res = sweep(toy, l1s, l2s, runs=runs, horizon=10, master_seed=9)
             for i, l1 in enumerate(l1s):
                 for j, l2 in enumerate(l2s):
-                    est = estimate_eec(toy, DelayModel(l1, l2), 5, 10,
+                    est = estimate_eec(toy, DelayModel(l1, l2), runs, 10,
                                        stream_seed(9, i * len(l2s) + j))
-                    assert np.array_equal(res.trace_mean[i, j], est.trace_mean)
-                    assert np.array_equal(res.trace_se[i, j], est.trace_se)
+                    assert res.trace_mean[i, j].tobytes() == est.trace_mean.tobytes()
+                    assert res.trace_se[i, j].tobytes() == est.trace_se.tobytes()
 
     def test_csv_layout(self, toy):
         res = sweep(toy, [0.0, 1.0], [0.5], runs=2, horizon=3, master_seed=1)
