@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .filtering import _check_count, predict_cov
-from .gains import (_gain, _identity, _outcomes, _posterior, _sym, gain_set, mask_for_outcome,
+from .gains import (_gain_plan, _identity, _posterior, _sym, gain_set, mask_for_outcome,
                     mask_pattern, optimal_gain, posterior_cov)
 from .model import ALL_OUTCOMES, BlockDims, DelayModel, SystemModel, _csv_text
 
@@ -80,8 +80,8 @@ def expected_next_cov(
 
     Y is an (n, n) matrix with one :class:`DelayModel`, or a (K, n, n)
     stack with a sequence of K delay models, one per layer.  Each layer
-    gets the same bits as it would alone: one checked call of the gain
-    kernel, with the PSD check and the warnings of
+    gets the same bits as it would alone: one step of a checked gain
+    plan, with the PSD check and the warnings of
     :func:`~netkalman.gains.structured_gain`, gives the (K, 4) gains,
     :func:`one_step_cov` runs only on the (layer, outcome) pairs of
     positive probability, so that a non-finite gain of an impossible
@@ -109,10 +109,10 @@ def _expected_map(model, p) -> Callable[[np.ndarray], np.ndarray]:
 
     Rows of p may sum to less than 1; a row with no positive entry maps
     its layer to 0.  What depends on p alone is worked out here, once, for
-    every step: the live (layer, outcome) pairs, the outcome masks of the
-    gain kernel, the model's matrices and the weights grouped by
-    live-outcome count.  A step symmetrizes the (K, n, n) stack Y, makes
-    one checked gain call, and sums each group as
+    every step: the live (layer, outcome) pairs, the checked gain plan
+    (``gains._gain_plan``) of the live outcomes, the model's matrices and
+    the weights grouped by live-outcome count.  A step symmetrizes the
+    (K, n, n) stack Y, steps the gain plan once, and sums each group as
     :func:`expected_next_cov` describes; a step's bits depend on Y and p
     alone, not on how often the plan ran before.  Every caller steps a
     plan: :func:`expected_next_cov` one freshly made for its call.
@@ -123,7 +123,7 @@ def _expected_map(model, p) -> Callable[[np.ndarray], np.ndarray]:
     alive = live.any(axis=0)
     C, V, dims, nn = model.C, model.V, model.dims, model.n**2
     CT, I = C.T, _identity(model.n)
-    outcomes = _outcomes(dims, _GAMMA1 & alive, _GAMMA2 & alive)
+    gain = _gain_plan(C, CT, V, dims, _GAMMA1 & alive, _GAMMA2 & alive, True)
     layer = np.nonzero(live)[0]
     weights, counts = p[live], live.sum(axis=1)
     groups = []
@@ -134,7 +134,7 @@ def _expected_map(model, p) -> Callable[[np.ndarray], np.ndarray]:
 
     def step(Y):
         Y = _sym(Y)
-        X = _gain(Y[:, None], C, CT, V, dims, *outcomes, True)
+        X = gain(Y[:, None])
         terms = predict_cov(model, _posterior(Y[layer], X[live], C, V, I)).reshape(len(layer), nn)
         out = np.zeros((len(Y), nn))
         for group, pairs, w in groups:

@@ -11,9 +11,9 @@ conditional error covariances given the delay history.
 :func:`covariance_step` runs it for a stack of runs, with no plant, and
 :func:`run_filter` on 2-D matrices before the estimate recursion; each
 run gets the same bits as :func:`predict` and :func:`update`.  Both step
-with one kernel, :func:`predict_cov` followed by the private gain kernel
-of :mod:`~netkalman.gains` and the posterior, with the model's matrices
-taken once per call; :func:`run_filter`'s products go through
+with one kernel, :func:`predict_cov` followed by a step of the private
+gain plan of :mod:`~netkalman.gains` and the posterior, with the model's
+matrices taken once per call; :func:`run_filter`'s products go through
 ``ndarray.dot`` and the stack's through ``np.matmul``, with the same
 bits.  Every prior is checked, so a recursion stops at its first
 non-finite one; :func:`run_filter`'s steps do arithmetic only, and one
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gains import (_check_psd, _dot, _gain, _identity, _on_time_rows, _outcomes, _posterior,
-                    _sym, optimal_gain, posterior_cov, structured_gain)
+from .gains import (_check_psd, _dot, _gain_plan, _identity, _posterior, _sym, optimal_gain,
+                    posterior_cov, structured_gain)
 from .model import DelayModel, DelayOutcome, SystemModel, _csv_text, _table_rows
 
 __all__ = [
@@ -325,14 +325,15 @@ def covariance_step(model: SystemModel, P_post: np.ndarray, gamma1, gamma2):
     ``(gamma1[r], gamma2[r])``.  Returns the new ``(P_prior, P_post)``
     stacks and the (R, n, m) stack D of the gains used.  Each run gets
     the same bits as :func:`predict` followed by :func:`update`.  The step
-    is :func:`run_filter`'s: the gain kernel takes the prior as
-    :func:`predict_cov` returns it, exactly symmetric and so not
-    symmetrized again, and makes a checked call, with the PSD check and
-    the warning inverse of :func:`~netkalman.gains.structured_gain`.
+    is :func:`run_filter`'s: the gain kernel, planned once for this call's
+    indicators, takes the prior as :func:`predict_cov` returns it, exactly
+    symmetric and so not symmetrized again, and is checked, with the PSD
+    check and the warning inverse of
+    :func:`~netkalman.gains.structured_gain`.
     """
     P_prior = predict_cov(model, P_post)
-    C, V, dims = model.C, model.V, model.dims
-    D = _gain(P_prior, C, C.T, V, dims, *_outcomes(dims, gamma1, gamma2), True)
+    C, V = model.C, model.V
+    D = _gain_plan(C, C.T, V, model.dims, gamma1, gamma2, True)(P_prior)
     return P_prior, _posterior(P_prior, D, C, V, _identity(model.n)), D
 
 
@@ -351,9 +352,11 @@ def run_filter(
     of :func:`covariance_step` on a stack of one: the kernel's products go
     through ``ndarray.dot``, which has matmul's bits on these operands,
     the model's matrices are taken once per run, and each posterior is
-    written into the record in place.  Its steps are the gain kernel
-    unchecked, arithmetic only, with one LU inverse per block read; they
-    stop at the first non-finite prior, but not at an indefinite one.
+    written into the record in place.  The gain kernel is planned once
+    per run for each of the four outcomes, unchecked, and each step takes
+    the plan of its indicators: arithmetic only, with one LU inverse per
+    block read and no test of the outcome masks.  The steps stop at the
+    first non-finite prior, but not at an indefinite one.
     Then, also when a step raised, one
     :func:`structured_gain` call over the stepped priors makes that call's
     checks, the PSD check of each included, with at most one
@@ -370,8 +373,8 @@ def run_filter(
     n, dims = model.n, model.dims
     C, V = model.C, model.V
     CT, I = C.T, _identity(n)
-    on_time = _on_time_rows(dims, gamma1, gamma2)
-    late1, late2 = (gamma1 == 0).tolist(), (gamma2 == 0).tolist()
+    plans = [[_gain_plan(C, CT, V, dims, a, b, False, _dot) for b in (0, 1)] for a in (0, 1)]
+    on1, on2 = gamma1.tolist(), gamma2.tolist()
     P_prior = np.zeros((T, n, n))
     P_post = np.zeros((T, n, n))
 
@@ -382,7 +385,7 @@ def run_filter(
             prior = P_prior[k] = predict_cov(model, P)
             if not np.isfinite(prior).all():
                 break  # the PSD check of this prior names it
-            D_k = _gain(prior, C, CT, V, dims, on_time[k], late1[k], late2[k], False, _dot)
+            D_k = plans[on1[k]][on2[k]](prior)
             P = _posterior(prior, D_k, C, V, I, P_post[k], _dot)
             stepped = k + 1
     finally:

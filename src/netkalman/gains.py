@@ -8,18 +8,22 @@ sum of one quadratic per row of the gain, and all rows of a subsystem
 share one zero pattern, so each subsystem's rows are optimized on their
 own: a subsystem whose cross measurement arrived takes its rows of K,
 and one whose cross measurement was delayed takes its local Kalman gain
-``(P C^T)[rows_i, cols_i] S_ii^-1``.  One private kernel, ``_gain``,
-makes that row selection for an exactly symmetric prior, with the
-innovation pass and the inverses it needs: a checked call runs the PSD
+``(P C^T)[rows_i, cols_i] S_ii^-1``.  One private kernel,
+``_gain_plan``, makes that row selection for an exactly symmetric prior,
+with the innovation pass and the inverses it needs.  It is planned once
+per set of outcomes, which fixes what each step inverts and how it
+assembles the gain, and returns the step: a checked plan runs the PSD
 check and inverts with a warning, an unchecked one does arithmetic only.
 Its products go through ``np.matmul``, or through ``ndarray.dot`` with
 the same bits for a caller that steps one 2-D matrix at a time.  The
-covariance step, the filter's loop and the expected map call the kernel
-directly.  :func:`structured_gain` symmetrizes its input and makes a
-checked call: :func:`optimal_gain` is one call for one outcome, and
-:func:`gain_set` one call for all four, which lie on a broadcast axis of
-the prior.  A caller that steps the kernel unchecked checks its steps
-afterwards with one :func:`structured_gain` call over their priors, which
+filter's loop plans each of the four outcomes once per run, the expected
+map once per outcome table, and the covariance step and
+:func:`structured_gain` once per call.  :func:`structured_gain`
+symmetrizes its input and steps a checked plan: :func:`optimal_gain` is
+one call for one outcome, and :func:`gain_set` one call for all four,
+which lie on a broadcast axis of the prior.  A caller that steps the
+kernel unchecked checks its steps afterwards with one
+:func:`structured_gain` call over their priors, which
 gives every layer's gain with the same bits.  An exact brute-force oracle
 (row-wise normal equations over the free entries) verifies them.
 """
@@ -133,17 +137,24 @@ def _lu_inverse(M: np.ndarray, what: str = "") -> np.ndarray:
     linalg gufuncs loop over a stack in C, so a matrix gets the same bits
     whether it is inverted alone or inside a stack.
 
-    A stack of 1x1 matrices with no zero entry is inverted as ``1.0 / M``,
-    with the bits of ``np.linalg.inv``: LAPACK's ``dgesv`` on ``[a]``
+    A 1x1 matrix with a nonzero entry a is inverted as the reciprocal of
+    a, with the bits of ``np.linalg.inv``: LAPACK's ``dgesv`` on ``[a]``
     factors it as ``L = 1``, ``U = a`` with no row to eliminate, and its
     triangular solve of ``a x = 1`` returns the one rounding of ``1/a``,
     for every nonzero double a: subnormals, whose reciprocal may overflow
     to inf, ±inf, whose reciprocal is ±0, and NaN, which stays NaN.
     ``np.linalg.inv`` signals no floating-point error on these, so neither
-    does the reciprocal.  A zero entry goes to ``np.linalg.inv``, which
-    raises ``LinAlgError``.
+    does the reciprocal.  A single (1, 1) matrix takes ``1.0 / M.item()``,
+    a Python float division, which never consults numpy's error state;
+    a stack of them with no zero entry takes ``1.0 / M`` with every
+    floating-point error ignored.  A zero entry goes to ``np.linalg.inv``,
+    which raises ``LinAlgError``.
     """
-    if M.shape[-1] == 1 and M.all():
+    if M.shape == (1, 1):
+        a = M.item()
+        if a:
+            return np.array([[1.0 / a]])
+    elif M.shape[-1] == 1 and M.all():
         with np.errstate(all="ignore"):
             return 1.0 / M
     return np.linalg.inv(M)
@@ -205,7 +216,7 @@ def _innovation(P, C, CT, V, mul=np.matmul):
     """The innovation pass: ``S = V + C P C^T`` and ``P C^T``, for float arrays.
 
     CT is the transpose of C, and ``mul`` the matrix product, as in
-    :func:`_gain`.  S is exactly symmetric, and so is each of its
+    :func:`_gain_plan`.  S is exactly symmetric, and so is each of its
     diagonal blocks.
     """
     S = mul(mul(C, P), CT)
@@ -304,32 +315,51 @@ def _identity(n: int) -> np.ndarray:
     return _read_only(np.eye(n))
 
 
-def _on_time_rows(dims: BlockDims, gamma1, gamma2) -> np.ndarray:
-    """(..., n, 1) mask of the gain rows whose cross measurement is on time."""
-    g1, g2 = (np.asarray(g, dtype=bool)[..., None, None] for g in (gamma1, gamma2))
-    return np.where(_first_rows(dims), g1, g2)
-
-
 def _outcomes(dims: BlockDims, gamma1, gamma2):
-    """:func:`_on_time_rows`, and whether some ``gamma1``/``gamma2`` is 0."""
+    """The on-time mask of the gain rows, and whether some ``gamma1``/``gamma2`` is 0.
+
+    The mask has shape (..., n, 1): subsystem 1's rows take ``gamma1``, and
+    subsystem 2's ``gamma2``.
+    """
     g1, g2 = np.asarray(gamma1, dtype=bool), np.asarray(gamma2, dtype=bool)
-    return _on_time_rows(dims, g1, g2), not g1.all(), not g2.all()
+    on_time = np.where(_first_rows(dims), g1[..., None, None], g2[..., None, None])
+    return on_time, np.count_nonzero(g1) < g1.size, np.count_nonzero(g2) < g2.size
 
 
-def _gain(P, C, CT, V, dims: BlockDims, on_time, late1: bool, late2: bool,
-          checked: bool, mul=np.matmul) -> np.ndarray:
-    """The kernel of every gain: the innovation pass of P, then each layer's gain rows.
+@functools.lru_cache(maxsize=128)
+def _late_blocks(dims: BlockDims, late1: bool, late2: bool) -> tuple:
+    """(rows, local columns, cross columns, label of the inverted block) of each late subsystem."""
+    top, bottom = slice(None, dims.n1), slice(dims.n1, None)
+    left, right = slice(None, dims.m1), slice(dims.m1, None)
+    return tuple(block for is_late, block in ((late1, (top, left, right, _S11_LABEL)),
+                                              (late2, (bottom, right, left, _S22_LABEL)))
+                 if is_late)
 
-    P is a float stack or matrix, and C, its transpose CT and V are float
-    arrays.  ``on_time`` is the (..., n, 1) mask of :func:`_on_time_rows`,
-    and ``late1``/``late2`` say whether some layer has ``gamma1``/``gamma2``
-    equal to 0.  Only what some layer reads is inverted: S whole if some
-    row is on time, ``S11`` if ``late1`` and ``S22`` if ``late2``.  When no
-    layer is late the gain is K, and when no row is on time it is L, with
-    no selection where the mask has the gain's leading axes.  A checked
-    call runs :func:`_check_psd` on P and inverts through
-    :func:`_spd_inverse`; an unchecked one is arithmetic only, through
-    :func:`_lu_inverse`.
+
+def _gain_plan(C, CT, V, dims: BlockDims, gamma1, gamma2, checked: bool, mul=np.matmul):
+    """The kernel of every gain, planned once for the indicators ``gamma1``/``gamma2``.
+
+    C, its transpose CT and V are float arrays, and the indicators are
+    scalars or arrays that broadcast against the leading axes of a stack
+    of priors, one outcome per layer.  The plan calls :func:`_outcomes`
+    once and returns ``gain(P)``, the innovation pass of P and then each
+    layer's gain rows; what a step inverts and how it assembles the gain
+    is decided here, before any step.  Only what some layer reads is
+    inverted: ``S11`` if some ``gamma1`` is 0, ``S22`` if some ``gamma2``
+    is 0, then S whole if some row is on time.  The gain is assembled in
+    one of three ways:
+
+    - no late subsystem: K, selected against 0 only where the
+      indicators have leading axes other than P's;
+    - one outcome for every layer (scalar indicators, for a matrix or a
+      stack): K, or zeros when no row is on time, whose late rows are
+      then overwritten with 0 and the local gain;
+    - a mixed stack: the local gains L and ``np.where(on_time, K, L)``.
+
+    The overwrite copies the values the selection would, so every way
+    gives the same bits.  A checked plan runs :func:`_check_psd` on P and
+    inverts through :func:`_spd_inverse`; an unchecked one is arithmetic
+    only, through :func:`_lu_inverse`.
 
     P must be exactly symmetric; it is not symmetrized again.  The public
     functions symmetrize their input first.  A prediction covariance
@@ -346,23 +376,49 @@ def _gain(P, C, CT, V, dims: BlockDims, on_time, late1: bool, late2: bool,
     choice and the public functions, which may be handed views of any
     strides, keep matmul.
     """
-    S, xcov = _innovation(P, C, CT, V, mul)
-    if checked:
-        _check_psd(P)
+    on_time, late1, late2 = _outcomes(dims, gamma1, gamma2)
     inverse = _spd_inverse if checked else _lu_inverse
-    uniform = on_time.shape[:-2] == xcov.shape[:-2]
-    if not (late1 or late2):
-        K = mul(xcov, inverse(S, _S_LABEL))
-        return K if uniform else np.where(on_time, K, 0.0)
-    n1, m1 = dims.n1, dims.m1
-    L = np.zeros(xcov.shape[:-2] + (dims.n, dims.m))
-    if late1:
-        L[..., :n1, :m1] = mul(xcov[..., :n1, :m1], inverse(S[..., :m1, :m1], _S11_LABEL))
-    if late2:
-        L[..., n1:, m1:] = mul(xcov[..., n1:, m1:], inverse(S[..., m1:, m1:], _S22_LABEL))
-    if not on_time.any():
-        return L if uniform else np.where(on_time, 0.0, L)
-    return np.where(on_time, mul(xcov, inverse(S, _S_LABEL)), L)
+    late = _late_blocks(dims, late1, late2)
+    # Unless both subsystems are late in some layer, one is on time in every layer.
+    lead, full = on_time.shape[:-2], not (late1 and late2) or bool(on_time.any())
+
+    def innovation(P):
+        S, xcov = _innovation(P, C, CT, V, mul)
+        if checked:
+            _check_psd(P)
+        return S, xcov
+
+    def kalman(S, xcov):
+        return mul(xcov, inverse(S, _S_LABEL))
+
+    def local(S, xcov):
+        """The late subsystems' local gains, each with its rows and its local and cross columns."""
+        return [(rows, cols, cross, mul(xcov[..., rows, cols], inverse(S[..., cols, cols], label)))
+                for rows, cols, cross, label in late]
+
+    if not late:
+        def gain(P):
+            K = kalman(*innovation(P))
+            return K if not lead or lead == K.shape[:-2] else np.where(on_time, K, 0.0)
+    elif not lead:
+        def gain(P):
+            S, xcov = innovation(P)
+            blocks = local(S, xcov)
+            D = kalman(S, xcov) if full else np.zeros(xcov.shape)
+            for rows, cols, cross, block in blocks:
+                D[..., rows, cross] = 0.0
+                D[..., rows, cols] = block
+            return D
+    else:
+        def gain(P):
+            S, xcov = innovation(P)
+            L = np.zeros(xcov.shape)
+            for rows, cols, _, block in local(S, xcov):
+                L[..., rows, cols] = block
+            if full:
+                return np.where(on_time, kalman(S, xcov), L)
+            return L if lead == L.shape[:-2] else np.where(on_time, 0.0, L)
+    return gain
 
 
 def structured_gain(P, C, V, dims: BlockDims, gamma1, gamma2) -> np.ndarray:
@@ -377,7 +433,8 @@ def structured_gain(P, C, V, dims: BlockDims, gamma1, gamma2) -> np.ndarray:
     whatever the outcomes, and each inverse warns if some matrix it
     inverts is ill conditioned.
     """
-    return _gain(*_inputs(P, C, V), dims, *_outcomes(dims, gamma1, gamma2), True)
+    P, C, CT, V = _inputs(P, C, V)
+    return _gain_plan(C, CT, V, dims, gamma1, gamma2, True)(P)
 
 
 def optimal_gain(P, C, V, dims: BlockDims, outcome: DelayOutcome) -> np.ndarray:
@@ -459,7 +516,7 @@ def posterior_cov(P, D, C, V) -> np.ndarray:
 def _posterior(P, D, C, V, I, out=None, mul=np.matmul) -> np.ndarray:
     """:func:`posterior_cov` with the identity I given, written to ``out`` if given.
 
-    ``mul`` makes every matrix product, as in :func:`_gain`.
+    ``mul`` makes every matrix product, as in :func:`_gain_plan`.
     """
     IDC = I - mul(D, C)
     M = mul(mul(IDC, P), IDC.swapaxes(-1, -2))

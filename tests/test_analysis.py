@@ -14,7 +14,7 @@ from netkalman.model import (
     ALL_OUTCOMES, FIXTURE_NAMES, BlockDims, DelayModel, DelayOutcome, SystemModel, fixture,
     validate_model,
 )
-from netkalman import analysis
+from netkalman import analysis, gains
 from netkalman.analysis import (
     CovBoundSequence,
     EmpiricalCritical,
@@ -1076,7 +1076,7 @@ class TestEmpiricalCritical:
             raise AssertionError("a probe ran before the arguments were checked")
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analysis, "_gain", no_step)
+            mp.setattr(analysis, "_gain_plan", no_step)
             with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
                 empirical_critical(hidden_mode, 0.5, 2, horizon=horizon)
 
@@ -1193,7 +1193,7 @@ class TestEmpiricalCritical:
         runs = {}
         for name, bisect in (("stacked", empirical_critical), ("sequential", sequential_critical)):
             with pytest.MonkeyPatch.context() as mp:
-                calls = count_calls(mp, "_gain")
+                calls = count_gain_steps(mp)
                 runs[name] = bisect(hidden_mode, 0.5, 2, 400, bisect_tol=0.02), len(calls)
         return runs
 
@@ -1247,7 +1247,7 @@ class TestEmpiricalCritical:
         for model in (case1, case2, toy):
             for fixed_which, lam in ((1, 1.0), (2, 0.5)):
                 with pytest.MonkeyPatch.context() as mp:
-                    calls = count_calls(mp, "_gain")
+                    calls = count_gain_steps(mp)
                     est = empirical_critical(model, lam, fixed_which, horizon=300)
                 assert est.estimate == 1.0
                 assert 0 < len(calls) <= 6
@@ -1269,16 +1269,33 @@ PLAN_MODELS = (st.sampled_from(FIXTURE_NAMES).map(lambda name: fixture(name)[0])
                    np.random.default_rng(seed))))
 
 
-def count_calls(monkeypatch, name):
-    """Replace ``analysis.<name>`` by a wrapper that records each call; return the record."""
-    calls, wrapped = [], getattr(analysis, name)
+def count_calls(monkeypatch, name, owner=analysis):
+    """Replace ``owner.<name>`` by a wrapper that records each call; return the record."""
+    calls, wrapped = [], getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return wrapped(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def count_gain_steps(monkeypatch):
+    """Make each gain plan that ``analysis`` makes record its steps; return the record."""
+    steps, plan = [], analysis._gain_plan
+
+    def counted_plan(*args, **kwargs):
+        gain = plan(*args, **kwargs)
+
+        def counted(P):
+            steps.append((P,))
+            return gain(P)
+
+        return counted
+
+    monkeypatch.setattr(analysis, "_gain_plan", counted_plan)
+    return steps
 
 
 class TestExpectedMap:
@@ -1320,8 +1337,8 @@ class TestExpectedMap:
     @pytest.mark.parametrize("run", [cov_bound_sequence, divergence_witness])
     def test_bound_sequence_works_out_its_outcome_masks_once(self, case2, monkeypatch, run):
         # work-count guard: the masks depend on the outcome table alone
-        masks = count_calls(monkeypatch, "_outcomes")
-        gains = count_calls(monkeypatch, "_gain")
+        masks = count_calls(monkeypatch, "_outcomes", gains)
+        steps = count_gain_steps(monkeypatch)
         run(case2, DelayModel(0.5, 0.5), 400)
-        assert len(masks) == 1 < len(gains)
+        assert len(masks) == 1 < len(steps)
 

@@ -292,6 +292,17 @@ class TestRunFilter:
             x = filtering._correct(model, model.A @ x, D[k], rec.y1[k], rec.y2[k])
             assert np.array_equal(x, rec.xhat[k])
 
+    def test_outcome_masks_are_worked_out_once_per_run(self, case1, monkeypatch):
+        # work-count guard: a run plans the gain of each of the four
+        # outcomes once, and its checking call once more, however many
+        # steps it takes; no step works out an outcome mask
+        calls, outcomes = [], gains._outcomes
+        monkeypatch.setattr(gains, "_outcomes", lambda *args: calls.append(args) or outcomes(*args))
+        for T in (5, 300):
+            calls.clear()
+            run_filter(case1, DelayModel(0.25, 0.75), T, make_rng(3))
+            assert len(calls) == 5
+
     @pytest.mark.parametrize("T", [2.5, "5", True, np.True_])
     def test_non_integer_steps_rejected_before_any_draw(self, toy, T):
         # a non-integer step count used to raise numpy's unnamed TypeError,

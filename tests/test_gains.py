@@ -2,18 +2,20 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from conftest import random_instance, random_psd
-from netkalman.model import ALL_OUTCOMES, BlockDims, DelayOutcome, fixture
+from conftest import random_instance, random_model, random_psd
+from netkalman.filtering import predict_cov
+from netkalman.model import ALL_OUTCOMES, FIXTURE_NAMES, BlockDims, DelayOutcome, fixture
 from netkalman.gains import (
     COND_WARN,
     PSD_TOL,
     StructuredMask,
     _check_psd,
     _dot,
+    _gain_plan,
     _lu_inverse,
     _spd_inverse,
     gain_set,
@@ -234,6 +236,42 @@ def _prior_with_min_eig(rel, n=3, seed=0):
     return (P + P.T) / 2.0
 
 
+# The fixtures, and random models: max_n = 1 draws n1 = n2 = 1 and
+# max_m = 1 draws m1 = m2 = 1; the larger bounds draw 1 among other sizes.
+PLAN_MODELS = (st.sampled_from(FIXTURE_NAMES).map(lambda name: fixture(name)[0])
+               | st.builds(lambda seed, max_n, max_m: random_model(
+                   np.random.default_rng(seed), max_n, max_m),
+                   st.integers(0, 2**32 - 1), st.sampled_from([1, 3]), st.sampled_from([1, 2])))
+
+
+class TestGainPlan:
+    """``_gain_plan``: each way of assembling a gain against the row selection."""
+
+    @settings(max_examples=60)
+    @given(model=PLAN_MODELS, runs=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           checked=st.booleans())
+    @example(model=fixture("toy_identity")[0], runs=2, seed=0, checked=False)
+    def test_single_outcome_plans_have_the_bytes_of_a_mixed_stack(self, model, runs, seed,
+                                                                   checked):
+        # property: a plan for one outcome, on a 2-D prior (through matmul
+        # and through _dot) and on a stack with scalar indicators, gives
+        # each prior's gain the bytes of its layer inside a mixed-outcome
+        # stack, which selects rows with np.where
+        rng = np.random.default_rng(seed)
+        C, CT, V, dims = model.C, model.C.T, model.V, model.dims
+        priors = np.array([predict_cov(model, random_psd(rng, model.n)) for _ in range(runs)])
+        mixed = _gain_plan(C, CT, V, dims, [oc.gamma1 for oc in ALL_OUTCOMES] * runs,
+                           [oc.gamma2 for oc in ALL_OUTCOMES] * runs,
+                           checked)(np.repeat(priors, 4, axis=0)).reshape(runs, 4, model.n, -1)
+        for o, oc in enumerate(ALL_OUTCOMES):
+            single = _gain_plan(C, CT, V, dims, oc.gamma1, oc.gamma2, checked)
+            assert single(priors).tobytes() == mixed[:, o].tobytes()
+            for r, prior in enumerate(priors):
+                for mul in (np.matmul, _dot):
+                    got = _gain_plan(C, CT, V, dims, oc.gamma1, oc.gamma2, checked, mul)(prior)
+                    assert got.tobytes() == mixed[r, o].tobytes()
+
+
 class TestPsdCheck:
     # The check runs on every gain call, whatever the delay outcomes: in
     # gain_set, innovation_blocks and structured_gain, all on time included.
@@ -416,6 +454,21 @@ class TestOneByOneInverse:
     def test_zero_entry_raises(self, zero):
         with pytest.raises(np.linalg.LinAlgError):
             _lu_inverse(np.array([2.0, zero, np.nan]).reshape(3, 1, 1))
+        with pytest.raises(np.linalg.LinAlgError):
+            _lu_inverse(np.array([[zero]]))
+
+    @pytest.mark.parametrize("a", [5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max,
+                                   np.inf, -np.inf, np.nan])
+    def test_single_matrix_at_edge_values(self, a):
+        # a single (1, 1) matrix is inverted by a Python float division:
+        # the bits of np.linalg.inv and of the same entry inside a stack,
+        # and no floating-point signal, even where numpy would raise
+        M, stack = np.array([[a]]), np.array([2.0, a, -3.0]).reshape(3, 1, 1)
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, layer = _lu_inverse(M), _lu_inverse(stack)[1]
+        assert got.shape == (1, 1)
+        assert got.tobytes() == np.linalg.inv(M).tobytes() == layer.tobytes()
 
 
 @st.composite

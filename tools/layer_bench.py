@@ -5,7 +5,10 @@ Run from the root of a checkout::
 
     python3 tools/layer_bench.py --label mychange
 
-It times one structured gain per delay outcome, ``gain_set``, one
+It times one structured gain per delay outcome, ``gain_set``, the
+unchecked gain kernel of each delay outcome on one 2-D prior, stepped
+through ``ndarray.dot`` as ``run_filter`` steps it (``gain_2d.<outcome>``;
+left out for a package without the private ``gains._dot``), one
 ``covariance_step`` on stacks of 1, 16, 150 and 1000 runs, the checked
 inverse of the innovation covariance S of the 150-run stack alone
 (``spd_inverse.S.R150``; left out for a package without the private
@@ -66,8 +69,9 @@ one process::
 ``ROUNDS`` rounds that alternate which goes first, with one loop count
 for both.  The report gives the best round of each
 (``layers``, ``against.layers``), and the median over rounds of this
-package's time over the other's, with the number of rounds this package
-was faster (``ratio_to_against``, ``faster_rounds``); ``cold_import``
+package's time over the other's, the interquartile range of those
+per-round ratios, and the number of rounds this package was faster
+(``ratio``, ``ratio_iqr``, ``faster_rounds``); ``cold_import``
 runs one fresh interpreter of each package a round, and swaps which goes
 first on odd rounds.  The reference kernel
 is not timed in this mode.
@@ -125,6 +129,17 @@ def _cases(nk):
         lambda g1=np.array([oc.gamma1]), g2=np.array([oc.gamma2]):
         gains.structured_gain(P, C, V, dims, g1, g2)) for oc in ALL_OUTCOMES}
     cases["gain_set"] = lambda: gains.gain_set(P, C, V, dims)
+    prior, CT = filtering.predict_cov(model, model.Sigma0), C.T
+    for oc in ALL_OUTCOMES:
+        if hasattr(gains, "_gain_plan"):
+            step = gains._gain_plan(C, CT, V, dims, oc.gamma1, oc.gamma2, False, gains._dot)
+        elif hasattr(gains, "_gain") and hasattr(gains, "_dot"):
+            step = (lambda p, on_time=gains._on_time_rows(dims, [oc.gamma1], [oc.gamma2])[0],
+                    late1=not oc.gamma1, late2=not oc.gamma2: gains._gain(
+                        p, C, CT, V, dims, on_time, late1, late2, False, gains._dot))
+        else:
+            break
+        cases[f"gain_2d.{oc.label}"] = lambda step=step: step(prior)
     for runs in (1, 16, 150, 1000):
         stack = np.broadcast_to(P, (runs,) + P.shape[1:]).copy()
         g1, g2 = filtering.delay_indicators(delays, runs, filtering.make_rng(runs))
@@ -233,10 +248,12 @@ def _time(call) -> float:
 
 
 def _time_pair(times_a, times_b) -> dict:
-    """Best of each of two interleaved timing lists, the median ratio and a's faster rounds."""
+    """Best of each of two interleaved timing lists, and the median, interquartile range
+    and count of a's faster rounds of their per-round ratios."""
     ratios = [a / b for a, b in zip(times_a, times_b)]
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
     return {"us": round(min(times_a) * 1e6, 2), "against_us": round(min(times_b) * 1e6, 2),
-            "ratio": round(statistics.median(ratios), 3),
+            "ratio": round(statistics.median(ratios), 3), "ratio_iqr": round(q3 - q1, 3),
             "faster_rounds": sum(r < 1.0 for r in ratios)}
 
 
@@ -286,7 +303,8 @@ def _against(src) -> dict:
     return {
         "against": os.path.relpath(other.__file__, Path(src).resolve().parent),
         "unit": f"us per call, best of {ROUNDS} rounds that alternate the two packages; "
-                f"ratio: median over rounds of this package's time over the other's; "
+                f"ratio: median over rounds of this package's time over the other's, "
+                f"ratio_iqr: the interquartile range of those ratios; "
                 f"cold_import: us per process, best of {REPEATS} alternating fresh "
                 f"interpreters of each",
         "layers": report,
